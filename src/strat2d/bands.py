@@ -20,7 +20,9 @@ from .grid import (
     SpectralField,
     hminus1_norm,
     lp_norm,
+    lp_norm_unchecked,
     multiply,
+    require_hermitian,
     require_same_grid,
 )
 
@@ -165,17 +167,21 @@ def _lq(values: np.ndarray, q: float) -> float:
 
 
 def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
+    # the Hermitian guard is scaled by the whole field: a band holding only
+    # round-off would fail it relative to its own size
+    if spec.p != 2:
+        require_hermitian(f)
     if spec.homogeneous:
         if spec.s <= 0 and abs(f.coeffs[0, 0]) > 1e-12 * max(f.coefficient_norm(), 1e-300):
             raise NonzeroMeanError("homogeneous Besov norm with s <= 0 needs mean-zero data")
         vals = [
-            2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p)
+            2.0 ** (spec.s * j) * lp_norm_unchecked(project_band(f, j, bank), spec.p)
             for j in bank.bands
         ]
         return _lq(np.array(vals), spec.q)
-    vals = [lp_norm(lowpass_nonhom(f, 0, bank), spec.p)]
+    vals = [lp_norm_unchecked(lowpass_nonhom(f, 0, bank), spec.p)]
     for j in range(1, bank.j_max + 1):
-        vals.append(2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p))
+        vals.append(2.0 ** (spec.s * j) * lp_norm_unchecked(project_band(f, j, bank), spec.p))
     return _lq(np.array(vals), spec.q)
 
 

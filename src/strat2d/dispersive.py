@@ -22,7 +22,8 @@ from .grid import (
     advect,
     biot_savart,
     lambda_power,
-    lp_norm,
+    lp_norm_unchecked,
+    require_hermitian,
     require_mean_zero,
 )
 
@@ -30,10 +31,7 @@ SIGNS = (+1, -1)
 
 
 def _phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int) -> np.ndarray:
-    mult = np.zeros_like(grid.xi_abs)
-    nz = grid.xi_abs > 0
-    mult[nz] = grid.xi1[nz] / grid.xi_abs[nz]
-    return np.exp(1j * sign * kappa * t * mult)
+    return np.exp(1j * sign * kappa * t * grid.xi1_over_abs)
 
 
 def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) -> SpectralField:
@@ -138,8 +136,10 @@ def strichartz_measure(
     if cutoff_hat is None:
         cutoff_hat = bank.psi_hat(0)
     times = _time_nodes(kappa, t_max, nodes)
+    # checked once here: the radial cutoff and the phase keep f's absolute defect
+    require_hermitian(f)
     vals = np.array([
-        lp_norm(g_operator(f, kappa * t, cutoff_hat=cutoff_hat, sign=sign), r)
+        lp_norm_unchecked(g_operator(f, kappa * t, cutoff_hat=cutoff_hat, sign=sign), r)
         for t in times
     ])
     value = _lgamma_time_norm(vals, times, gamma)

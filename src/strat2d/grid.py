@@ -4,6 +4,8 @@ The domain is the square torus [0, 2*pi*L0)^2 sampled on an n x n grid.
 Coefficients are stored in numpy fft layout, indexed by the integer wave
 vector k with |k_i| <= n/2; the physical frequency is xi = k / L0.
 Normalization is chosen so a pure mode cos(k.x) has coefficient 1/2 at +-k.
+Transforms are real-to-complex (``scipy.fft.rfft2`` / ``irfft2``); the
+stored layout stays the full n x n spectrum, filled by conjugate reflection.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .errors import (
     GridMismatchError,
@@ -21,7 +24,9 @@ from .errors import (
 )
 
 MEAN_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
+# largest Hermitian defect, relative to the field's largest coefficient, that
+# the transforms accept as round-off
+HERMITIAN_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,22 @@ class GridSpec:
     def xi_abs(self) -> np.ndarray:
         return np.sqrt(self.xi_sq)
 
+    # zero-mode-safe symbols: each is 0 at xi = 0
+    @cached_property
+    def inv_xi_abs(self) -> np.ndarray:
+        """|xi|^-1."""
+        return _masked_quotient(np.ones_like(self.xi_abs), self.xi_abs)
+
+    @cached_property
+    def inv_xi_sq(self) -> np.ndarray:
+        """|xi|^-2."""
+        return _masked_quotient(np.ones_like(self.xi_sq), self.xi_sq)
+
+    @cached_property
+    def xi1_over_abs(self) -> np.ndarray:
+        """xi1 / |xi|, the symbol of -i R1."""
+        return _masked_quotient(self.xi1, self.xi_abs)
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         cut = self.dealias_fraction * self.n / 2
@@ -97,6 +118,10 @@ class GridSpec:
 
     def meshgrid(self):
         return np.meshgrid(self.x, self.x, indexing="ij")
+
+
+def _masked_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def _conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
@@ -145,7 +170,9 @@ class SpectralField:
         return self.with_mean(0.0)
 
     def coefficient_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm of the coefficients, as a plain reduction (no BLAS)."""
+        c = self.coeffs
+        return float(np.sqrt(np.sum(c.real**2) + np.sum(c.imag**2)))
 
     def hermitian_defect(self) -> float:
         scale = np.abs(self.coeffs).max()
@@ -192,17 +219,48 @@ def require_mean_zero(f: SpectralField, what: str = "operator") -> None:
 def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """Real grid samples -> spectral coefficients (pure mode amplitude 1/2)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n, grid.n):
-        raise ValueError(f"expected samples of shape {(grid.n, grid.n)}, got {samples.shape}")
-    return SpectralField(grid, np.fft.fft2(samples) / grid.n**2)
+    n = grid.n
+    if samples.shape != (n, n):
+        raise ValueError(f"expected samples of shape {(n, n)}, got {samples.shape}")
+    m = n // 2
+    coeffs = np.empty((n, n), dtype=complex)
+    half = coeffs[:, : m + 1]
+    half[...] = rfft2(samples, norm="forward")
+    # c(k1, k2) = conj c(-k1, -k2) for the columns rfft2 leaves out
+    np.conjugate(half[0, m - 1 : 0 : -1], out=coeffs[0, m + 1 :])
+    np.conjugate(half[:0:-1, m - 1 : 0 : -1], out=coeffs[1:, m + 1 :])
+    return SpectralField(grid, coeffs)
+
+
+def require_hermitian(f: SpectralField) -> None:
+    """Raise unless f's coefficients are those of a real field, up to round-off."""
+    defect = f.hermitian_defect()
+    if defect > HERMITIAN_LIMIT:
+        raise HermitianSymmetryError(f"coefficients not Hermitian (defect {defect:.2e})")
+
+
+def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """real(ifft2(coeffs)) * n^2, computed by irfft2 from the k2 >= 0 half.
+
+    Exact for Hermitian coefficients and for their images under odd symbols
+    such as i*xi1 (derivatives, Biot-Savart), which break the symmetry only
+    in the rows and columns that are their own reflection.  irfft2 keeps the
+    Hermitian part of the k2 = 0 and k2 = -n/2 columns, as real(ifft2) does;
+    the k1 = -n/2 row is replaced by its Hermitian part here.
+    """
+    n, m = grid.n, grid.n // 2
+    half = coeffs[:, : m + 1]
+    row, partner = half[m, 1:m], np.conj(coeffs[m, :m:-1])
+    if not np.array_equal(row, partner):
+        half = half.copy()
+        half[m, 1:m] = 0.5 * (row + partner)
+    return irfft2(half, s=(n, n), norm="forward")
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Spectral coefficients -> real grid samples; checks Hermitian symmetry."""
-    defect = f.hermitian_defect()
-    if defect > 1e-8:
-        raise HermitianSymmetryError(f"coefficients not Hermitian (defect {defect:.2e})")
-    return np.real(np.fft.ifft2(f.coeffs) * f.grid.n**2)
+    require_hermitian(f)
+    return _samples(f.grid, f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +284,21 @@ def lambda_power(f: SpectralField, s: float) -> SpectralField:
         raise NegativePowerOnNonzeroMeanError(
             "Lambda^s with s < 0 requires a mean-zero field"
         )
-    mult = np.zeros_like(f.grid.xi_abs)
-    nz = f.grid.xi_abs > 0
-    mult[nz] = f.grid.xi_abs[nz] ** s
-    return SpectralField(f.grid, mult * f.coeffs)
+    mult = f.grid.xi_abs**s if s > 0 else f.grid.inv_xi_abs ** -s
+    c = mult * f.coeffs
+    c[0, 0] = 0.0  # also for s = 0, where the symbol is 1 at xi = 0
+    return SpectralField(f.grid, c)
 
 
 def inverse_laplacian(f: SpectralField) -> SpectralField:
     require_mean_zero(f, "(-Laplacian)^-1")
-    mult = np.zeros_like(f.grid.xi_sq)
-    nz = f.grid.xi_sq > 0
-    mult[nz] = 1.0 / f.grid.xi_sq[nz]
-    return SpectralField(f.grid, mult * f.coeffs)
+    return SpectralField(f.grid, f.grid.inv_xi_sq * f.coeffs)
 
 
 def riesz(f: SpectralField, axis: int = 1) -> SpectralField:
     """Riesz transform R_axis, symbol i*xi_axis/|xi|."""
     require_mean_zero(f, "Riesz transform")
-    xi = f.grid.xi1 if axis == 1 else f.grid.xi2
-    mult = np.zeros_like(f.grid.xi_abs)
-    nz = f.grid.xi_abs > 0
-    mult[nz] = xi[nz] / f.grid.xi_abs[nz]
+    mult = f.grid.xi1_over_abs if axis == 1 else f.grid.xi2 * f.grid.inv_xi_abs
     return SpectralField(f.grid, 1j * mult * f.coeffs)
 
 
@@ -258,12 +310,8 @@ def biot_savart(omega: SpectralField) -> VectorField:
     """u = perp-gradient of (-Laplacian)^-1 omega; divergence-free."""
     require_mean_zero(omega, "Biot-Savart")
     g = omega.grid
-    inv = np.zeros_like(g.xi_sq)
-    nz = g.xi_sq > 0
-    inv[nz] = 1.0 / g.xi_sq[nz]
-    u1 = SpectralField(g, -1j * g.xi2 * inv * omega.coeffs)
-    u2 = SpectralField(g, 1j * g.xi1 * inv * omega.coeffs)
-    return VectorField(u1, u2)
+    psi = g.inv_xi_sq * omega.coeffs
+    return VectorField(SpectralField(g, -1j * g.xi2 * psi), SpectralField(g, 1j * g.xi1 * psi))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -284,22 +332,32 @@ def multiply(f: SpectralField, g: SpectralField, dealias_product: bool = True) -
 def advect(u: VectorField, g: SpectralField) -> SpectralField:
     """dealias(u . grad g) via physical-space products."""
     require_same_grid(u.u1, g)
-    n2 = u.grid.n**2
-    u1 = np.real(np.fft.ifft2(u.u1.coeffs) * n2)
-    u2 = np.real(np.fft.ifft2(u.u2.coeffs) * n2)
-    g1 = np.real(np.fft.ifft2(derivative(g, 1).coeffs) * n2)
-    g2 = np.real(np.fft.ifft2(derivative(g, 2).coeffs) * n2)
-    prod = np.fft.fft2(u1 * g1 + u2 * g2) / n2
-    return dealias(SpectralField(u.grid, prod))
+    grid = u.grid
+    u1, u2 = _samples(grid, u.u1.coeffs), _samples(grid, u.u2.coeffs)
+    g1, g2 = _samples(grid, derivative(g, 1).coeffs), _samples(grid, derivative(g, 2).coeffs)
+    return dealias(forward_transform(grid, u1 * g1 + u2 * g2))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm; p=2 via Plancherel, p=inf grid max, else grid quadrature."""
+    if p != 2:
+        require_hermitian(f)
+    return lp_norm_unchecked(f, p)
+
+
+def lp_norm_unchecked(f: SpectralField, p: float) -> float:
+    """lp_norm without the Hermitian check, for the band projections or
+    propagated copies of a field the caller has checked once.
+
+    Their symbols are symmetric under k -> -k (up to conjugation), so their
+    absolute Hermitian defect is at most the checked field's; relative to
+    their own size it may not be (a band holding only round-off).
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 2:
         return 2 * np.pi * f.grid.box_scale * f.coefficient_norm()
-    samples = inverse_transform(f)
+    samples = _samples(f.grid, f.coeffs)
     if np.isinf(p):
         return float(np.abs(samples).max())
     cell = (2 * np.pi * f.grid.box_scale / f.grid.n) ** 2

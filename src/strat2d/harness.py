@@ -175,8 +175,12 @@ class RunSpec:
 
     @property
     def tag(self) -> str:
-        kap = f"{self.kappa:g}".replace(".", "p").replace("-", "m")
-        return f"run{self.index:03d}_kappa{kap}_seed{self.seed}_{self.scheme}"
+        return f"run{self.index:03d}_kappa{_kappa_tag(self.kappa)}_seed{self.seed}_{self.scheme}"
+
+
+def _kappa_tag(kappa: float) -> str:
+    """kappa for a file name: 0.5 -> "0p5", -2 -> "m2"."""
+    return f"{kappa:g}".replace(".", "p").replace("-", "m")
 
 
 def sweep_schedule(config: ExperimentConfig) -> list[RunSpec]:
@@ -197,8 +201,8 @@ def sweep_schedule(config: ExperimentConfig) -> list[RunSpec]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -354,8 +358,7 @@ def _picard(config: ExperimentConfig, outdir: Path):
         for tr in traces:
             for i, t in enumerate(tr.t):
                 rows.append([tr.n, t, tr.a[i], tr.a_bar[i] if tr.a_bar is not None else ""])
-        name = f"picard_kappa{float(kappa):g}.csv".replace(".", "p", 1)
-        path = outdir / name
+        path = outdir / f"picard_kappa{_kappa_tag(float(kappa))}.csv"
         write_csv(path, ("n", "t", "a_n", "a_bar_n"), rows)
         outputs.append(path.name)
         ratios = cauchy_ratios(traces)

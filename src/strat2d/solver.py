@@ -108,8 +108,8 @@ def rhs(state: SimState, velocity_fn=_own_velocity):
     The kappa * u2 coupling always uses the unknown's own Biot-Savart
     velocity, so the same routine serves the frozen-transport linear solves.
     """
-    u_adv = velocity_fn(state.omega, state.t)
     u_own = biot_savart(state.omega)
+    u_adv = u_own if velocity_fn is _own_velocity else velocity_fn(state.omega, state.t)
     domega = -advect(u_adv, state.omega) + state.kappa * derivative(state.rho, 1)
     drho = -advect(u_adv, state.rho) + state.kappa * u_own.u2
     return domega, drho
@@ -135,10 +135,7 @@ def _rk4_step(state: SimState, dt: float, velocity_fn) -> SimState:
 
 def _phase(grid: GridSpec, kappa: float, h: float) -> np.ndarray:
     """exp(i kappa h xi1/|xi|) (the V+ propagator; conjugate for V-)."""
-    mult = np.zeros_like(grid.xi_abs)
-    nz = grid.xi_abs > 0
-    mult[nz] = grid.xi1[nz] / grid.xi_abs[nz]
-    return np.exp(1j * kappa * h * mult)
+    return np.exp(1j * kappa * h * grid.xi1_over_abs)
 
 
 def _split(state: SimState):
@@ -155,10 +152,7 @@ def _split(state: SimState):
 def _merge(grid: GridSpec, vp: np.ndarray, vm: np.ndarray, rho_mean, t, kappa) -> SimState:
     omega = SpectralField(grid, 0.5 * (vp + vm))
     lam_rho = 0.5 * (vp - vm)
-    inv = np.zeros_like(grid.xi_abs)
-    nz = grid.xi_abs > 0
-    inv[nz] = 1.0 / grid.xi_abs[nz]
-    rho_c = inv * lam_rho
+    rho_c = grid.inv_xi_abs * lam_rho
     rho_c[0, 0] = rho_mean
     return SimState(omega, SpectralField(grid, rho_c), t, kappa)
 

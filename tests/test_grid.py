@@ -7,6 +7,7 @@ from strat2d.errors import (
     NegativePowerOnNonzeroMeanError,
     NonzeroMeanError,
 )
+from strat2d.bands import BesovSpec, DyadicBank, besov_norm
 from strat2d.grid import (
     GridSpec,
     SpectralField,
@@ -253,3 +254,56 @@ def test_box_scale_frequencies():
     f = forward_transform(g, np.cos(x1 / 4.0))
     # L2 norm scales with the box: 2 pi L0 / sqrt(2)
     assert abs(lp_norm(f, 2) - 2 * np.pi * 4.0 / np.sqrt(2)) < 1e-10
+
+
+def random_hermitian_coeffs(n, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (a + np.conj(np.roll(a[::-1, ::-1], 1, axis=(0, 1))))
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_real_transforms_match_complex_reference(n):
+    g = GridSpec(n)
+    c = random_hermitian_coeffs(n, seed=n)
+    samples = np.real(np.fft.ifft2(c) * n**2)
+    assert relative_error(forward_transform(g, samples).coeffs, np.fft.fft2(samples) / n**2) < 1e-12
+    assert relative_error(inverse_transform(SpectralField(g, c)), samples) < 1e-12
+
+    def phys(coeffs):
+        return np.real(np.fft.ifft2(coeffs) * n**2)
+
+    omega = SpectralField(g, c).drop_mean()
+    gfield = SpectralField(g, random_hermitian_coeffs(n, seed=n + 1))
+    u = biot_savart(omega)
+    prod = (phys(u.u1.coeffs) * phys(1j * g.xi1 * gfield.coeffs)
+            + phys(u.u2.coeffs) * phys(1j * g.xi2 * gfield.coeffs))
+    ref = np.fft.fft2(prod) / n**2 * g.dealias_mask
+    assert relative_error(advect(u, gfield).coeffs, ref) < 1e-12
+
+
+def test_coefficient_norm_matches_linalg(grid):
+    f = SpectralField(grid, random_hermitian_coeffs(grid.n, seed=3))
+    ref = np.linalg.norm(f.coeffs)
+    assert abs(f.coefficient_norm() - ref) <= 1e-14 * ref
+    huge = SpectralField(grid, np.full((grid.n, grid.n), 1e200 + 1e200j))
+    assert huge.coefficient_norm() == np.inf
+
+
+def test_besov_guard_scaled_by_whole_field(grid):
+    bank = DyadicBank(grid)
+    x1, _ = grid.meshgrid()
+    c = forward_transform(grid, np.cos(x1)).coeffs
+    # round-off-sized content in the top band, with no conjugate partner: its
+    # band projection alone is far from Hermitian, the field is not
+    top = np.unravel_index(np.argmax(bank.psi_hat(bank.j_max)), c.shape)
+    c[top] += 1e-13
+    spec = BesovSpec(s=0.0, p=np.inf, q=1.0)
+    assert besov_norm(SpectralField(grid, c), spec, bank) > 0
+    c[top] += 1e-3
+    with pytest.raises(HermitianSymmetryError):
+        besov_norm(SpectralField(grid, c), spec, bank)

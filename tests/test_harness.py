@@ -12,6 +12,7 @@ from strat2d.harness import (
     run_experiment,
     sweep_schedule,
     thread_count,
+    write_csv,
 )
 
 
@@ -31,6 +32,20 @@ SIM_CONFIG = {
     "kappa_list": [0.0, 16.0],
     "t_final": 0.1,
     "n_samples": 3,
+}
+
+
+# the `simulate` example of README.md
+README_SIM = {
+    "kind": "simulate",
+    "grid": {"n": 64},
+    "scheme": "ifrk4",
+    "dt": 0.01,
+    "initial_data": {"name": "random-spectrum", "seed": 3,
+                     "amplitude": 0.5, "xi_lo": 0.5, "xi_hi": 4.0},
+    "kappa_list": [0.0, 16.0, 256.0],
+    "t_final": 0.5,
+    "output_dir": "out",
 }
 
 
@@ -175,3 +190,32 @@ def test_cli_override(tmp_path):
     assert cli_main(["bands", "--config", path, "--override",
                      f'output_dir="{alt}"']) == 0
     assert os.path.isdir(alt)
+
+
+def test_readme_simulate_at_n128(tmp_path):
+    # the diagnostics' top-band norms used to trip the Hermitian guard at N >= 96
+    path = write_config(tmp_path / "sim.json",
+                        dict(README_SIM, output_dir=str(tmp_path / "out")))
+    assert cli_main(["simulate", "--config", path, "--override", "grid.n=128"]) == 0
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        runs = json.load(fh)["runs"]
+    assert [r["status"] for r in runs] == ["ok"] * 3
+
+
+def test_picard_csv_names_keep_extension(tmp_path):
+    cfg = ExperimentConfig(kind="picard", grid={"n": 32}, kappa_list=[16.0, 0.5],
+                           initial_data={"name": "random-spectrum", "seed": 7,
+                                         "amplitude": 1.0, "xi_lo": 0.5, "xi_hi": 2.5},
+                           t_final=0.05, n_max=2, n_samples=6,
+                           output_dir=str(tmp_path / "out"))
+    manifest = run_experiment(cfg)
+    csvs = sorted(name for name in manifest.outputs if name.startswith("picard_"))
+    assert csvs == ["picard_kappa0p5.csv", "picard_kappa16.csv"]
+    for name in csvs:
+        assert "np." not in (tmp_path / "out" / name).read_text()
+
+
+def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
+    path = tmp_path / "x.csv"
+    write_csv(path, ("a", "b", "c"), [[np.float64(0.1), 0.25, np.float32(0.5)]])
+    assert path.read_text().splitlines() == ["a,b,c", "0.1,0.25,0.5"]

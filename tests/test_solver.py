@@ -219,3 +219,18 @@ def test_gronwall_fit(grid, bank):
 def test_z_norm_zero(grid, bank):
     z = zero_field(grid)
     assert z_norm(z, z, bank) == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "rk4"])
+def test_step_path_calls_no_blas_norm(monkeypatch, scheme):
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    state = SimState(omega, rho, 0.0, 16.0)
+    cfg = StepperConfig(scheme=scheme, dt=0.01)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm called on the per-step path")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    new = step(state, cfl_dt(state, cfg), cfg)
+    assert new.t > 0 and np.isfinite(new.omega.coeffs).all()
