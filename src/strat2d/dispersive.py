@@ -17,21 +17,20 @@ import numpy as np
 
 from .bands import BesovSpec, DyadicBank, besov_norm
 from .grid import (
-    GridSpec,
     SpectralField,
     advect,
     biot_savart,
     lambda_power,
-    lp_norm_unchecked,
+    lp_norms_unchecked,
+    phase_multiplier,
     require_hermitian,
     require_mean_zero,
 )
 
 SIGNS = (+1, -1)
-
-
-def _phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int) -> np.ndarray:
-    return np.exp(1j * sign * kappa * t * grid.xi1_over_abs)
+# time nodes per batched inverse transform in strichartz_measure; the block's
+# coefficient buffer is NODE_BLOCK * n^2 complex numbers (1 MB at n = 128)
+NODE_BLOCK = 4
 
 
 def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) -> SpectralField:
@@ -39,7 +38,7 @@ def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) ->
     require_mean_zero(f, "stratified propagator")
     if sign not in SIGNS:
         raise ValueError("sign must be +1 or -1")
-    return SpectralField(f.grid, _phase_multiplier(f.grid, t, kappa, sign) * f.coeffs)
+    return SpectralField(f.grid, phase_multiplier(f.grid, t, kappa, sign) * f.coeffs)
 
 
 def diagonalize(omega: SpectralField, rho: SpectralField):
@@ -66,7 +65,7 @@ def g_operator(f: SpectralField, t: float, cutoff_hat: np.ndarray | None = None,
         if bank is None:
             bank = DyadicBank(f.grid)
         cutoff_hat = bank.psi_hat(0)
-    phase = _phase_multiplier(f.grid, t, 1.0, sign)
+    phase = phase_multiplier(f.grid, t, 1.0, sign)
     return SpectralField(f.grid, cutoff_hat * phase * f.coeffs)
 
 
@@ -127,7 +126,9 @@ def strichartz_measure(
     """(int_0^T |G(+-kappa t) f|_{L^r}^gamma dt)^{1/gamma} on the window.
 
     Depends on kappa only through |kappa|; the propagation direction is the
-    separate `sign` argument.
+    separate `sign` argument.  G(kappa t) f is g_operator(f, kappa t); the
+    phases are formed only where the cutoff times f is nonzero, and each
+    block of NODE_BLOCK nodes is transformed in one batch.
     """
     require_mean_zero(f, "dispersive measurement")
     kappa = abs(kappa)
@@ -138,10 +139,16 @@ def strichartz_measure(
     times = _time_nodes(kappa, t_max, nodes)
     # checked once here: the radial cutoff and the phase keep f's absolute defect
     require_hermitian(f)
-    vals = np.array([
-        lp_norm_unchecked(g_operator(f, kappa * t, cutoff_hat=cutoff_hat, sign=sign), r)
-        for t in times
-    ])
+    amp = cutoff_hat * f.coeffs
+    support = np.nonzero(amp)
+    amp, symbol = amp[support], sign * f.grid.xi1_over_abs[support]
+    block = np.zeros((NODE_BLOCK, f.grid.n, f.grid.n), dtype=complex)
+    vals = np.empty(len(times))
+    for start in range(0, len(times), NODE_BLOCK):
+        t = times[start : start + NODE_BLOCK]
+        coeffs = block[: len(t)]
+        coeffs[:, support[0], support[1]] = amp * np.exp(1j * kappa * t[:, None] * symbol)
+        vals[start : start + len(t)] = lp_norms_unchecked(f.grid, coeffs, r)
     value = _lgamma_time_norm(vals, times, gamma)
     return StrichartzSample(kappa=abs(kappa), gamma=gamma, r=r, t_max=t_max,
                             nodes=len(times), value=value)
@@ -213,24 +220,23 @@ def duhamel_residual(traj, kappa: float, sign: int = +1) -> np.ndarray:
         v = vp if sign == +1 else vm
         if traj.nonlinear:
             u = biot_savart(st.omega)
-            fterm = advect(u, st.omega)
-            gterm = lambda_power(advect(u, st.rho), 1.0)
+            fterm, adv_rho = advect(u, st.omega, st.rho)
+            gterm = lambda_power(adv_rho, 1.0)
             forcing = fterm + gterm if sign == +1 else fterm - gterm
         else:
             forcing = SpectralField(grid, np.zeros_like(v.coeffs))
         vs.append(v)
         forcings.append(forcing)
 
+    # group law: e(t - tau) = e(t) conj(e(tau)), so the Duhamel integral up to
+    # t_i is e(t_i) times a running trapezoid of conj(e(tau_j)) * forcing_j
+    phases = [phase_multiplier(grid, t, kappa, sign) for t in times]
+    pulled = [np.conj(e) * fo.coeffs for e, fo in zip(phases, forcings)]
     residuals = [0.0]
+    integral = np.zeros_like(vs[0].coeffs)
     for i in range(1, len(snaps)):
-        t = times[i]
-        v_pred = semigroup_apply(vs[0], t, kappa, sign).coeffs
-        integrand = [
-            _phase_multiplier(grid, t - tau, kappa, sign) * forcings[j].coeffs
-            for j, tau in enumerate(times[: i + 1])
-        ]
-        integral = np.trapezoid(np.stack(integrand), times[: i + 1], axis=0)
-        v_pred = v_pred - integral
+        integral = integral + 0.5 * (times[i] - times[i - 1]) * (pulled[i - 1] + pulled[i])
+        v_pred = phases[i] * (vs[0].coeffs - integral)
         denom = np.linalg.norm(vs[i].coeffs)
         num = np.linalg.norm(vs[i].coeffs - v_pred)
         residuals.append(num / denom if denom > 0 else num)

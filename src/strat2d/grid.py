@@ -124,6 +124,11 @@ def _masked_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
+def _coefficient_norms(coeffs: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last two axes, as plain reductions (no BLAS)."""
+    return np.sqrt(np.sum(coeffs.real**2, axis=(-2, -1)) + np.sum(coeffs.imag**2, axis=(-2, -1)))
+
+
 def _conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
     """conj(c(-k)) in fft index layout."""
     return np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
@@ -171,8 +176,7 @@ class SpectralField:
 
     def coefficient_norm(self) -> float:
         """Euclidean norm of the coefficients, as a plain reduction (no BLAS)."""
-        c = self.coeffs
-        return float(np.sqrt(np.sum(c.real**2) + np.sum(c.imag**2)))
+        return float(_coefficient_norms(self.coeffs))
 
     def hermitian_defect(self) -> float:
         scale = np.abs(self.coeffs).max()
@@ -240,7 +244,8 @@ def require_hermitian(f: SpectralField) -> None:
 
 
 def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """real(ifft2(coeffs)) * n^2, computed by irfft2 from the k2 >= 0 half.
+    """real(ifft2(coeffs)) * n^2 over the last two axes, computed by irfft2
+    from the k2 >= 0 half; leading axes are a batch.
 
     Exact for Hermitian coefficients and for their images under odd symbols
     such as i*xi1 (derivatives, Biot-Savart), which break the symmetry only
@@ -249,11 +254,11 @@ def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     the k1 = -n/2 row is replaced by its Hermitian part here.
     """
     n, m = grid.n, grid.n // 2
-    half = coeffs[:, : m + 1]
-    row, partner = half[m, 1:m], np.conj(coeffs[m, :m:-1])
+    half = coeffs[..., :, : m + 1]
+    row, partner = half[..., m, 1:m], np.conj(coeffs[..., m, :m:-1])
     if not np.array_equal(row, partner):
         half = half.copy()
-        half[m, 1:m] = 0.5 * (row + partner)
+        half[..., m, 1:m] = 0.5 * (row + partner)
     return irfft2(half, s=(n, n), norm="forward")
 
 
@@ -302,8 +307,9 @@ def riesz(f: SpectralField, axis: int = 1) -> SpectralField:
     return SpectralField(f.grid, 1j * mult * f.coeffs)
 
 
-def riesz1(f: SpectralField) -> SpectralField:
-    return riesz(f, 1)
+def phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int = +1) -> np.ndarray:
+    """exp(+-i kappa t xi1/|xi|), the stratified propagator's symbol on V+-."""
+    return np.exp(1j * sign * kappa * t * grid.xi1_over_abs)
 
 
 def biot_savart(omega: SpectralField) -> VectorField:
@@ -329,13 +335,20 @@ def multiply(f: SpectralField, g: SpectralField, dealias_product: bool = True) -
     return dealias(prod) if dealias_product else prod
 
 
-def advect(u: VectorField, g: SpectralField) -> SpectralField:
-    """dealias(u . grad g) via physical-space products."""
-    require_same_grid(u.u1, g)
+def advect(u: VectorField, *scalars: SpectralField):
+    """dealias(u . grad g) via physical-space products, for each scalar g.
+
+    The velocity is transformed once for all scalars.  Returns a field for
+    one scalar and a tuple of fields, in order, for several.
+    """
+    require_same_grid(u.u1, *scalars)
     grid = u.grid
     u1, u2 = _samples(grid, u.u1.coeffs), _samples(grid, u.u2.coeffs)
-    g1, g2 = _samples(grid, derivative(g, 1).coeffs), _samples(grid, derivative(g, 2).coeffs)
-    return dealias(forward_transform(grid, u1 * g1 + u2 * g2))
+    out = []
+    for g in scalars:
+        g1, g2 = _samples(grid, derivative(g, 1).coeffs), _samples(grid, derivative(g, 2).coeffs)
+        out.append(dealias(forward_transform(grid, u1 * g1 + u2 * g2)))
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -353,15 +366,21 @@ def lp_norm_unchecked(f: SpectralField, p: float) -> float:
     absolute Hermitian defect is at most the checked field's; relative to
     their own size it may not be (a band holding only round-off).
     """
+    return float(lp_norms_unchecked(f.grid, f.coeffs, p))
+
+
+def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """lp_norm_unchecked over the last two axes of a batch of coefficient
+    arrays: one batched inverse transform for p != 2."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 2:
-        return 2 * np.pi * f.grid.box_scale * f.coefficient_norm()
-    samples = _samples(f.grid, f.coeffs)
+        return 2 * np.pi * grid.box_scale * _coefficient_norms(coeffs)
+    samples = np.abs(_samples(grid, coeffs))
     if np.isinf(p):
-        return float(np.abs(samples).max())
-    cell = (2 * np.pi * f.grid.box_scale / f.grid.n) ** 2
-    return float((np.sum(np.abs(samples) ** p) * cell) ** (1.0 / p))
+        return samples.max(axis=(-2, -1))
+    cell = (2 * np.pi * grid.box_scale / grid.n) ** 2
+    return (np.sum(samples**p, axis=(-2, -1)) * cell) ** (1.0 / p)
 
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:

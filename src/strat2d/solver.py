@@ -30,6 +30,7 @@ from .grid import (
     inverse_transform,
     lambda_power,
     lp_norm,
+    phase_multiplier,
     require_mean_zero,
 )
 
@@ -110,8 +111,9 @@ def rhs(state: SimState, velocity_fn=_own_velocity):
     """
     u_own = biot_savart(state.omega)
     u_adv = u_own if velocity_fn is _own_velocity else velocity_fn(state.omega, state.t)
-    domega = -advect(u_adv, state.omega) + state.kappa * derivative(state.rho, 1)
-    drho = -advect(u_adv, state.rho) + state.kappa * u_own.u2
+    adv_omega, adv_rho = advect(u_adv, state.omega, state.rho)
+    domega = -adv_omega + state.kappa * derivative(state.rho, 1)
+    drho = -adv_rho + state.kappa * u_own.u2
     return domega, drho
 
 
@@ -131,11 +133,6 @@ def _rk4_step(state: SimState, dt: float, velocity_fn) -> SimState:
     om1 = om + (dt / 6) * (k1o + 2 * k2o + 2 * k3o + k4o)
     rh1 = rh + (dt / 6) * (k1r + 2 * k2r + 2 * k3r + k4r)
     return SimState(om1, rh1, t + dt, state.kappa)
-
-
-def _phase(grid: GridSpec, kappa: float, h: float) -> np.ndarray:
-    """exp(i kappa h xi1/|xi|) (the V+ propagator; conjugate for V-)."""
-    return np.exp(1j * kappa * h * grid.xi1_over_abs)
 
 
 def _split(state: SimState):
@@ -161,8 +158,8 @@ def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True)
     """Lawson (integrating-factor) RK4 in the diagonal variables."""
     grid, kappa = state.grid, state.kappa
     vp, vm, rho_mean = _split(state)
-    e_half = _phase(grid, kappa, dt / 2)
-    e_full = _phase(grid, kappa, dt)
+    e_half = phase_multiplier(grid, dt / 2, kappa)
+    e_full = e_half * e_half
 
     def nl(vp_c, vm_c, t):
         """N+- = -advect(u, omega) -+ Lambda advect(u, rho)."""
@@ -171,8 +168,8 @@ def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True)
             return z, z
         st = _merge(grid, vp_c, vm_c, rho_mean, t, kappa)
         u_adv = velocity_fn(st.omega, t)
-        a = advect(u_adv, st.omega).coeffs
-        b = grid.xi_abs * advect(u_adv, st.rho).coeffs
+        adv_omega, adv_rho = advect(u_adv, st.omega, st.rho)
+        a, b = adv_omega.coeffs, grid.xi_abs * adv_rho.coeffs
         return -a - b, -a + b
 
     t = state.t

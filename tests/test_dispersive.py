@@ -3,6 +3,8 @@ import pytest
 
 from strat2d.bands import BesovSpec, besov_norm, build_bank
 from strat2d.dispersive import (
+    NODE_BLOCK,
+    SIGNS,
     Kappa0Inputs,
     StrichartzSample,
     besov_strichartz_measure,
@@ -15,7 +17,7 @@ from strat2d.dispersive import (
     strichartz_measure,
     undiagonalize,
 )
-from strat2d.errors import NonzeroMeanError
+from strat2d.errors import HermitianSymmetryError, NonzeroMeanError
 from strat2d.fields import coherent_band_field, random_field, random_spectrum
 from strat2d.grid import (
     GridSpec,
@@ -24,6 +26,7 @@ from strat2d.grid import (
     hminus1_norm,
     inverse_transform,
     lp_norm,
+    lp_norm_unchecked,
 )
 from strat2d.solver import StepperConfig, run
 
@@ -142,6 +145,43 @@ def test_strichartz_gamma_infinity(grid, bank):
     sample = strichartz_measure(f, 16.0, np.inf, np.inf, 0.5, bank=bank)
     # sup over nodes of a bounded quantity
     assert 0 < sample.value <= lp_norm(f, np.inf) * 1.5
+
+
+@pytest.mark.parametrize("cutoff", ["band0", "ones"])
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("r, gamma", [(np.inf, 4.0), (4.0, 8.0)])
+def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutoff):
+    # white noise reaches every mode; the all-ones cutoff keeps the k1 = -n/2
+    # row, whose propagated copy is not Hermitian
+    noise = np.random.default_rng(11).standard_normal((grid.n, grid.n))
+    f = forward_transform(grid, noise).drop_mean()
+    cutoff_hat = bank.psi_hat(0) if cutoff == "band0" else np.ones((grid.n, grid.n))
+    kappa, t_max, nodes = 16.0, 0.5, 35
+    assert nodes % NODE_BLOCK  # the last block is partial
+    sample = strichartz_measure(f, kappa, gamma, r, t_max, nodes=nodes,
+                                cutoff_hat=cutoff_hat, bank=bank, sign=sign)
+    # the per-node loop: one propagated copy of f, transformed on its own
+    times = np.linspace(0.0, t_max, nodes)
+    vals = np.array([
+        lp_norm_unchecked(g_operator(f, kappa * t, cutoff_hat=cutoff_hat, sign=sign), r)
+        for t in times
+    ])
+    expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
+    assert abs(sample.value - expected) < 1e-12 * expected
+
+
+def test_strichartz_mean_guard(grid, bank):
+    f = coherent_band_field(grid, seed=8).with_mean(0.3)
+    with pytest.raises(NonzeroMeanError):
+        strichartz_measure(f, 16.0, 4.0, np.inf, 0.5, bank=bank)
+
+
+def test_strichartz_hermitian_guard(grid, bank):
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    c[0, 0] = 0.0
+    with pytest.raises(HermitianSymmetryError):
+        strichartz_measure(SpectralField(grid, c), 16.0, 4.0, np.inf, 0.5, bank=bank)
 
 
 def test_besov_strichartz_validation(grid, bank):

@@ -26,6 +26,8 @@ from strat2d.grid import (
     lambda_power,
     load_field,
     lp_norm,
+    lp_norm_unchecked,
+    lp_norms_unchecked,
     multiply,
     riesz,
     save_field,
@@ -187,6 +189,22 @@ def test_advect_zero_velocity(grid):
     zero = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
     out = advect(VectorField(zero, zero), g)
     assert out.coefficient_norm() == 0.0
+
+
+def test_advect_several_scalars_match_single_calls(grid):
+    u = biot_savart(random_real_field(grid, seed=7).drop_mean())
+    g, h = random_real_field(grid, seed=8), random_real_field(grid, seed=9)
+    adv_g, adv_h = advect(u, g, h)
+    assert np.array_equal(adv_g.coeffs, advect(u, g).coeffs)
+    assert np.array_equal(adv_h.coeffs, advect(u, h).coeffs)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_batched_norms_match_single_fields(grid, p):
+    fields = [random_real_field(grid, seed=s) for s in (10, 11, 12)]
+    batch = lp_norms_unchecked(grid, np.stack([f.coeffs for f in fields]), p)
+    single = [lp_norm_unchecked(f, p) for f in fields]
+    assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
 
 
 def test_inner_products(grid):
