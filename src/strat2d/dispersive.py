@@ -18,9 +18,9 @@ import numpy as np
 from .bands import BesovSpec, DyadicBank, besov_norm
 from .grid import (
     SpectralField,
+    _coefficient_norms,
     advect,
     biot_savart,
-    lambda_power,
     lp_norms_unchecked,
     phase_multiplier,
     require_hermitian,
@@ -29,7 +29,8 @@ from .grid import (
 
 SIGNS = (+1, -1)
 # time nodes per batched inverse transform in strichartz_measure; the block's
-# coefficient buffer is NODE_BLOCK * n^2 complex numbers (1 MB at n = 128)
+# coefficient buffer is NODE_BLOCK * n * (n//2 + 1) complex numbers (0.5 MB at
+# n = 128)
 NODE_BLOCK = 4
 
 
@@ -42,17 +43,25 @@ def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) ->
 
 
 def diagonalize(omega: SpectralField, rho: SpectralField):
-    """V+- = omega +- Lambda rho (rho's mean is annihilated by Lambda)."""
-    require_mean_zero(omega, "diagonalization")
-    lam_rho = lambda_power(rho, 1.0)
-    return omega + lam_rho, omega - lam_rho
+    """V+- = omega +- Lambda rho (rho's mean is annihilated by Lambda).
+
+    The one home of the diagonal variables: the integrating-factor stepper
+    (state and nonlinear forcing), the diagnostics and `duhamel_residual` use
+    this pair.  omega's mean passes into both V+- and back; forcings carry a
+    round-off mean, so the mean-zero guards stay with the operators that
+    need them (Biot-Savart, the propagators).
+    """
+    lam_rho = omega.grid.xi_abs * rho.coeffs
+    return (SpectralField(omega.grid, omega.coeffs + lam_rho),
+            SpectralField(omega.grid, omega.coeffs - lam_rho))
 
 
 def undiagonalize(vplus: SpectralField, vminus: SpectralField, rho_mean: float = 0.0):
-    omega = 0.5 * (vplus + vminus)
-    lam_rho = 0.5 * (vplus - vminus)
-    rho = lambda_power(lam_rho, -1.0).with_mean(rho_mean)
-    return omega, rho
+    """(omega, rho) from V+-; rho's mean, which Lambda annihilates, is given."""
+    grid = vplus.grid
+    rho = grid.inv_xi_abs * (0.5 * (vplus.coeffs - vminus.coeffs))
+    rho[0, 0] = rho_mean
+    return SpectralField(grid, 0.5 * (vplus.coeffs + vminus.coeffs)), SpectralField(grid, rho)
 
 
 def g_operator(f: SpectralField, t: float, cutoff_hat: np.ndarray | None = None,
@@ -142,7 +151,7 @@ def strichartz_measure(
     amp = cutoff_hat * f.coeffs
     support = np.nonzero(amp)
     amp, symbol = amp[support], sign * f.grid.xi1_over_abs[support]
-    block = np.zeros((NODE_BLOCK, f.grid.n, f.grid.n), dtype=complex)
+    block = np.zeros((NODE_BLOCK, *f.grid.shape), dtype=complex)
     vals = np.empty(len(times))
     for start in range(0, len(times), NODE_BLOCK):
         t = times[start : start + NODE_BLOCK]
@@ -214,18 +223,15 @@ def duhamel_residual(traj, kappa: float, sign: int = +1) -> np.ndarray:
         )
     grid = snaps[0].grid
 
+    pick = 0 if sign == +1 else 1
     vs, forcings = [], []
     for st in snaps:
-        vp, vm = diagonalize(st.omega, st.rho)
-        v = vp if sign == +1 else vm
+        vs.append(diagonalize(st.omega, st.rho)[pick])
         if traj.nonlinear:
-            u = biot_savart(st.omega)
-            fterm, adv_rho = advect(u, st.omega, st.rho)
-            gterm = lambda_power(adv_rho, 1.0)
-            forcing = fterm + gterm if sign == +1 else fterm - gterm
+            # f +- Lambda g, with f = u.grad omega and g = u.grad rho
+            forcing = diagonalize(*advect(biot_savart(st.omega), st.omega, st.rho))[pick]
         else:
-            forcing = SpectralField(grid, np.zeros_like(v.coeffs))
-        vs.append(v)
+            forcing = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
         forcings.append(forcing)
 
     # group law: e(t - tau) = e(t) conj(e(tau)), so the Duhamel integral up to
@@ -237,8 +243,8 @@ def duhamel_residual(traj, kappa: float, sign: int = +1) -> np.ndarray:
     for i in range(1, len(snaps)):
         integral = integral + 0.5 * (times[i] - times[i - 1]) * (pulled[i - 1] + pulled[i])
         v_pred = phases[i] * (vs[0].coeffs - integral)
-        denom = np.linalg.norm(vs[i].coeffs)
-        num = np.linalg.norm(vs[i].coeffs - v_pred)
+        denom = _coefficient_norms(vs[i].coeffs)
+        num = _coefficient_norms(vs[i].coeffs - v_pred)
         residuals.append(num / denom if denom > 0 else num)
     return np.array(residuals)
 

@@ -48,14 +48,17 @@ def random_field(
         kmax = int(grid.dealias_fraction * grid.n / 2)
     kvecs = _half_plane_wavevectors(kmax)
     draws = _rng(seed, stream).normal(size=(len(kvecs), 2))
-    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+    coeffs = np.zeros(grid.shape, dtype=complex)
     for (k1, k2), (a, b) in zip(kvecs, draws):
         xi = np.hypot(k1, k2) / grid.box_scale
         if not (xi_lo < xi <= xi_hi):
             continue
         c = (a + 1j * b) * xi ** (-alpha)
-        coeffs[k1 % grid.n, k2 % grid.n] = c
-        coeffs[(-k1) % grid.n, (-k2) % grid.n] = np.conj(c)
+        # the half spectrum stores whichever of k, -k has k2 >= 0 (both if k2 = 0)
+        if k2 >= 0:
+            coeffs[k1 % grid.n, k2] = c
+        if k2 <= 0:
+            coeffs[(-k1) % grid.n, -k2] = np.conj(c)
     f = dealias(SpectralField(grid, coeffs))
     norm = lp_norm(f, 2)
     if norm > 0:

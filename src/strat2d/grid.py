@@ -1,11 +1,25 @@
 """Periodic-grid spectral fields and exact Fourier-multiplier operators.
 
 The domain is the square torus [0, 2*pi*L0)^2 sampled on an n x n grid.
-Coefficients are stored in numpy fft layout, indexed by the integer wave
-vector k with |k_i| <= n/2; the physical frequency is xi = k / L0.
-Normalization is chosen so a pure mode cos(k.x) has coefficient 1/2 at +-k.
-Transforms are real-to-complex (``scipy.fft.rfft2`` / ``irfft2``); the
-stored layout stays the full n x n spectrum, filled by conjugate reflection.
+Fields are real, so only the half spectrum is stored: the ``rfft2`` layout
+of shape (n, n//2 + 1), rows k1 in fft order, columns k2 = 0 .. n/2.  The
+physical frequency is xi = k / L0.  Normalization is chosen so a pure mode
+cos(k.x) has coefficient 1/2 at +-k.
+
+Each column 0 < k2 < n/2 holds one of every conjugate pair c(-k) = conj c(k),
+so any data there is a real field.  The columns k2 = 0 and k2 = n/2 hold
+both members of their pairs and must be Hermitian along k1; the forward
+transform stores them so, and `require_hermitian` checks them.
+
+The Nyquist rule.  An entry on the row k1 = -n/2 or on the column k2 = n/2
+stands for both signs of that Nyquist wavenumber, and a multiplier acts
+there by the mean of its values at the two signs.  For the symbols used
+here that mean is reached by one convention: xi1 is 0 on the Nyquist row
+and xi2 is 0 on the Nyquist column (`GridSpec.xi1`, `GridSpec.xi2`), while
+|xi| keeps the Nyquist wavenumber.  Derivatives, Riesz transforms and the
+Biot-Savart law thus equal real(ifft2) of their full-spectrum multipliers,
+and the stratified phase is 1 on the Nyquist row, which keeps it unitary
+with an exact group law.
 """
 
 from __future__ import annotations
@@ -45,30 +59,51 @@ class GridSpec:
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias_fraction must lie in (0, 1]")
 
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in fft order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of a coefficient array: the half spectrum."""
+        return (self.n, self.n // 2 + 1)
 
     @cached_property
     def k1(self) -> np.ndarray:
-        return self.k[:, None] * np.ones((1, self.n))
+        """Integer wavenumber k1 of each stored entry (fft order)."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return k[:, None] * np.ones((1, self.n // 2 + 1))
 
     @cached_property
     def k2(self) -> np.ndarray:
-        return np.ones((self.n, 1)) * self.k[None, :]
+        """Integer wavenumber k2 = 0 .. n/2 of each stored entry."""
+        return np.ones((self.n, 1)) * np.arange(self.n // 2 + 1)[None, :]
 
+    # the Nyquist rule (module docstring): the one place it is applied
     @cached_property
     def xi1(self) -> np.ndarray:
-        return self.k1 / self.box_scale
+        """xi1 as odd symbols see it: 0 on the Nyquist row k1 = -n/2."""
+        xi1 = self.k1 / self.box_scale
+        xi1[self.n // 2] = 0.0
+        return xi1
 
     @cached_property
     def xi2(self) -> np.ndarray:
-        return self.k2 / self.box_scale
+        """xi2 as odd symbols see it: 0 on the Nyquist column k2 = n/2."""
+        xi2 = self.k2 / self.box_scale
+        xi2[:, self.n // 2] = 0.0
+        return xi2
+
+    @cached_property
+    def i_xi1(self) -> np.ndarray:
+        """i*xi1, the symbol of d/dx1."""
+        return 1j * self.xi1
+
+    @cached_property
+    def i_xi2(self) -> np.ndarray:
+        """i*xi2, the symbol of d/dx2."""
+        return 1j * self.xi2
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
-        return self.xi1**2 + self.xi2**2
+        """|xi|^2, even in each wavenumber, so it keeps the Nyquist ones."""
+        return (self.k1 / self.box_scale) ** 2 + (self.k2 / self.box_scale) ** 2
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
@@ -124,14 +159,29 @@ def _masked_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
+def _plancherel_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the full spectrum of a quantity given on the half spectrum
+    (last two axes) that is even under k -> -k: the columns k2 = 0 and
+    k2 = n/2 count once, the others twice.  Plain reductions, no BLAS."""
+    return (2 * np.sum(x[..., 1:-1], axis=(-2, -1))
+            + np.sum(x[..., 0], axis=-1) + np.sum(x[..., -1], axis=-1))
+
+
 def _coefficient_norms(coeffs: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last two axes, as plain reductions (no BLAS)."""
-    return np.sqrt(np.sum(coeffs.real**2, axis=(-2, -1)) + np.sum(coeffs.imag**2, axis=(-2, -1)))
+    """Euclidean norms of the full spectra, over the last two axes."""
+    return np.sqrt(_plancherel_sum(coeffs.real**2 + coeffs.imag**2))
 
 
-def _conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
-    """conj(c(-k)) in fft index layout."""
-    return np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
+def _partner(coeffs: np.ndarray) -> np.ndarray:
+    """conj c(-k1, k2) along axis 0: the conjugate partners of a
+    self-conjugate column; applied to the column k2, the full spectrum's
+    column -k2."""
+    return np.conj(np.concatenate((coeffs[:1], coeffs[:0:-1])))
+
+
+def _self_conjugate_columns(coeffs: np.ndarray) -> np.ndarray:
+    """View of the self-conjugate columns k2 = 0 and k2 = n/2 (first and last)."""
+    return coeffs[..., :: coeffs.shape[-1] - 1]
 
 
 @dataclass(frozen=True)
@@ -142,8 +192,9 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n, self.grid.n):
-            raise ValueError("coefficient array does not match grid")
+        if self.coeffs.shape != self.grid.shape:
+            raise ValueError(f"coefficient array of shape {self.coeffs.shape} does not "
+                             f"match the grid's half spectrum {self.grid.shape}")
 
     # -- small arithmetic helpers used throughout ------------------------
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -175,14 +226,18 @@ class SpectralField:
         return self.with_mean(0.0)
 
     def coefficient_norm(self) -> float:
-        """Euclidean norm of the coefficients, as a plain reduction (no BLAS)."""
+        """Euclidean norm of the full spectrum (Plancherel weights, no BLAS)."""
         return float(_coefficient_norms(self.coeffs))
 
     def hermitian_defect(self) -> float:
-        scale = np.abs(self.coeffs).max()
-        if scale == 0.0:
+        """Largest |c(k) - conj c(-k)| on the self-conjugate columns k2 = 0
+        and k2 = n/2, relative to the largest coefficient: O(n) when those
+        columns are exactly Hermitian, as the package's own fields are."""
+        cols = _self_conjugate_columns(self.coeffs)
+        gap = np.abs(cols - _partner(cols)).max()
+        if gap == 0.0:
             return 0.0
-        return float(np.abs(self.coeffs - _conjugate_reflection(self.coeffs)).max() / scale)
+        return float(gap / np.abs(self.coeffs).max())
 
 
 @dataclass(frozen=True)
@@ -220,20 +275,22 @@ def require_mean_zero(f: SpectralField, what: str = "operator") -> None:
 # transforms
 
 
+def _symmetrize_columns(coeffs: np.ndarray) -> np.ndarray:
+    """Replace the self-conjugate columns by their Hermitian part, in place;
+    irfft2 reads only that part, so the samples do not change."""
+    cols = _self_conjugate_columns(coeffs)
+    cols[...] = 0.5 * (cols + _partner(cols))
+    return coeffs
+
+
 def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """Real grid samples -> spectral coefficients (pure mode amplitude 1/2)."""
     samples = np.asarray(samples, dtype=float)
     n = grid.n
     if samples.shape != (n, n):
         raise ValueError(f"expected samples of shape {(n, n)}, got {samples.shape}")
-    m = n // 2
-    coeffs = np.empty((n, n), dtype=complex)
-    half = coeffs[:, : m + 1]
-    half[...] = rfft2(samples, norm="forward")
-    # c(k1, k2) = conj c(-k1, -k2) for the columns rfft2 leaves out
-    np.conjugate(half[0, m - 1 : 0 : -1], out=coeffs[0, m + 1 :])
-    np.conjugate(half[:0:-1, m - 1 : 0 : -1], out=coeffs[1:, m + 1 :])
-    return SpectralField(grid, coeffs)
+    # rfft2 leaves the self-conjugate columns Hermitian only up to round-off
+    return SpectralField(grid, _symmetrize_columns(rfft2(samples, norm="forward")))
 
 
 def require_hermitian(f: SpectralField) -> None:
@@ -244,22 +301,9 @@ def require_hermitian(f: SpectralField) -> None:
 
 
 def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """real(ifft2(coeffs)) * n^2 over the last two axes, computed by irfft2
-    from the k2 >= 0 half; leading axes are a batch.
-
-    Exact for Hermitian coefficients and for their images under odd symbols
-    such as i*xi1 (derivatives, Biot-Savart), which break the symmetry only
-    in the rows and columns that are their own reflection.  irfft2 keeps the
-    Hermitian part of the k2 = 0 and k2 = -n/2 columns, as real(ifft2) does;
-    the k1 = -n/2 row is replaced by its Hermitian part here.
-    """
-    n, m = grid.n, grid.n // 2
-    half = coeffs[..., :, : m + 1]
-    row, partner = half[..., m, 1:m], np.conj(coeffs[..., m, :m:-1])
-    if not np.array_equal(row, partner):
-        half = half.copy()
-        half[..., m, 1:m] = 0.5 * (row + partner)
-    return irfft2(half, s=(n, n), norm="forward")
+    """Grid samples of half-spectrum coefficients over the last two axes;
+    leading axes are a batch."""
+    return irfft2(coeffs, s=(grid.n, grid.n), norm="forward")
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -275,8 +319,8 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 def derivative(f: SpectralField, axis: int) -> SpectralField:
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    xi = f.grid.xi1 if axis == 1 else f.grid.xi2
-    return SpectralField(f.grid, 1j * xi * f.coeffs)
+    symbol = f.grid.i_xi1 if axis == 1 else f.grid.i_xi2
+    return SpectralField(f.grid, symbol * f.coeffs)
 
 
 def gradient(f: SpectralField) -> VectorField:
@@ -317,7 +361,7 @@ def biot_savart(omega: SpectralField) -> VectorField:
     require_mean_zero(omega, "Biot-Savart")
     g = omega.grid
     psi = g.inv_xi_sq * omega.coeffs
-    return VectorField(SpectralField(g, -1j * g.xi2 * psi), SpectralField(g, 1j * g.xi1 * psi))
+    return VectorField(SpectralField(g, -(g.i_xi2 * psi)), SpectralField(g, g.i_xi1 * psi))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -385,7 +429,7 @@ def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarr
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
     require_same_grid(f, g)
-    return float(f.grid.area * np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
+    return float(f.grid.area * _plancherel_sum(np.real(f.coeffs * np.conj(g.coeffs))))
 
 
 def inner_hminus1(f: SpectralField, g: SpectralField) -> float:
@@ -401,6 +445,29 @@ def hminus1_norm(f: SpectralField) -> float:
 
 # ---------------------------------------------------------------------------
 # snapshot container (bit-exact round trip)
+#
+# strat2d-field-v1 stores coefficients as the full n x n spectrum in fft
+# layout, k1 slow / k2 fast: expanded on save, folded and checked on load.
+
+
+def _full_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum -> full n x n spectrum, c(k1, -k2) = conj c(-k1, k2)."""
+    n, m = coeffs.shape[0], coeffs.shape[0] // 2
+    full = np.empty((n, n), dtype=complex)
+    full[:, : m + 1] = coeffs
+    full[:, m + 1 :] = _partner(coeffs[:, m - 1 : 0 : -1])
+    return full
+
+
+def _half_spectrum(grid: GridSpec, full: np.ndarray) -> SpectralField:
+    """Full spectrum -> field; raises unless it is the spectrum of a real field."""
+    if full.shape != (grid.n, grid.n):
+        raise ValueError(f"snapshot coefficients of shape {full.shape}, expected {(grid.n, grid.n)}")
+    half = np.array(full[:, : grid.n // 2 + 1], dtype=complex)
+    require_hermitian(SpectralField(grid, half))
+    if np.abs(full - _full_spectrum(half)).max() > HERMITIAN_LIMIT * np.abs(full).max():
+        raise HermitianSymmetryError("snapshot coefficients are not those of a real field")
+    return SpectralField(grid, _symmetrize_columns(half))
 
 
 def save_field(f: SpectralField, path, kind: str = "coeffs") -> None:
@@ -415,7 +482,7 @@ def save_field(f: SpectralField, path, kind: str = "coeffs") -> None:
         "dealias_fraction": np.array(f.grid.dealias_fraction),
     }
     if kind == "coeffs":
-        payload["coeffs"] = f.coeffs  # fft layout, k1 slow / k2 fast
+        payload["coeffs"] = _full_spectrum(f.coeffs)
     else:
         payload["samples"] = inverse_transform(f)  # row-major, x2 fastest
     np.savez(path, **payload)
@@ -431,5 +498,5 @@ def load_field(path) -> SpectralField:
             dealias_fraction=float(data["dealias_fraction"]),
         )
         if str(data["kind"]) == "coeffs":
-            return SpectralField(grid, data["coeffs"])
+            return _half_spectrum(grid, data["coeffs"])
         return forward_transform(grid, data["samples"])

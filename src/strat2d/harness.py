@@ -258,16 +258,29 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
+    """A sweep member's initial data: random spectra are drawn from its seed."""
+    data = dict(config.initial_data)
+    if data.get("name") == "random-spectrum":
+        data["seed"] = spec.seed
+    return make_initial_data(grid, data)
+
+
+def _nondecreasing_per_seed(lifespans) -> bool:
+    """Lifespans (kappa, seed, t_life) grow with kappa within 5%, seed by seed."""
+    by_seed = {}
+    for _, seed, t_life in sorted(lifespans):
+        by_seed.setdefault(seed, []).append(t_life)
+    return all(b >= 0.95 * a for lives in by_seed.values() for a, b in zip(lives, lives[1:]))
+
+
 def _simulate(config: ExperimentConfig, outdir: Path):
     grid = config.grid_spec()
     bank = DyadicBank(grid)
     schedule = sweep_schedule(config)
 
     def one(spec: RunSpec):
-        data = dict(config.initial_data)
-        if data.get("name") == "random-spectrum":
-            data["seed"] = spec.seed
-        omega0, rho0 = make_initial_data(grid, data)
+        omega0, rho0 = _member_data(config, grid, spec)
         try:
             traj = run(omega0, rho0, spec.kappa, config.t_final,
                        config.stepper(spec.scheme), n_samples=config.n_samples,
@@ -305,8 +318,7 @@ def _lifespan_sweep(config: ExperimentConfig, outdir: Path):
     schedule = sweep_schedule(config)
 
     def one(spec: RunSpec):
-        data = dict(config.initial_data)
-        omega0, rho0 = make_initial_data(grid, data)
+        omega0, rho0 = _member_data(config, grid, spec)
         try:
             t_life, traj = lifespan(omega0, rho0, spec.kappa, config.t_max,
                                     config.threshold, config.stepper(spec.scheme),
@@ -319,23 +331,22 @@ def _lifespan_sweep(config: ExperimentConfig, outdir: Path):
     rows, outputs, runs = [], [], []
     lifespans = []
     for spec, t_life, traj, err in _parallel_map(one, schedule):
-        entry = {"tag": spec.tag, "kappa": spec.kappa, "status": "ok" if err is None else "error"}
+        entry = {"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
+                 "status": "ok" if err is None else "error"}
         if err is not None:
             entry["error"] = err
         else:
             curve = outdir / f"{spec.tag}_bcurve.csv"
             write_csv(curve, DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
             outputs.append(curve.name)
-            rows.append([spec.kappa, t_life, curve.name])
-            lifespans.append((spec.kappa, t_life))
+            rows.append([spec.kappa, spec.seed, t_life, curve.name])
+            lifespans.append((spec.kappa, spec.seed, t_life))
         runs.append(entry)
     table = outdir / "lifespan_table.csv"
-    write_csv(table, ("kappa", "t_life", "b_curve_file"), rows)
+    write_csv(table, ("kappa", "seed", "t_life", "b_curve_file"), rows)
     outputs.append(table.name)
-    values = [t for _, t in sorted(lifespans)]
-    nondecreasing = all(b >= 0.95 * a for a, b in zip(values, values[1:]))
     flags = {"all_runs_completed": all(r["status"] == "ok" for r in runs),
-             "lifespan_nondecreasing_5pct": nondecreasing}
+             "lifespan_nondecreasing_5pct": _nondecreasing_per_seed(lifespans)}
     return outputs, flags, runs
 
 

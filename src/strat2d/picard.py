@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
-from .solver import StepperConfig, Trajectory, run
+from .solver import StepperConfig, Trajectory, run, z_norm
 
 
 @dataclass
@@ -151,9 +151,7 @@ def picard_run(
     grid = omega0.grid
     if bank is None:
         bank = DyadicBank(grid)
-    a0 = intersection_norm(omega0, s - 1.0, q, bank) + besov_norm(
-        rho0, BesovSpec(s=s, q=q, homogeneous=False), bank
-    )
+    a0 = z_norm(omega0, rho0, bank, s, q)
     sample_times = np.linspace(0.0, t_final, n_samples)
 
     traces = []
@@ -168,11 +166,7 @@ def picard_run(
         )
         if traj.status != "ok" or len(traj.snapshots) != len(sample_times):
             raise RuntimeError(f"linear solve at iteration {n} did not complete")
-        a = np.array([
-            intersection_norm(st.omega, s - 1.0, q, bank)
-            + besov_norm(st.rho, BesovSpec(s=s, q=q, homogeneous=False), bank)
-            for st in traj.snapshots
-        ])
+        a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve's diagnostics
         if prev_snapshots is None:
             a_bar = None
         else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
+from .dispersive import diagonalize, undiagonalize
 from .errors import BlowupSuspectedError
 from .grid import (
     GridSpec,
@@ -28,7 +29,6 @@ from .grid import (
     derivative,
     hminus1_norm,
     inverse_transform,
-    lambda_power,
     lp_norm,
     phase_multiplier,
     require_mean_zero,
@@ -135,42 +135,24 @@ def _rk4_step(state: SimState, dt: float, velocity_fn) -> SimState:
     return SimState(om1, rh1, t + dt, state.kappa)
 
 
-def _split(state: SimState):
-    """State -> (Vp, Vm coefficient arrays, rho mean)."""
-    lam = state.grid.xi_abs
-    lam_rho = lam * state.rho.coeffs
-    return (
-        state.omega.coeffs + lam_rho,
-        state.omega.coeffs - lam_rho,
-        state.rho.coeffs[0, 0],
-    )
-
-
-def _merge(grid: GridSpec, vp: np.ndarray, vm: np.ndarray, rho_mean, t, kappa) -> SimState:
-    omega = SpectralField(grid, 0.5 * (vp + vm))
-    lam_rho = 0.5 * (vp - vm)
-    rho_c = grid.inv_xi_abs * lam_rho
-    rho_c[0, 0] = rho_mean
-    return SimState(omega, SpectralField(grid, rho_c), t, kappa)
-
-
 def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True) -> SimState:
     """Lawson (integrating-factor) RK4 in the diagonal variables."""
-    grid, kappa = state.grid, state.kappa
-    vp, vm, rho_mean = _split(state)
+    grid, kappa, rho_mean = state.grid, state.kappa, state.rho.mean
+    vp, vm = (v.coeffs for v in diagonalize(state.omega, state.rho))
     e_half = phase_multiplier(grid, dt / 2, kappa)
     e_full = e_half * e_half
+
+    def merge(vp_c, vm_c):
+        return undiagonalize(SpectralField(grid, vp_c), SpectralField(grid, vm_c), rho_mean)
 
     def nl(vp_c, vm_c, t):
         """N+- = -advect(u, omega) -+ Lambda advect(u, rho)."""
         if not nonlinear:
             z = np.zeros_like(vp_c)
             return z, z
-        st = _merge(grid, vp_c, vm_c, rho_mean, t, kappa)
-        u_adv = velocity_fn(st.omega, t)
-        adv_omega, adv_rho = advect(u_adv, st.omega, st.rho)
-        a, b = adv_omega.coeffs, grid.xi_abs * adv_rho.coeffs
-        return -a - b, -a + b
+        omega, rho = merge(vp_c, vm_c)
+        fp, fm = diagonalize(*advect(velocity_fn(omega, t), omega, rho))
+        return -fp.coeffs, -fm.coeffs
 
     t = state.t
     k1p, k1m = nl(vp, vm, t)
@@ -182,7 +164,7 @@ def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True)
     k4p, k4m = np.conj(e_full) * k4p, e_full * k4m
     vp1 = e_full * (vp + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
     vm1 = np.conj(e_full) * (vm + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m))
-    return _merge(grid, vp1, vm1, rho_mean, t + dt, kappa)
+    return SimState(*merge(vp1, vm1), t + dt, kappa)
 
 
 def step(state: SimState, dt: float, config: StepperConfig, velocity_fn=_own_velocity,
@@ -247,9 +229,7 @@ def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float,
                 prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
     omega, rho = state.omega, state.rho
     u = biot_savart(omega)
-    lam_rho = lambda_power(rho, 1.0)
-    vplus = omega + lam_rho
-    vminus = omega - lam_rho
+    vplus, vminus = diagonalize(omega, rho)
     rec = DiagnosticsRecord(
         t=state.t,
         energy=hminus1_norm(omega) ** 2 + lp_norm(rho, 2) ** 2,

@@ -155,7 +155,7 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     # row, whose propagated copy is not Hermitian
     noise = np.random.default_rng(11).standard_normal((grid.n, grid.n))
     f = forward_transform(grid, noise).drop_mean()
-    cutoff_hat = bank.psi_hat(0) if cutoff == "band0" else np.ones((grid.n, grid.n))
+    cutoff_hat = bank.psi_hat(0) if cutoff == "band0" else np.ones(grid.shape)
     kappa, t_max, nodes = 16.0, 0.5, 35
     assert nodes % NODE_BLOCK  # the last block is partial
     sample = strichartz_measure(f, kappa, gamma, r, t_max, nodes=nodes,
@@ -177,8 +177,9 @@ def test_strichartz_mean_guard(grid, bank):
 
 
 def test_strichartz_hermitian_guard(grid, bank):
+    # random data is not Hermitian along the self-conjugate columns k2 = 0, n/2
     rng = np.random.default_rng(12)
-    c = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     c[0, 0] = 0.0
     with pytest.raises(HermitianSymmetryError):
         strichartz_measure(SpectralField(grid, c), 16.0, 4.0, np.inf, 0.5, bank=bank)

@@ -38,7 +38,7 @@ def bank(grid):
 
 
 def zero_vec(grid):
-    z = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+    z = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
     return VectorField(z, z)
 
 
@@ -50,7 +50,7 @@ def test_commutators_vanish_for_zero_velocity(grid, bank):
 
 
 def test_commutator_lambda_annihilates_mean_only(grid, bank):
-    g = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex)).with_mean(3.0)
+    g = SpectralField(grid, np.zeros(grid.shape, dtype=complex)).with_mean(3.0)
     f = biot_savart(random_field(grid, seed=2, xi_lo=0.5, xi_hi=4.0))
     out = commutator_lambda(f, g, 1, bank)
     assert out.coefficient_norm() < 1e-14
@@ -64,7 +64,7 @@ def test_commutator_telescoping(grid, bank):
     omega = random_field(grid, seed=3, xi_lo=bounds[0], xi_hi=bounds[1])
     g = random_field(grid, seed=4, xi_lo=bounds[0], xi_hi=bounds[1])
     f = biot_savart(omega)
-    total = np.zeros((grid.n, grid.n), dtype=complex)
+    total = np.zeros(grid.shape, dtype=complex)
     for j in bank.bands:
         total += commutator_bracket(f, g, j, bank).coeffs
     # residual = f.grad(sum_j Delta_j g) - sum_j Delta_j (f.grad g); the first

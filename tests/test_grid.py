@@ -29,6 +29,7 @@ from strat2d.grid import (
     lp_norm_unchecked,
     lp_norms_unchecked,
     multiply,
+    phase_multiplier,
     riesz,
     save_field,
 )
@@ -169,7 +170,7 @@ def test_biot_savart_recovers_vorticity(grid):
 
 
 def test_dealias_mask(grid):
-    c = np.ones((grid.n, grid.n), dtype=complex)
+    c = np.ones(grid.shape, dtype=complex)
     f = dealias(SpectralField(grid, c))
     cut = grid.dealias_fraction * grid.n / 2
     assert f.coeffs[int(cut) + 2, 0] == 0.0
@@ -186,7 +187,7 @@ def test_multiply_matches_pointwise(grid):
 
 def test_advect_zero_velocity(grid):
     g = random_real_field(grid, seed=6)
-    zero = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+    zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
     out = advect(VectorField(zero, zero), g)
     assert out.coefficient_norm() == 0.0
 
@@ -224,8 +225,8 @@ def test_grid_mismatch(grid):
 
 
 def test_hermitian_defect_detection(grid):
-    c = np.zeros((grid.n, grid.n), dtype=complex)
-    c[1, 0] = 1.0  # missing the conjugate partner at (-1, 0)
+    c = np.zeros(grid.shape, dtype=complex)
+    c[1, 0] = 1.0  # missing the conjugate partner at (-1, 0), same column
     f = SpectralField(grid, c)
     with pytest.raises(HermitianSymmetryError):
         inverse_transform(f)
@@ -275,40 +276,89 @@ def test_box_scale_frequencies():
 
 
 def random_hermitian_coeffs(n, seed):
+    """A random full n x n spectrum of a real field, every mode present."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + np.conj(np.roll(a[::-1, ::-1], 1, axis=(0, 1))))
+
+
+def half(full):
+    return full[:, : full.shape[0] // 2 + 1]
 
 
 def relative_error(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
+def full_wavevectors(g):
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n) / g.box_scale
+    return k[:, None] * np.ones((1, g.n)), np.ones((g.n, 1)) * k[None, :]
+
+
 @pytest.mark.parametrize("n", [32, 48])
 def test_real_transforms_match_complex_reference(n):
+    # full-spectrum multipliers in np.fft layout, applied to data with content
+    # on the Nyquist row and column, then real(ifft2)
     g = GridSpec(n)
     c = random_hermitian_coeffs(n, seed=n)
     samples = np.real(np.fft.ifft2(c) * n**2)
-    assert relative_error(forward_transform(g, samples).coeffs, np.fft.fft2(samples) / n**2) < 1e-12
-    assert relative_error(inverse_transform(SpectralField(g, c)), samples) < 1e-12
+    assert relative_error(forward_transform(g, samples).coeffs, half(np.fft.fft2(samples) / n**2)) < 1e-12
+    assert relative_error(inverse_transform(SpectralField(g, half(c))), samples) < 1e-12
 
     def phys(coeffs):
         return np.real(np.fft.ifft2(coeffs) * n**2)
 
-    omega = SpectralField(g, c).drop_mean()
-    gfield = SpectralField(g, random_hermitian_coeffs(n, seed=n + 1))
+    xi1, xi2 = full_wavevectors(g)
+    xi_sq = xi1**2 + xi2**2
+    inv_sq = np.divide(1.0, xi_sq, out=np.zeros_like(xi_sq), where=xi_sq > 0)
+    c_omega = c.copy()
+    c_omega[0, 0] = 0.0
+    c_g = random_hermitian_coeffs(n, seed=n + 1)
+    u1, u2 = -1j * xi2 * inv_sq * c_omega, 1j * xi1 * inv_sq * c_omega
+    omega, gfield = SpectralField(g, half(c_omega)), SpectralField(g, half(c_g))
     u = biot_savart(omega)
-    prod = (phys(u.u1.coeffs) * phys(1j * g.xi1 * gfield.coeffs)
-            + phys(u.u2.coeffs) * phys(1j * g.xi2 * gfield.coeffs))
-    ref = np.fft.fft2(prod) / n**2 * g.dealias_mask
-    assert relative_error(advect(u, gfield).coeffs, ref) < 1e-12
+    assert relative_error(inverse_transform(u.u1), phys(u1)) < 1e-12
+    assert relative_error(inverse_transform(u.u2), phys(u2)) < 1e-12
+    for axis, xi in ((1, xi1), (2, xi2)):
+        assert relative_error(inverse_transform(derivative(gfield, axis)), phys(1j * xi * c_g)) < 1e-12
+        r = riesz(omega, axis)
+        assert relative_error(inverse_transform(r), phys(1j * xi * np.sqrt(inv_sq) * c_omega)) < 1e-12
+    prod = phys(u1) * phys(1j * xi1 * c_g) + phys(u2) * phys(1j * xi2 * c_g)
+    ref = np.fft.fft2(prod) / n**2 * full_dealias_mask(g)
+    assert relative_error(advect(u, gfield).coeffs, half(ref)) < 1e-12
+
+
+def full_dealias_mask(g):
+    cut = g.dealias_fraction * g.n / 2
+    k = np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n))
+    return (k[:, None] <= cut) & (k[None, :] <= cut)
+
+
+def test_phase_multiplier_unitary_with_exact_group_law(grid):
+    # the Nyquist rule makes the phase 1 on the k1 = -n/2 row: every entry is
+    # unimodular and e(s) e(t) = e(s + t) holds on the whole half spectrum
+    e = phase_multiplier(grid, 0.3, 40.0)
+    assert np.abs(np.abs(e) - 1.0).max() < 1e-15
+    assert np.abs(e[grid.n // 2] - 1.0).max() == 0.0
+    both = phase_multiplier(grid, 0.3, 40.0) * phase_multiplier(grid, 0.4, 40.0)
+    assert np.abs(both - phase_multiplier(grid, 0.7, 40.0)).max() < 1e-13
+    # off the Nyquist row it is the full-spectrum symbol exp(i kappa t xi1/|xi|)
+    xi1, xi2 = full_wavevectors(grid)
+    xi_abs = np.hypot(xi1, xi2)
+    ref = np.exp(1j * 40.0 * 0.3 * np.divide(xi1, xi_abs, out=np.zeros_like(xi1), where=xi_abs > 0))
+    rows = np.arange(grid.n) != grid.n // 2
+    assert np.abs(e[rows] - half(ref)[rows]).max() < 1e-14
 
 
 def test_coefficient_norm_matches_linalg(grid):
-    f = SpectralField(grid, random_hermitian_coeffs(grid.n, seed=3))
-    ref = np.linalg.norm(f.coeffs)
+    # the norm of the full spectrum, from the half with Plancherel weights
+    c, d = random_hermitian_coeffs(grid.n, seed=3), random_hermitian_coeffs(grid.n, seed=4)
+    f, g = SpectralField(grid, half(c)), SpectralField(grid, half(d))
+    ref = np.linalg.norm(c)
     assert abs(f.coefficient_norm() - ref) <= 1e-14 * ref
-    huge = SpectralField(grid, np.full((grid.n, grid.n), 1e200 + 1e200j))
+    pairing = grid.area * np.real(np.vdot(d, c))
+    assert abs(inner_l2(f, g) - pairing) <= 1e-12 * grid.area * ref * np.linalg.norm(d)
+    huge = SpectralField(grid, np.full(grid.shape, 1e200 + 1e200j))
     assert huge.coefficient_norm() == np.inf
 
 
@@ -316,12 +366,60 @@ def test_besov_guard_scaled_by_whole_field(grid):
     bank = DyadicBank(grid)
     x1, _ = grid.meshgrid()
     c = forward_transform(grid, np.cos(x1)).coeffs
-    # round-off-sized content in the top band, with no conjugate partner: its
-    # band projection alone is far from Hermitian, the field is not
-    top = np.unravel_index(np.argmax(bank.psi_hat(bank.j_max)), c.shape)
-    c[top] += 1e-13
+    # round-off-sized content in the top band on the self-conjugate column
+    # k2 = 0, with no conjugate partner: its band projection alone is far from
+    # Hermitian, the field is not
+    top = np.argmax(bank.psi_hat(bank.j_max)[:, 0])
+    c[top, 0] += 1e-13
     spec = BesovSpec(s=0.0, p=np.inf, q=1.0)
     assert besov_norm(SpectralField(grid, c), spec, bank) > 0
-    c[top] += 1e-3
+    c[top, 0] += 1e-3
     with pytest.raises(HermitianSymmetryError):
         besov_norm(SpectralField(grid, c), spec, bank)
+
+
+def test_hermitian_check_reads_only_the_self_conjugate_columns(grid):
+    # columns 0 < k2 < n/2 hold one of each conjugate pair: any data is real
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    c[:, [0, grid.n // 2]] = 0.0
+    assert SpectralField(grid, c).hermitian_defect() == 0.0
+    samples = inverse_transform(SpectralField(grid, c))
+    assert np.abs(forward_transform(grid, samples).coeffs - c).max() < 1e-14
+    c[3, grid.n // 2] = 1.0  # partner (-3, n/2) missing
+    with pytest.raises(HermitianSymmetryError):
+        inverse_transform(SpectralField(grid, c))
+
+
+def test_field_rejects_full_layout(grid):
+    with pytest.raises(ValueError):
+        SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+
+
+def full_snapshot(path, grid, coeffs):
+    np.savez(path, format=np.array("strat2d-field-v1"), kind=np.array("coeffs"),
+             n=np.array(grid.n), box_scale=np.array(grid.box_scale),
+             dealias_fraction=np.array(grid.dealias_fraction), coeffs=coeffs)
+
+
+def test_full_layout_snapshot_loads(tmp_path, grid):
+    # a strat2d-field-v1 snapshot holds the full n x n spectrum in np.fft layout
+    samples = np.random.default_rng(6).standard_normal((grid.n, grid.n))
+    full = np.fft.fft2(samples) / grid.n**2
+    full_snapshot(tmp_path / "v1.npz", grid, full)
+    f = load_field(tmp_path / "v1.npz")
+    assert np.abs(f.coeffs - half(full)).max() < 1e-15
+    assert np.abs(inverse_transform(f) - samples).max() < 1e-12
+    # and saving writes that layout back
+    save_field(f, tmp_path / "again.npz")
+    with np.load(tmp_path / "again.npz") as data:
+        assert data["coeffs"].shape == (grid.n, grid.n)
+        assert np.abs(data["coeffs"] - full).max() < 1e-15
+
+
+def test_non_hermitian_snapshot_refused(tmp_path, grid):
+    full = random_hermitian_coeffs(grid.n, seed=7)
+    full[2, -3] += 1e-3  # breaks c(2, -3) = conj c(-2, 3), outside the stored half
+    full_snapshot(tmp_path / "bad.npz", grid, full)
+    with pytest.raises(HermitianSymmetryError):
+        load_field(tmp_path / "bad.npz")

@@ -1,13 +1,16 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from strat2d import picard
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
 from strat2d.harness import (
     ExperimentConfig,
+    _nondecreasing_per_seed,
     load_config,
     run_experiment,
     sweep_schedule,
@@ -219,3 +222,53 @@ def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(path, ("a", "b", "c"), [[np.float64(0.1), 0.25, np.float32(0.5)]])
     assert path.read_text().splitlines() == ["a,b,c", "0.1,0.25,0.5"]
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_picard_a_n_is_the_linear_solves_z(tmp_path, monkeypatch):
+    # A_n(t) is the z_{s,q} the linear solve's diagnostics already recorded
+    zs = []
+
+    def recording(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        zs.append(traj.column("z"))
+        return traj
+
+    real = picard.linear_solve
+    monkeypatch.setattr(picard, "linear_solve", recording)
+    cfg = ExperimentConfig(kind="picard", grid={"n": 32}, kappa_list=[16.0],
+                           initial_data={"name": "random-spectrum", "seed": 7,
+                                         "amplitude": 1.0, "xi_lo": 0.5, "xi_hi": 2.5},
+                           t_final=0.05, n_max=2, n_samples=6,
+                           output_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    rows = read_rows(tmp_path / "out" / "picard_kappa16.csv")
+    assert len(zs) == 3
+    for n, z in enumerate(zs):
+        assert [float(r["a_n"]) for r in rows if int(r["n"]) == n] == list(z)
+
+
+def test_lifespan_sweep_draws_data_from_each_seed(tmp_path):
+    cfg = ExperimentConfig(kind="lifespan-sweep", grid={"n": 32}, dt=0.01,
+                           initial_data={"name": "random-spectrum", "seed": 0,
+                                         "amplitude": 4.0, "xi_lo": 0.5, "xi_hi": 4.0},
+                           kappa_list=[0.0], seeds=[1, 2], threshold=100.0, t_max=0.1,
+                           n_samples=3, output_dir=str(tmp_path / "out"))
+    manifest = run_experiment(cfg)
+    rows = read_rows(tmp_path / "out" / "lifespan_table.csv")
+    assert [(r["kappa"], r["seed"]) for r in rows] == [("0.0", "1"), ("0.0", "2")]
+    curves = [(tmp_path / "out" / r["b_curve_file"]).read_text() for r in rows]
+    assert curves[0] != curves[1]
+    assert manifest.flags["lifespan_nondecreasing_5pct"]
+
+
+def test_lifespan_flag_judged_within_each_seed():
+    # seed 2's data lives twice as long at every kappa: nondecreasing per
+    # seed, though not once the seeds are pooled by kappa
+    lives = [(kappa, seed, float(seed)) for kappa in (0.0, 16.0) for seed in (1, 2)]
+    assert _nondecreasing_per_seed(lives)
+    assert not _nondecreasing_per_seed(lives + [(64.0, 1, 0.5)])

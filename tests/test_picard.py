@@ -41,7 +41,7 @@ def smooth_data(grid):
 
 
 def zero_field(grid):
-    return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+    return SpectralField(grid, np.zeros(grid.shape, dtype=complex))
 
 
 def test_mollify_low_data_unchanged(grid, bank, smooth_data):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,7 +42,7 @@ def bank(grid):
 
 
 def zero_field(grid):
-    return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+    return SpectralField(grid, np.zeros(grid.shape, dtype=complex))
 
 
 def test_stepper_config_validation():
@@ -88,6 +91,18 @@ def test_step_stationary_state(grid):
         assert abs(new.t - 0.01) < 1e-15
         assert np.abs(new.rho.coeffs - rho.coeffs).max() < 1e-13
         assert new.omega.coefficient_norm() < 1e-13
+
+
+def test_ifrk4_keeps_taylor_green_steady(grid):
+    # a steady Euler cell: u.grad omega is round-off, mean included, and the
+    # diagonalized forcing must not trip a mean-zero guard
+    omega, rho = taylor_green(grid)
+    state = SimState(omega, rho, 0.0, 0.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    for _ in range(10):
+        state = step(state, cfg.dt, cfg)
+    assert np.abs(state.omega.coeffs - omega.coeffs).max() < 1e-13
+    assert state.rho.coefficient_norm() < 1e-13
 
 
 def test_if_scheme_norm_preserving_per_mode(grid):
@@ -234,3 +249,21 @@ def test_step_path_calls_no_blas_norm(monkeypatch, scheme):
     monkeypatch.setattr(np.linalg, "norm", forbidden)
     new = step(state, cfl_dt(state, cfg), cfg)
     assert new.t > 0 and np.isfinite(new.omega.coeffs).all()
+
+
+with open(Path(__file__).parent / "data" / "full_layout_diagnostics.json") as fh:
+    FULL_LAYOUT = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LAYOUT["runs"]))
+def test_diagnostics_match_full_layout_recording(name):
+    # the half-spectrum layout reproduces runs recorded with the full layout
+    rec = FULL_LAYOUT["runs"][name]
+    data = dict(FULL_LAYOUT["initial_data"])
+    data.pop("name")
+    omega, rho = random_spectrum(GridSpec(FULL_LAYOUT["grid_n"]), **data)
+    cfg = StepperConfig(scheme=rec["scheme"], dt=rec["dt"], adaptive=rec["adaptive"])
+    traj = run(omega, rho, rec["kappa"], rec["t_final"], cfg, n_samples=FULL_LAYOUT["n_samples"])
+    assert traj.status == rec["status"]
+    for column, expected in rec["records"].items():
+        assert np.allclose(traj.column(column), expected, rtol=1e-12, atol=0.0), column
