@@ -18,6 +18,7 @@ from .errors import GridMismatchError, NonzeroMeanError
 from .grid import (
     GridSpec,
     SpectralField,
+    has_nonzero_mean,
     hminus1_norm,
     lp_norm,
     lp_norm_unchecked,
@@ -172,7 +173,7 @@ def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     if spec.p != 2:
         require_hermitian(f)
     if spec.homogeneous:
-        if spec.s <= 0 and abs(f.coeffs[0, 0]) > 1e-12 * max(f.coefficient_norm(), 1e-300):
+        if spec.s <= 0 and has_nonzero_mean(f):
             raise NonzeroMeanError("homogeneous Besov norm with s <= 0 needs mean-zero data")
         vals = [
             2.0 ** (spec.s * j) * lp_norm_unchecked(project_band(f, j, bank), spec.p)

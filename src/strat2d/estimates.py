@@ -15,6 +15,7 @@ import numpy as np
 from .bands import (
     BesovSpec,
     DyadicBank,
+    _lq,
     besov_norm,
     lowpass_hom,
     project_band,
@@ -123,13 +124,6 @@ def _random_pair(grid, seed: int, trial: int, alpha: float, bounds):
     return biot_savart(omega), g
 
 
-def _dyadic_lq(values_by_j: dict, s: float, q: float) -> float:
-    vals = np.array([2.0 ** (s * j) * v for j, v in sorted(values_by_j.items())])
-    if np.isinf(q):
-        return float(vals.max()) if vals.size else 0.0
-    return float(np.sum(vals**q) ** (1.0 / q))
-
-
 def verify_commutator_lemma(
     grid,
     s: float,
@@ -162,9 +156,7 @@ def verify_commutator_lemma(
     spec_g = BesovSpec(s=s, q=q, homogeneous=True)
     for trial in range(trials):
         f, g = _random_pair(grid, seed, trial, alpha, bounds)
-        lhs = _dyadic_lq(
-            {j: lp_norm(comm(f, g, j, bank), 2) for j in bank.bands}, s, q
-        )
+        lhs = _lq([2.0 ** (s * j) * lp_norm(comm(f, g, j, bank), 2) for j in bank.bands], q)
         grad_f_inf = max(
             np.abs(inverse_transform(derivative(comp, ax))).max()
             for comp in (f.u1, f.u2)

@@ -266,8 +266,13 @@ def require_same_grid(*fields) -> None:
             raise GridMismatchError("fields live on different grids")
 
 
+def has_nonzero_mean(f: SpectralField) -> bool:
+    """Whether f's mean exceeds round-off: |c_00| is never above the coefficient norm."""
+    return abs(f.coeffs[0, 0]) > MEAN_TOL * f.coefficient_norm()
+
+
 def require_mean_zero(f: SpectralField, what: str = "operator") -> None:
-    if abs(f.coeffs[0, 0]) > MEAN_TOL * max(f.coefficient_norm(), abs(f.coeffs[0, 0])):
+    if has_nonzero_mean(f):
         raise NonzeroMeanError(f"{what} requires a mean-zero field")
 
 
@@ -329,7 +334,7 @@ def gradient(f: SpectralField) -> VectorField:
 
 def lambda_power(f: SpectralField, s: float) -> SpectralField:
     """Lambda^s = (-Laplacian)^(s/2); zero mode is annihilated."""
-    if s < 0 and abs(f.coeffs[0, 0]) > MEAN_TOL * max(f.coefficient_norm(), 1e-300):
+    if s < 0 and has_nonzero_mean(f):
         raise NegativePowerOnNonzeroMeanError(
             "Lambda^s with s < 0 requires a mean-zero field"
         )

@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +33,6 @@ from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
 from .solver import StepperConfig, gronwall_fit, lifespan, run
-
-KINDS = (
-    "simulate",
-    "picard",
-    "strichartz",
-    "lifespan-sweep",
-    "verify-estimates",
-    "kappa0",
-    "bands",
-)
 
 DIAGNOSTIC_COLUMNS = (
     "t",
@@ -258,6 +248,25 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _sweep(config: ExperimentConfig, one):
+    """Map one(spec) over the sweep schedule, isolating each member's crash.
+
+    Returns (spec, result, entry) in schedule order; entry is the member's
+    manifest record, and result is None when the member raised.
+    """
+
+    def member(spec: RunSpec):
+        entry = {"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
+                 "scheme": spec.scheme, "status": "ok"}
+        try:
+            return spec, one(spec), entry
+        except Exception as exc:  # crash isolation: siblings keep running
+            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            return spec, None, entry
+
+    return _parallel_map(member, sweep_schedule(config))
+
+
 def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
     """A sweep member's initial data: random spectra are drawn from its seed."""
     data = dict(config.initial_data)
@@ -274,158 +283,103 @@ def _nondecreasing_per_seed(lifespans) -> bool:
     return all(b >= 0.95 * a for lives in by_seed.values() for a, b in zip(lives, lives[1:]))
 
 
-def _simulate(config: ExperimentConfig, outdir: Path):
-    grid = config.grid_spec()
-    bank = DyadicBank(grid)
-    schedule = sweep_schedule(config)
+# Each driver returns (files, flags, runs): files maps an output name to its
+# content, written by run_experiment: (header, rows) for .csv, a payload for
+# .json, a SpectralField for .npz.
 
+
+def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     def one(spec: RunSpec):
         omega0, rho0 = _member_data(config, grid, spec)
-        try:
-            traj = run(omega0, rho0, spec.kappa, config.t_final,
-                       config.stepper(spec.scheme), n_samples=config.n_samples,
-                       store_snapshots=config.snapshots, bank=bank,
-                       s=config.s, q=config.q)
-            return spec, traj, None
-        except Exception as exc:  # crash isolation: siblings keep running
-            return spec, None, f"{type(exc).__name__}: {exc}"
+        return run(omega0, rho0, spec.kappa, config.t_final, config.stepper(spec.scheme),
+                   n_samples=config.n_samples, store_snapshots=config.snapshots, bank=bank,
+                   s=config.s, q=config.q)
 
-    outputs, runs, flags = [], [], {}
-    for spec, traj, err in _parallel_map(one, schedule):
-        entry = {"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
-                 "scheme": spec.scheme}
-        if err is not None:
-            entry["status"] = "error"
-            entry["error"] = err
-        else:
-            csv_path = outdir / f"{spec.tag}_diagnostics.csv"
-            write_csv(csv_path, DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
-            outputs.append(csv_path.name)
-            entry["status"] = traj.status
-            entry["c6"] = gronwall_fit(traj.records)
+    files, runs = {}, []
+    for spec, traj, entry in _sweep(config, one):
+        if traj is not None:
+            files[f"{spec.tag}_diagnostics.csv"] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
+            entry.update(status=traj.status, c6=gronwall_fit(traj.records))
             if config.snapshots:
-                snap = outdir / f"{spec.tag}_final_omega.npz"
-                save_field(traj.snapshots[-1].omega, snap)
-                outputs.append(snap.name)
+                files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
         runs.append(entry)
-    flags["all_runs_completed"] = all(r["status"] in ("ok", "blowup") for r in runs)
-    return outputs, flags, runs
+    return files, {}, runs
 
 
-def _lifespan_sweep(config: ExperimentConfig, outdir: Path):
-    grid = config.grid_spec()
-    bank = DyadicBank(grid)
-    schedule = sweep_schedule(config)
-
+def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     def one(spec: RunSpec):
         omega0, rho0 = _member_data(config, grid, spec)
-        try:
-            t_life, traj = lifespan(omega0, rho0, spec.kappa, config.t_max,
-                                    config.threshold, config.stepper(spec.scheme),
-                                    n_samples=config.n_samples, bank=bank,
-                                    s=config.s, q=config.q)
-            return spec, t_life, traj, None
-        except Exception as exc:
-            return spec, None, None, f"{type(exc).__name__}: {exc}"
+        return lifespan(omega0, rho0, spec.kappa, config.t_max, config.threshold,
+                        config.stepper(spec.scheme), n_samples=config.n_samples, bank=bank,
+                        s=config.s, q=config.q)
 
-    rows, outputs, runs = [], [], []
-    lifespans = []
-    for spec, t_life, traj, err in _parallel_map(one, schedule):
-        entry = {"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
-                 "status": "ok" if err is None else "error"}
-        if err is not None:
-            entry["error"] = err
-        else:
-            curve = outdir / f"{spec.tag}_bcurve.csv"
-            write_csv(curve, DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
-            outputs.append(curve.name)
-            rows.append([spec.kappa, spec.seed, t_life, curve.name])
-            lifespans.append((spec.kappa, spec.seed, t_life))
+    files, rows, runs = {}, [], []
+    for spec, result, entry in _sweep(config, one):
+        if result is not None:
+            t_life, traj = result
+            curve = f"{spec.tag}_bcurve.csv"
+            files[curve] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
+            rows.append([spec.kappa, spec.seed, t_life, curve])
         runs.append(entry)
-    table = outdir / "lifespan_table.csv"
-    write_csv(table, ("kappa", "seed", "t_life", "b_curve_file"), rows)
-    outputs.append(table.name)
-    flags = {"all_runs_completed": all(r["status"] == "ok" for r in runs),
-             "lifespan_nondecreasing_5pct": _nondecreasing_per_seed(lifespans)}
-    return outputs, flags, runs
+    files["lifespan_table.csv"] = (("kappa", "seed", "t_life", "b_curve_file"), rows)
+    flags = {"lifespan_nondecreasing_5pct": _nondecreasing_per_seed(r[:3] for r in rows)}
+    return files, flags, runs
 
 
-def _picard(config: ExperimentConfig, outdir: Path):
-    grid = config.grid_spec()
-    bank = DyadicBank(grid)
+def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+    # one data set mapped over kappa: not a sweep, and an error aborts it
     omega0, rho0 = make_initial_data(grid, dict(config.initial_data))
     stepper = config.stepper()
+    kappas = [float(k) for k in config.kappa_list]
 
     def one(kappa):
-        return kappa, picard_run(omega0, rho0, float(kappa), config.t_final,
-                                 config.n_max, stepper, s=config.s, q=config.q,
-                                 n_samples=config.n_samples, bank=bank)
+        return picard_run(omega0, rho0, kappa, config.t_final, config.n_max, stepper,
+                          s=config.s, q=config.q, n_samples=config.n_samples, bank=bank)
 
-    outputs, runs = [], []
-    traces_by_kappa = {}
-    for kappa, traces in _parallel_map(one, list(config.kappa_list)):
+    files, runs, traces_by_kappa = {}, [], {}
+    for kappa, traces in zip(kappas, _parallel_map(one, kappas)):
         traces_by_kappa[kappa] = traces
         rows = []
         for tr in traces:
             for i, t in enumerate(tr.t):
                 rows.append([tr.n, t, tr.a[i], tr.a_bar[i] if tr.a_bar is not None else ""])
-        path = outdir / f"picard_kappa{_kappa_tag(float(kappa))}.csv"
-        write_csv(path, ("n", "t", "a_n", "a_bar_n"), rows)
-        outputs.append(path.name)
-        ratios = cauchy_ratios(traces)
-        runs.append({"kappa": float(kappa), "status": "ok",
-                     "cauchy_ratios": [float(x) for x in ratios]})
+        files[f"picard_kappa{_kappa_tag(kappa)}.csv"] = (("n", "t", "a_n", "a_bar_n"), rows)
+        runs.append({"kappa": kappa, "status": "ok",
+                     "cauchy_ratios": [float(x) for x in cauchy_ratios(traces)]})
     report = uniformity_report(traces_by_kappa, spread_limit=config.spread_limit)
-    rep_path = outdir / "uniformity_report.json"
-    write_json(rep_path, report)
-    outputs.append(rep_path.name)
-    flags = {"kappa_uniform_spread": bool(report["pass"])}
-    return outputs, flags, runs
+    files["uniformity_report.json"] = report
+    return files, {"kappa_uniform_spread": bool(report["pass"])}, runs
 
 
-def _strichartz(config: ExperimentConfig, outdir: Path):
-    grid = config.grid_spec()
-    bank = DyadicBank(grid)
+def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+    def one(spec: RunSpec):
+        return strichartz_measure(coherent_band_field(grid, spec.seed), spec.kappa,
+                                  config.gamma, config.r, t_max=config.window, bank=bank)
 
-    def one(job):
-        kappa, seed = job
-        f = coherent_band_field(grid, seed)
-        sample = strichartz_measure(f, float(kappa), config.gamma, config.r,
-                                    t_max=config.window, bank=bank)
-        return kappa, seed, sample
-
-    jobs = [(kappa, seed) for kappa in config.kappa_list for seed in config.seeds]
-    rows, by_kappa = [], {}
-    for kappa, seed, sample in _parallel_map(one, jobs):
-        rows.append([sample.kappa, seed, sample.gamma,
-                     "inf" if np.isinf(sample.r) else sample.r,
-                     sample.t_max, sample.nodes, sample.value])
-        by_kappa.setdefault(float(kappa), []).append(sample.value)
-    csv_path = outdir / "strichartz_samples.csv"
-    write_csv(csv_path, ("kappa", "seed", "gamma", "r", "t_max", "nodes", "value"), rows)
+    rows, by_kappa, runs = [], {}, []
+    for spec, sample, entry in _sweep(config, one):
+        if sample is not None:
+            rows.append([sample.kappa, spec.seed, sample.gamma,
+                         "inf" if np.isinf(sample.r) else sample.r,
+                         sample.t_max, sample.nodes, sample.value])
+            by_kappa.setdefault(spec.kappa, []).append(sample.value)
+        runs.append(entry)
     kappas = sorted(by_kappa)
     means = [float(np.mean(by_kappa[k])) for k in kappas]
     slope = fit_slope(kappas, means) if len(kappas) >= 6 else None
     target = -1.0 / config.gamma
-    payload = {
-        "kappas": kappas,
-        "mean_values": means,
-        "slope": slope,
-        "target_slope": target,
-        "torus_note": "windowed integral; kappa-scaling is the measured content",
-    }
-    json_path = outdir / "strichartz_fit.json"
-    write_json(json_path, payload)
-    flags = {}
-    if slope is not None:
-        flags["slope_within_0p08"] = bool(abs(slope - target) <= 0.08)
-    return [csv_path.name, json_path.name], flags, [{"status": "ok", "jobs": len(jobs)}]
+    fit = {"kappas": kappas, "mean_values": means, "slope": slope, "target_slope": target,
+           "torus_note": "windowed integral; kappa-scaling is the measured content"}
+    files = {"strichartz_samples.csv": (("kappa", "seed", "gamma", "r", "t_max", "nodes",
+                                         "value"), rows),
+             "strichartz_fit.json": fit}
+    flags = {} if slope is None else {"slope_within_0p08": bool(abs(slope - target) <= 0.08)}
+    return files, flags, runs
 
 
-def _verify_estimates(config: ExperimentConfig, outdir: Path):
-    grid = config.grid_spec()
-    reports = []
+def _verify_estimates(config: ExperimentConfig, grid: GridSpec):
     lemmas = [config.lemma] if config.lemma != "all" else ["bracket", "lambda", "smoothed", "product"]
+    reports = []
     for lemma in lemmas:
         rep = resolution_stability(lemma, config.s, config.q, config.trials,
                                    seed=int(config.seeds[0]), n=grid.n,
@@ -433,38 +387,36 @@ def _verify_estimates(config: ExperimentConfig, outdir: Path):
         reports.append(rep)
     rows = [[r.which, r.s, r.q, r.seed, len(r.lhs), r.max_ratio, r.max_ratio_doubled]
             for r in reports]
-    csv_path = outdir / "ratio_reports.csv"
-    write_csv(csv_path, ("which", "s", "q", "seed", "trials", "max_ratio", "max_ratio_doubled"), rows)
-    json_path = outdir / "ratio_reports.json"
-    write_json(json_path, [r.as_dict() for r in reports])
+    files = {
+        "ratio_reports.csv": (("which", "s", "q", "seed", "trials", "max_ratio",
+                               "max_ratio_doubled"), rows),
+        "ratio_reports.json": [r.as_dict() for r in reports],
+    }
     stable = all(
         r.max_ratio > 0 and abs(r.max_ratio_doubled - r.max_ratio) <= 0.25 * r.max_ratio
         for r in reports
     )
-    flags = {"ratios_resolution_stable_25pct": stable}
-    return [csv_path.name, json_path.name], flags, [{"status": "ok", "lemmas": lemmas}]
+    return files, {"ratios_resolution_stable_25pct": stable}, [{"status": "ok", "lemmas": lemmas}]
 
 
-def _kappa0(config: ExperimentConfig, outdir: Path):
-    inp = Kappa0Inputs(**config.kappa0_inputs)
-    value, overflow = kappa0_estimate(inp)
-    payload = {"inputs": config.kappa0_inputs, "kappa0": value, "overflow": overflow}
-    path = outdir / "kappa0.json"
-    write_json(path, payload)
-    return [path.name], {"kappa0_finite": not overflow}, [{"status": "ok"}]
+def _kappa0(config: ExperimentConfig, grid: GridSpec):
+    value, overflow = kappa0_estimate(Kappa0Inputs(**config.kappa0_inputs))
+    files = {"kappa0.json": {"inputs": config.kappa0_inputs, "kappa0": value,
+                             "overflow": overflow}}
+    return files, {"kappa0_finite": not overflow}, [{"status": "ok"}]
 
 
-def _bands(config: ExperimentConfig, outdir: Path):
-    bank = DyadicBank(config.grid_spec())
-    path = outdir / "band_profiles.csv"
-    write_csv(path, ("xi", "band", "value"), band_profile_rows(bank))
+def _bands(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     resid = bank.partition_residual()
-    rep = outdir / "partition.json"
-    write_json(rep, {"j_min": bank.j_min, "j_max": bank.j_max,
-                     "partition_residual": resid})
-    return [path.name, rep.name], {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}]
+    files = {
+        "band_profiles.csv": (("xi", "band", "value"), band_profile_rows(bank)),
+        "partition.json": {"j_min": bank.j_min, "j_max": bank.j_max,
+                           "partition_residual": resid},
+    }
+    return files, {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}]
 
 
+# kind -> driver(config, grid[, bank]) -> (files, flags, runs)
 _DRIVERS = {
     "simulate": _simulate,
     "picard": _picard,
@@ -474,6 +426,9 @@ _DRIVERS = {
     "kappa0": _kappa0,
     "bands": _bands,
 }
+KINDS = tuple(_DRIVERS)
+_BANKED = ("simulate", "picard", "strichartz", "lifespan-sweep", "bands")
+_SWEEPS = ("simulate", "strichartz", "lifespan-sweep")
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -481,21 +436,21 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    outputs, flags, runs = _DRIVERS[config.kind](config, outdir)
-    manifest = RunManifest(
-        config=config.as_dict(),
-        version=__version__,
-        wall_clock=time.time() - started,
-        outputs=sorted(outputs),
-        flags=flags,
-        runs=runs,
-    )
-    write_json(outdir / "manifest.json", {
-        "config": manifest.config,
-        "version": manifest.version,
-        "wall_clock": manifest.wall_clock,
-        "outputs": manifest.outputs,
-        "flags": manifest.flags,
-        "runs": manifest.runs,
-    })
+    grid = config.grid_spec()
+    args = (config, grid, DyadicBank(grid)) if config.kind in _BANKED else (config, grid)
+    files, flags, runs = _DRIVERS[config.kind](*args)
+    if config.kind in _SWEEPS:
+        completed = all(r["status"] in ("ok", "blowup") for r in runs)
+        flags = {"all_runs_completed": completed, **flags}
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            write_csv(outdir / name, *content)
+        elif name.endswith(".json"):
+            write_json(outdir / name, content)
+        else:
+            save_field(content, outdir / name)
+    manifest = RunManifest(config=config.as_dict(), version=__version__,
+                           wall_clock=time.time() - started, outputs=sorted(files),
+                           flags=flags, runs=runs)
+    write_json(outdir / "manifest.json", asdict(manifest))
     return manifest

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from strat2d import picard
+from strat2d import harness, picard
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
 from strat2d.harness import (
@@ -50,6 +50,31 @@ README_SIM = {
     "t_final": 0.5,
     "output_dir": "out",
 }
+
+
+# small configs of the three sweeps and of picard
+SMALL = {
+    "simulate": SIM_CONFIG,
+    "lifespan-sweep": {
+        "kind": "lifespan-sweep", "grid": {"n": 32}, "dt": 0.01,
+        "initial_data": {"name": "random-spectrum", "seed": 0, "amplitude": 4.0,
+                         "xi_lo": 0.5, "xi_hi": 4.0},
+        "kappa_list": [0.0, 16.0], "seeds": [1, 2], "threshold": 100.0, "t_max": 0.1,
+        "n_samples": 3,
+    },
+    "strichartz": {"kind": "strichartz", "grid": {"n": 64, "box_scale": 8.0},
+                   "kappa_list": [16.0, 32.0], "seeds": [0, 1]},
+    "picard": {
+        "kind": "picard", "grid": {"n": 32}, "kappa_list": [16.0, 0.5],
+        "initial_data": {"name": "random-spectrum", "seed": 7, "amplitude": 1.0,
+                         "xi_lo": 0.5, "xi_hi": 2.5},
+        "t_final": 0.05, "n_max": 2, "n_samples": 6,
+    },
+}
+
+
+def small_config(kind, outdir, **changes):
+    return ExperimentConfig(**{**SMALL[kind], "output_dir": str(outdir), **changes})
 
 
 def test_config_validation(tmp_path):
@@ -105,20 +130,18 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
-def test_simulate_reruns_byte_identical(tmp_path, monkeypatch):
-    outputs = {}
+@pytest.mark.parametrize("kind", ["simulate", "lifespan-sweep", "strichartz"])
+def test_sweep_reruns_byte_identical(tmp_path, monkeypatch, kind):
+    outputs, runs = {}, {}
     for label, threads in (("one", "1"), ("two", "4")):
         monkeypatch.setenv("STRAT2D_THREADS", threads)
-        cfg = load_config(write_config(tmp_path / f"{label}.json",
-                                       dict(SIM_CONFIG, output_dir=str(tmp_path / label))))
-        manifest = run_experiment(cfg)
+        manifest = run_experiment(small_config(kind, tmp_path / label))
         assert manifest.passed
-        blobs = {}
-        for name in manifest.outputs:
-            with open(tmp_path / label / name, "rb") as fh:
-                blobs[name] = fh.read()
-        outputs[label] = blobs
+        outputs[label] = {name: (tmp_path / label / name).read_bytes()
+                          for name in manifest.outputs}
+        runs[label] = manifest.runs
     assert outputs["one"] == outputs["two"]
+    assert runs["one"] == runs["two"]
 
 
 def test_manifest_written(tmp_path):
@@ -272,3 +295,67 @@ def test_lifespan_flag_judged_within_each_seed():
     lives = [(kappa, seed, float(seed)) for kappa in (0.0, 16.0) for seed in (1, 2)]
     assert _nondecreasing_per_seed(lives)
     assert not _nondecreasing_per_seed(lives + [(64.0, 1, 0.5)])
+
+
+def test_strichartz_member_error_is_isolated(tmp_path, monkeypatch):
+    # a member that raises is recorded; its siblings' rows are still written
+    def failing(grid, seed):
+        if seed == 1:
+            raise ValueError("no packet for seed 1")
+        return real(grid, seed)
+
+    real = harness.coherent_band_field
+    monkeypatch.setattr(harness, "coherent_band_field", failing)
+    manifest = run_experiment(small_config("strichartz", tmp_path / "out"))
+    by_seed = {(r["kappa"], r["seed"]): r for r in manifest.runs}
+    assert len(by_seed) == 4
+    for (kappa, seed), entry in by_seed.items():
+        assert entry["status"] == ("error" if seed == 1 else "ok")
+    assert by_seed[(16.0, 1)]["error"] == "ValueError: no packet for seed 1"
+    rows = read_rows(tmp_path / "out" / "strichartz_samples.csv")
+    assert [(r["kappa"], r["seed"]) for r in rows] == [("16.0", "0"), ("32.0", "0")]
+    assert manifest.flags["all_runs_completed"] is False
+    path = write_config(tmp_path / "cfg.json",
+                        dict(SMALL["strichartz"], output_dir=str(tmp_path / "cli")))
+    assert cli_main(["strichartz-sweep", "--config", path]) == 1
+
+
+def test_picard_error_is_not_isolated(tmp_path):
+    # picard maps one data set over kappa; an error aborts the experiment
+    with pytest.raises(ValueError, match="n_max"):
+        run_experiment(small_config("picard", tmp_path / "out", n_max=0))
+
+
+@pytest.mark.parametrize("kind, members", [
+    ("simulate", 2), ("lifespan-sweep", 4), ("strichartz", 4), ("picard", 2),
+])
+def test_members_and_writes_go_through_module_bindings(tmp_path, monkeypatch, kind, members):
+    # external tooling times sweeps and writes by patching these module globals
+    mapped, written = [], []
+
+    def recording_map(fn, items):
+        def member(item):
+            mapped.append(item)
+            return fn(item)
+
+        return real_map(member, items)
+
+    def recording(writer, path_arg):
+        def wrapper(*args):
+            written.append(os.path.basename(args[path_arg]))
+            return writer(*args)
+
+        return wrapper
+
+    real_map = harness._parallel_map
+    monkeypatch.setenv("STRAT2D_THREADS", "2")
+    monkeypatch.setattr(harness, "_parallel_map", recording_map)
+    for name, path_arg in (("write_csv", 0), ("write_json", 0), ("save_field", 1)):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name), path_arg))
+    outdir = tmp_path / "out"
+    manifest = run_experiment(small_config(kind, outdir, snapshots=True))
+    assert len(mapped) == members
+    assert sorted(written) == sorted(manifest.outputs + ["manifest.json"])
+    assert sorted(written) == sorted(p.name for p in outdir.iterdir())
+    if kind == "simulate":
+        assert sum(name.endswith(".npz") for name in written) == members
