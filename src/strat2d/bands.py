@@ -22,6 +22,7 @@ from .grid import (
     hminus1_norm,
     lp_norm,
     lp_norm_unchecked,
+    lp_norms_unchecked,
     multiply,
     require_hermitian,
     require_same_grid,
@@ -78,15 +79,19 @@ class DyadicBank:
             )
         self.j_min = j_min
         self.j_max = j_max
-        self._psi = {
-            j: psi0(grid.xi_abs / 2.0**j) for j in range(j_min, j_max + 1)
-        }
+        # psi_j for j = j_min..j_max, stacked so that L2 band norms batch
+        self.psi = np.stack([psi0(grid.xi_abs / 2.0**j) for j in self.bands])
 
     # -- multipliers -----------------------------------------------------
     def psi_hat(self, j: int) -> np.ndarray:
         if j < self.j_min or j > self.j_max:
             raise ValueError(f"band {j} outside resolved range [{self.j_min}, {self.j_max}]")
-        return self._psi[j]
+        return self.psi[j - self.j_min]
+
+    def psi_from(self, j_lo: int) -> np.ndarray:
+        """psi_j for j = j_lo..j_max, stacked (a view)."""
+        self.psi_hat(j_lo)
+        return self.psi[j_lo - self.j_min:]
 
     def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(2^-k |xi|); value at xi=0 is 1 and is adjusted by callers."""
@@ -101,9 +106,7 @@ class DyadicBank:
 
     def partition_residual(self) -> float:
         """max |sum_j psi_j - 1| over grid frequencies in the interior annulus."""
-        total = np.zeros_like(self.grid.xi_abs)
-        for j in self.bands:
-            total += self._psi[j]
+        total = self.psi.sum(axis=0)
         lo = 5.0 / 8.0 * 2.0 ** (self.j_min + 1)
         hi = 5.0 / 8.0 * 2.0**self.j_max
         sel = (self.grid.xi_abs >= lo) & (self.grid.xi_abs <= hi)
@@ -167,6 +170,16 @@ def _lq(values: np.ndarray, q: float) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
+def _band_norms(f: SpectralField, j_lo: int, p: float, bank: DyadicBank) -> list:
+    """lp_norm_unchecked(Delta_j f) for j = j_lo..j_max.  p = 2 takes one
+    batched Plancherel sum; other p go band by band, because a batched
+    inverse transform is slower per slice at N >= 128."""
+    if p != 2:
+        return [lp_norm_unchecked(project_band(f, j, bank), p)
+                for j in range(j_lo, bank.j_max + 1)]
+    return lp_norms_unchecked(f.grid, bank.psi_from(j_lo) * f.coeffs, 2).tolist()
+
+
 def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     # the Hermitian guard is scaled by the whole field: a band holding only
     # round-off would fail it relative to its own size
@@ -175,14 +188,11 @@ def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     if spec.homogeneous:
         if spec.s <= 0 and has_nonzero_mean(f):
             raise NonzeroMeanError("homogeneous Besov norm with s <= 0 needs mean-zero data")
-        vals = [
-            2.0 ** (spec.s * j) * lp_norm_unchecked(project_band(f, j, bank), spec.p)
-            for j in bank.bands
-        ]
-        return _lq(np.array(vals), spec.q)
-    vals = [lp_norm_unchecked(lowpass_nonhom(f, 0, bank), spec.p)]
-    for j in range(1, bank.j_max + 1):
-        vals.append(2.0 ** (spec.s * j) * lp_norm_unchecked(project_band(f, j, bank), spec.p))
+        j_lo, vals = bank.j_min, []
+    else:
+        j_lo, vals = 1, [lp_norm_unchecked(lowpass_nonhom(f, 0, bank), spec.p)]
+    norms = _band_norms(f, j_lo, spec.p, bank)
+    vals += [2.0 ** (spec.s * j) * v for j, v in zip(range(j_lo, bank.j_max + 1), norms)]
     return _lq(np.array(vals), spec.q)
 
 

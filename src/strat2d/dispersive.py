@@ -82,6 +82,16 @@ def g_operator(f: SpectralField, t: float, cutoff_hat: np.ndarray | None = None,
 # windowed space-time norms
 
 
+def admissible(gamma: float, r: float) -> bool:
+    """(gamma, r) with 1/gamma + 1/(2r) <= 1/4: the pairs the dispersive estimate covers."""
+    return gamma > 0 and r > 0 and 1.0 / gamma + 1.0 / (2.0 * r) <= 0.25 + 1e-12
+
+
+def require_admissible(gamma: float, r: float) -> None:
+    if not admissible(gamma, r):
+        raise ValueError("inadmissible (gamma, r): need 1/gamma + 1/(2r) <= 1/4")
+
+
 @dataclass(frozen=True)
 class StrichartzSample:
     kappa: float
@@ -93,8 +103,7 @@ class StrichartzSample:
     space: str = "lr"  # "lr" | "besov"
 
     def __post_init__(self):
-        if 1.0 / self.gamma + 1.0 / (2.0 * self.r) > 0.25 + 1e-12:
-            raise ValueError("inadmissible (gamma, r): need 1/gamma + 1/(2r) <= 1/4")
+        require_admissible(self.gamma, self.r)
         if self.value < 0 or not np.isfinite(self.value):
             raise ValueError("measured value must be finite and nonnegative")
 
@@ -139,6 +148,7 @@ def strichartz_measure(
     phases are formed only where the cutoff times f is nonzero, and each
     block of NODE_BLOCK nodes is transformed in one batch.
     """
+    require_admissible(gamma, r)
     require_mean_zero(f, "dispersive measurement")
     kappa = abs(kappa)
     if bank is None:

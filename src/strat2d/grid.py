@@ -255,6 +255,16 @@ class VectorField:
     def grid(self) -> GridSpec:
         return self.u1.grid
 
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked grid samples of (u1, u2), transformed on first use and
+        kept in the instance dict (a plain memo: `cached_property` would hold
+        a class-wide lock while transforming, serializing sweep threads)."""
+        memo = self.__dict__.get("_samples")
+        if memo is None:
+            memo = (_samples(self.grid, self.u1.coeffs), _samples(self.grid, self.u2.coeffs))
+            self.__dict__["_samples"] = memo
+        return memo
+
     def divergence(self) -> SpectralField:
         return derivative(self.u1, 1) + derivative(self.u2, 2)
 
@@ -387,12 +397,12 @@ def multiply(f: SpectralField, g: SpectralField, dealias_product: bool = True) -
 def advect(u: VectorField, *scalars: SpectralField):
     """dealias(u . grad g) via physical-space products, for each scalar g.
 
-    The velocity is transformed once for all scalars.  Returns a field for
-    one scalar and a tuple of fields, in order, for several.
+    The velocity is transformed once per VectorField (`VectorField.samples`).
+    Returns a field for one scalar and a tuple of fields, in order, for several.
     """
     require_same_grid(u.u1, *scalars)
     grid = u.grid
-    u1, u2 = _samples(grid, u.u1.coeffs), _samples(grid, u.u2.coeffs)
+    u1, u2 = u.samples()
     out = []
     for g in scalars:
         g1, g2 = _samples(grid, derivative(g, 1).coeffs), _samples(grid, derivative(g, 2).coeffs)

@@ -23,6 +23,7 @@ from . import __version__
 from .bands import DyadicBank, band_profile_rows
 from .dispersive import (
     Kappa0Inputs,
+    admissible,
     fit_slope,
     kappa0_estimate,
     strichartz_measure,
@@ -112,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("dt and t_final must be positive")
+        if self.kind == "strichartz" and not admissible(self.gamma, self.r):
+            raise ConfigError(f"inadmissible (gamma, r) = ({self.gamma}, {self.r}): "
+                              "need 1/gamma + 1/(2r) <= 1/4")
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(**self.grid)
@@ -244,8 +248,15 @@ def _parallel_map(fn, items):
     workers = min(thread_count(), max(len(items), 1))
     if workers <= 1:
         return [fn(it) for it in items]
+    # np.errstate is per thread: pool threads would start from numpy's defaults
+    errstate = np.geterr()
+
+    def call(item):
+        with np.errstate(**errstate):
+            return fn(item)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(call, items))
 
 
 def _sweep(config: ExperimentConfig, one):

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
-from .solver import StepperConfig, Trajectory, run, z_norm
+from .solver import StepperConfig, Trajectory, run, z_norm, z_record
 
 
 @dataclass
@@ -63,21 +63,30 @@ class FrozenVelocity:
         else:
             self._s1 = self._s2 = None
             self._only = velocities[0]
+        self._recent = []  # the last two (t, velocity) answers
 
     @classmethod
     def constant(cls, u: VectorField) -> "FrozenVelocity":
         return cls(np.array([0.0]), [u])
 
     def __call__(self, t: float) -> VectorField:
+        """The velocity at t.  The last two answers are kept: with a fixed dt
+        the RK stages ask for t + dt/2 twice and the next step starts at the
+        previous stage 4's time, so half the queries repeat."""
         if self._s1 is None:
             return self._only
+        for t_seen, u in self._recent:
+            if t_seen == t:
+                return u
         if t < self.times[0] - 1e-9 or t > self.times[-1] + 1e-9:
             raise ValueError(f"frozen velocity queried at t={t} outside [{self.times[0]}, {self.times[-1]}]")
-        t = min(max(t, self.times[0]), self.times[-1])
-        return VectorField(
-            SpectralField(self.grid, self._s1(t)),
-            SpectralField(self.grid, self._s2(t)),
+        tc = min(max(t, self.times[0]), self.times[-1])
+        u = VectorField(
+            SpectralField(self.grid, self._s1(tc)),
+            SpectralField(self.grid, self._s2(tc)),
         )
+        self._recent = self._recent[-1:] + [(t, u)]
+        return u
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "FrozenVelocity":
@@ -110,10 +119,13 @@ def linear_solve(
     config: StepperConfig,
     **run_kwargs,
 ) -> Trajectory:
-    """Time-step the frozen-transport linear system; same schemes as `run`."""
+    """Time-step the frozen-transport linear system; same schemes as `run`.
+
+    Records only (t, z): z is all the iteration reads.
+    """
     return run(
         omega_init, rho_init, kappa, t_final, config,
-        velocity_fn=lambda omega, t: frozen(t),
+        velocity_fn=lambda omega, t: frozen(t), record=z_record,
         **run_kwargs,
     )
 
@@ -166,7 +178,7 @@ def picard_run(
         )
         if traj.status != "ok" or len(traj.snapshots) != len(sample_times):
             raise RuntimeError(f"linear solve at iteration {n} did not complete")
-        a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve's diagnostics
+        a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve
         if prev_snapshots is None:
             a_bar = None
         else:

@@ -13,6 +13,7 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,6 +253,16 @@ def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float,
     return rec
 
 
+class ZRecord(NamedTuple):
+    t: float
+    z: float  # z_{s,q}
+
+
+def z_record(state: SimState, bank: DyadicBank, s: float, q: float, prev) -> ZRecord:
+    """A `run` recorder that keeps only z: all that `run`'s guard reads."""
+    return ZRecord(state.t, z_norm(state.omega, state.rho, bank, s, q))
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -271,9 +282,12 @@ def run(
     velocity_fn=_own_velocity,
     nonlinear: bool = True,
     stop_when=None,
+    record=None,
 ) -> Trajectory:
     """Integrate to t_final, recording diagnostics at the sample times.
 
+    `record(state, bank, s, q, prev)` makes each sample's record; it must
+    carry `t` and `z`, and defaults to the full `diagnostics`.
     `stop_when(record)` -> bool triggers an early stop (used by `lifespan`).
     Raises nothing on suspected blow-up: the trajectory is returned with
     status "blowup" and whatever records were collected.
@@ -289,10 +303,12 @@ def run(
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times[0] != 0.0:
         raise ValueError("sample times must start at 0")
+    if record is None:
+        record = diagnostics
 
     state = SimState(omega0, rho0, 0.0, kappa)
     traj = Trajectory(grid=grid, kappa=kappa, nonlinear=nonlinear)
-    rec = diagnostics(state, bank, s, q, None)
+    rec = record(state, bank, s, q, None)
     traj.records.append(rec)
     if store_snapshots:
         traj.snapshots.append(state)
@@ -307,7 +323,7 @@ def run(
         except BlowupSuspectedError:
             traj.status = "blowup"
             break
-        rec = diagnostics(state, bank, s, q, traj.records[-1])
+        rec = record(state, bank, s, q, traj.records[-1])
         traj.records.append(rec)
         if store_snapshots:
             traj.snapshots.append(state)

@@ -19,6 +19,7 @@ from strat2d.bands import (
     psi0,
     smooth_step,
 )
+from strat2d.fields import random_field
 from strat2d.grid import (
     GridSpec,
     SpectralField,
@@ -213,3 +214,37 @@ def test_band_profile_rows(bank):
 def test_partition_across_resolutions():
     for n in (64, 128, 256):
         assert build_bank(GridSpec(n)).partition_residual() < 1e-12
+
+
+def test_bank_stacks_band_multipliers():
+    grid = GridSpec(64)
+    bank = build_bank(grid)
+    assert bank.psi.shape == (len(bank.bands), *grid.shape)
+    for j in bank.bands:
+        assert np.shares_memory(bank.psi_hat(j), bank.psi)
+        assert np.array_equal(bank.psi_hat(j), psi0(grid.xi_abs / 2.0**j))
+
+
+def _per_band_besov_l2(f, spec, bank):
+    """The p = 2 Besov norm band by band, as the definition reads."""
+    if spec.homogeneous:
+        vals = [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), 2) for j in bank.bands]
+    else:
+        vals = [lp_norm(lowpass_nonhom(f, 0, bank), 2)]
+        vals += [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), 2)
+                 for j in range(1, bank.j_max + 1)]
+    vals = np.array(vals)
+    return vals.max() if np.isinf(spec.q) else np.sum(vals**spec.q) ** (1.0 / spec.q)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_batched_l2_besov_matches_per_band(n, homogeneous):
+    grid = GridSpec(n)
+    bank = build_bank(grid)
+    f = random_field(grid, seed=n, xi_lo=0.5, xi_hi=grid.dealias_cutoff, amplitude=3.0)
+    for s in (-1.0, 0.0, 2.0):
+        for q in (1.0, 2.0, np.inf):
+            spec = BesovSpec(s=s, p=2.0, q=q, homogeneous=homogeneous)
+            ref = _per_band_besov_l2(f, spec, bank)
+            assert abs(besov_norm(f, spec, bank) - ref) <= 1e-14 * ref

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from strat2d.bands import BesovSpec, besov_norm, build_bank
+from strat2d import dispersive
 from strat2d.dispersive import (
     NODE_BLOCK,
     SIGNS,
     Kappa0Inputs,
     StrichartzSample,
+    admissible,
     besov_strichartz_measure,
     diagonalize,
     duhamel_residual,
@@ -112,6 +114,17 @@ def test_g_operator_cutoff(grid, bank):
 def test_strichartz_admissibility():
     with pytest.raises(ValueError):
         StrichartzSample(kappa=1.0, gamma=4.0, r=2.0, t_max=1.0, nodes=10, value=1.0)
+
+
+def test_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, monkeypatch):
+    def no_node(*args, **kwargs):
+        raise AssertionError("a time node was evaluated")
+
+    monkeypatch.setattr(dispersive, "lp_norms_unchecked", no_node)
+    f = coherent_band_field(grid, seed=0)
+    with pytest.raises(ValueError, match="inadmissible"):
+        strichartz_measure(f, 16.0, 4.0, 4.0, 0.5, bank=bank)
+    assert not admissible(4.0, 4.0) and admissible(4.0, np.inf) and admissible(8.0, 4.0)
 
 
 def test_strichartz_r2_analytic(grid, bank):

@@ -7,6 +7,7 @@ from strat2d.errors import (
     NegativePowerOnNonzeroMeanError,
     NonzeroMeanError,
 )
+from strat2d import grid as grid_module
 from strat2d.bands import BesovSpec, DyadicBank, besov_norm
 from strat2d.grid import (
     GridSpec,
@@ -198,6 +199,24 @@ def test_advect_several_scalars_match_single_calls(grid):
     adv_g, adv_h = advect(u, g, h)
     assert np.array_equal(adv_g.coeffs, advect(u, g).coeffs)
     assert np.array_equal(adv_h.coeffs, advect(u, h).coeffs)
+
+
+def test_advect_transforms_a_velocity_once(grid, monkeypatch):
+    u = biot_savart(random_real_field(grid, seed=7).drop_mean())
+    g, h = random_real_field(grid, seed=8), random_real_field(grid, seed=9)
+    fresh = [advect(VectorField(u.u1, u.u2), f).coeffs for f in (g, h)]
+    transformed = []
+    samples = grid_module._samples
+
+    def counted(grid_, coeffs):
+        transformed.append(id(coeffs))
+        return samples(grid_, coeffs)
+
+    monkeypatch.setattr(grid_module, "_samples", counted)
+    assert np.array_equal(advect(u, g).coeffs, fresh[0])
+    assert np.array_equal(advect(u, h).coeffs, fresh[1])
+    assert transformed.count(id(u.u1.coeffs)) == 1
+    assert transformed.count(id(u.u2.coeffs)) == 1
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,35 @@ def test_crash_isolation(tmp_path):
     statuses = {r["kappa"]: r["status"] for r in manifest.runs}
     assert statuses[0.0] == "ok"
     assert statuses[1e4] == "blowup"
+
+
+def test_sweep_members_inherit_errstate(tmp_path, monkeypatch):
+    # the kappa=1e4 member of test_crash_isolation overflows: silenced by the
+    # caller's np.errstate also when it runs in a pool thread
+    monkeypatch.setenv("STRAT2D_THREADS", "2")
+    cfg = ExperimentConfig(**dict(
+        SIM_CONFIG, scheme="rk4", dt=0.05, t_final=2.0, n_samples=11,
+        initial_data={"name": "random-spectrum", "seed": 3, "amplitude": 1.0,
+                      "xi_lo": 0.5, "xi_hi": 4.0},
+        kappa_list=[0.0, 1e4], output_dir=str(tmp_path / "out")))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        manifest = run_experiment(cfg)
+    assert {r["kappa"]: r["status"] for r in manifest.runs}[1e4] == "blowup"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_inadmissible_strichartz_config_refused_before_work(tmp_path, monkeypatch):
+    def no_member(grid, seed):
+        raise AssertionError("a member started")
+
+    monkeypatch.setattr(harness, "coherent_band_field", no_member)
+    payload = dict(SMALL["strichartz"], gamma=4.0, r=4.0, output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="inadmissible"):
+        run_experiment(ExperimentConfig(**payload))
+    with pytest.raises(ConfigError, match="inadmissible"):
+        load_config(write_config(tmp_path / "cfg.json", payload))
+    assert not (tmp_path / "out").exists()
 
 
 def test_bands_experiment(tmp_path):

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from strat2d import solver
 from strat2d.bands import BesovSpec, besov_norm, build_bank, intersection_norm
 from strat2d.dispersive import diagonalize, semigroup_apply
 from strat2d.fields import random_field, random_spectrum
@@ -183,3 +187,81 @@ def test_frozen_sampling_refinement(grid, bank, smooth_data):
                             n_samples=n_samples, bank=bank)
         sups.append(traces[-1].sup_a_bar)
     assert abs(sups[1] - sups[0]) < 0.01 * max(sups)
+
+
+with open(Path(__file__).parent / "data" / "picard_n32.json") as fh:
+    PICARD_N32 = json.load(fh)
+
+
+def test_picard_reproduces_recorded_iterates():
+    # a_n and a_bar_n of the frozen-transport iteration, recorded as repr floats
+    # before its records were cut to z: the cut must not move a single bit
+    rec = PICARD_N32
+    grid = GridSpec(rec["grid_n"])
+    omega, rho = random_spectrum(grid, seed=rec["seed"], amplitude=rec["amplitude"],
+                                 xi_lo=rec["xi_lo"], xi_hi=rec["xi_hi"], kmax=rec["kmax"])
+    cfg = StepperConfig(scheme=rec["scheme"], dt=rec["dt"])
+    for kappa, expected in rec["kappas"].items():
+        traces = picard_run(omega, rho, float(kappa), rec["t_final"], rec["n_max"], cfg,
+                            n_samples=rec["n_samples"])
+        assert traces[0].a0 == expected["a0"]
+        assert [tr.a.tolist() for tr in traces] == expected["a_n"]
+        assert [None if tr.a_bar is None else tr.a_bar.tolist()
+                for tr in traces] == expected["a_bar_n"]
+
+
+def _counting_spline(frozen):
+    """Record the times at which the frozen velocity's spline is evaluated."""
+    seen = []
+    spline = frozen._s1
+
+    def counted(t):
+        seen.append(t)
+        return spline(t)
+
+    frozen._s1 = counted
+    return seen
+
+
+def test_frozen_velocity_memo(grid):
+    omega = random_field(grid, seed=22, xi_lo=0.5, xi_hi=4.0)
+    u = biot_savart(omega)
+    times = np.linspace(0.0, 1.0, 6)
+    snaps = [VectorField(u.u1 * np.cos(t), u.u2 * (1.0 + t**2)) for t in times]
+    frozen = FrozenVelocity(times, snaps)
+    seen = _counting_spline(frozen)
+    # the stage times of two fixed-dt RK steps, then a revisit of an older time
+    h = 0.1
+    queries = [0.0, h / 2, h / 2, h, h, h + h / 2, h + h / 2, 2 * h, 0.0]
+    answers = [frozen(t) for t in queries]
+    assert seen == [0.0, h / 2, h, h + h / 2, 2 * h, 0.0]
+    assert answers[1] is answers[2] and answers[3] is answers[4]
+    for t, got in zip(queries, answers):
+        fresh = FrozenVelocity(times, snaps)(t)
+        assert np.array_equal(got.u1.coeffs, fresh.u1.coeffs)
+        assert np.array_equal(got.u2.coeffs, fresh.u2.coeffs)
+    with pytest.raises(ValueError):
+        frozen(1.5)
+
+
+def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data):
+    omega0, rho0 = smooth_data
+    u = biot_savart(omega0)
+    times = np.linspace(0.0, 0.1, 6)
+    frozen = FrozenVelocity(times, [u] * len(times))
+    seen = _counting_spline(frozen)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    linear_solve(frozen, omega0, rho0, 8.0, 0.1, cfg, sample_times=times, bank=bank)
+    # 10 steps ask for 40 stage times; 21 of them are distinct
+    assert len(seen) == len(set(seen)) == 21
+
+
+def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("picard_run computed full diagnostics")
+
+    monkeypatch.setattr(solver, "diagnostics", refuse)
+    omega0, rho0 = smooth_data
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3, bank=bank)
+    assert len(traces) == 3 and all(np.isfinite(tr.a).all() for tr in traces)

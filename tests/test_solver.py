@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from strat2d.grid import (
     lp_norm,
 )
 from strat2d.solver import (
+    DiagnosticsRecord,
     SimState,
     StepperConfig,
+    ZRecord,
     cfl_dt,
     gronwall_fit,
     lifespan,
@@ -28,6 +31,7 @@ from strat2d.solver import (
     run,
     step,
     z_norm,
+    z_record,
 )
 
 
@@ -154,6 +158,27 @@ def test_run_zero_data(grid, bank):
     assert traj.status == "ok"
     assert all(r.energy == 0.0 for r in traj.records)
     assert all(r.z == 0.0 for r in traj.records)
+
+
+def test_run_records_full_diagnostics_by_default(grid, bank):
+    omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    traj = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
+    assert all(isinstance(r, DiagnosticsRecord) for r in traj.records)
+    for r in traj.records[1:]:
+        values = [getattr(r, f.name) for f in fields(DiagnosticsRecord)]
+        assert all(np.isfinite(v) and v > 0 for v in values)
+
+
+def test_run_with_z_record(grid, bank):
+    omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
+    lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=z_record,
+               stop_when=lambda r: r.t > 0.01)
+    assert lean.records == [ZRecord(r.t, r.z) for r in full.records[:2]]
+    assert np.array_equal(lean.column("z"), full.column("z")[:2])
+    assert lean.t_end == full.records[1].t
 
 
 def test_run_requires_mean_zero_vorticity(grid, bank):
