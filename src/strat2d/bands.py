@@ -88,11 +88,6 @@ class DyadicBank:
             raise ValueError(f"band {j} outside resolved range [{self.j_min}, {self.j_max}]")
         return self.psi[j - self.j_min]
 
-    def psi_from(self, j_lo: int) -> np.ndarray:
-        """psi_j for j = j_lo..j_max, stacked (a view)."""
-        self.psi_hat(j_lo)
-        return self.psi[j_lo - self.j_min:]
-
     def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(2^-k |xi|); value at xi=0 is 1 and is adjusted by callers."""
         return chi(self.grid.xi_abs / 2.0**k)
@@ -173,11 +168,14 @@ def _lq(values: np.ndarray, q: float) -> float:
 def _band_norms(f: SpectralField, j_lo: int, p: float, bank: DyadicBank) -> list:
     """lp_norm_unchecked(Delta_j f) for j = j_lo..j_max.  p = 2 takes one
     batched Plancherel sum; other p go band by band, because a batched
-    inverse transform is slower per slice at N >= 128."""
+    inverse transform is slower per slice at N >= 128.  As band by band,
+    j_lo below j_min raises and j_lo above j_max gives no bands."""
     if p != 2:
         return [lp_norm_unchecked(project_band(f, j, bank), p)
                 for j in range(j_lo, bank.j_max + 1)]
-    return lp_norms_unchecked(f.grid, bank.psi_from(j_lo) * f.coeffs, 2).tolist()
+    if j_lo < bank.j_min:
+        bank.psi_hat(j_lo)
+    return lp_norms_unchecked(f.grid, bank.psi[j_lo - bank.j_min:] * f.coeffs, 2).tolist()
 
 
 def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:

@@ -237,12 +237,14 @@ def _per_band_besov_l2(f, spec, bank):
     return vals.max() if np.isinf(spec.q) else np.sum(vals**spec.q) ** (1.0 / spec.q)
 
 
-@pytest.mark.parametrize("n", [32, 64])
+# (64, 8) and (32, 4) have j_max = 0: the nonhomogeneous norm is S_0 alone
+@pytest.mark.parametrize("n, box_scale", [(32, 1), (64, 1), (64, 8), (32, 4)])
 @pytest.mark.parametrize("homogeneous", [True, False])
-def test_batched_l2_besov_matches_per_band(n, homogeneous):
-    grid = GridSpec(n)
+def test_batched_l2_besov_matches_per_band(n, box_scale, homogeneous):
+    grid = GridSpec(n, box_scale=box_scale)
     bank = build_bank(grid)
-    f = random_field(grid, seed=n, xi_lo=0.5, xi_hi=grid.dealias_cutoff, amplitude=3.0)
+    f = random_field(grid, seed=n, xi_lo=0.5 / box_scale, xi_hi=grid.dealias_cutoff,
+                     amplitude=3.0)
     for s in (-1.0, 0.0, 2.0):
         for q in (1.0, 2.0, np.inf):
             spec = BesovSpec(s=s, p=2.0, q=q, homogeneous=homogeneous)
