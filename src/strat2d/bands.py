@@ -166,16 +166,19 @@ def _lq(values: np.ndarray, q: float) -> float:
 
 
 def _band_norms(f: SpectralField, j_lo: int, p: float, bank: DyadicBank) -> list:
-    """lp_norm_unchecked(Delta_j f) for j = j_lo..j_max.  p = 2 takes one
-    batched Plancherel sum; other p go band by band, because a batched
-    inverse transform is slower per slice at N >= 128.  As band by band,
-    j_lo below j_min raises and j_lo above j_max gives no bands."""
-    if p != 2:
-        return [lp_norm_unchecked(project_band(f, j, bank), p)
-                for j in range(j_lo, bank.j_max + 1)]
+    """lp_norm_unchecked(Delta_j f) for j = j_lo..j_max; j_lo below j_min
+    raises and j_lo above j_max gives no bands.  The bands are formed at
+    once; p = 2 takes one batched Plancherel sum, other p transform band by
+    band, because a batched inverse transform is slower per slice at
+    N >= 128."""
+    if f.grid != bank.grid:
+        raise GridMismatchError("field and bank live on different grids")
     if j_lo < bank.j_min:
         bank.psi_hat(j_lo)
-    return lp_norms_unchecked(f.grid, bank.psi[j_lo - bank.j_min:] * f.coeffs, 2).tolist()
+    bands = bank.psi[j_lo - bank.j_min:] * f.coeffs
+    if p == 2:
+        return lp_norms_unchecked(f.grid, bands, 2).tolist()
+    return [float(lp_norms_unchecked(f.grid, b, p)) for b in bands]
 
 
 def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:

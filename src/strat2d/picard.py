@@ -123,11 +123,8 @@ def linear_solve(
 
     Records only (t, z): z is all the iteration reads.
     """
-    return run(
-        omega_init, rho_init, kappa, t_final, config,
-        velocity_fn=lambda omega, t: frozen(t), record=z_record,
-        **run_kwargs,
-    )
+    return run(omega_init, rho_init, kappa, t_final, config,
+               velocity=frozen, record=z_record, **run_kwargs)
 
 
 def _difference_norm(sa, sb, bank: DyadicBank, s: float, q: float) -> float:
@@ -164,7 +161,7 @@ def picard_run(
     if bank is None:
         bank = DyadicBank(grid)
     a0 = z_norm(omega0, rho0, bank, s, q)
-    sample_times = np.linspace(0.0, t_final, n_samples)
+    times = np.linspace(0.0, t_final, n_samples)  # run's sample schedule
 
     traces = []
     prev_snapshots = None
@@ -173,10 +170,9 @@ def picard_run(
         om_init, rh_init = mollify_initial(omega0, rho0, n, bank)
         traj = linear_solve(
             frozen, om_init, rh_init, kappa, t_final, config,
-            sample_times=sample_times, store_snapshots=True,
-            bank=bank, s=s, q=q,
+            n_samples=n_samples, store_snapshots=True, bank=bank, s=s, q=q,
         )
-        if traj.status != "ok" or len(traj.snapshots) != len(sample_times):
+        if traj.status != "ok" or len(traj.snapshots) != n_samples:
             raise RuntimeError(f"linear solve at iteration {n} did not complete")
         a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve
         if prev_snapshots is None:
@@ -186,7 +182,7 @@ def picard_run(
                 _difference_norm(sa, sb, bank, s, q)
                 for sa, sb in zip(traj.snapshots, prev_snapshots)
             ])
-        traces.append(IterationTrace(n=n, t=sample_times.copy(), a=a, a_bar=a_bar,
+        traces.append(IterationTrace(n=n, t=times.copy(), a=a, a_bar=a_bar,
                                      kappa=kappa, s=s, q=q, a0=a0))
         prev_snapshots = traj.snapshots
         frozen = FrozenVelocity.from_trajectory(traj)

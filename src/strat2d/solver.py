@@ -12,7 +12,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,9 @@ from .grid import (
     require_mean_zero,
 )
 
-GUARD_FACTOR = 1e6
+GUARD_FACTOR = 1e6  # run stops as "blowup" once z exceeds this multiple of z(0)
+CFL_ADVECT = 0.5  # c0 in dt <= c0 dx / |u|_inf
+CFL_COUPLING = 0.5  # c1 in dt <= c1 / (1 + |kappa|); rk4 only
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,13 @@ class SimState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    scheme: str = "rk4"  # "rk4" | "ifrk4"
-    dt: float = 1e-2
+    scheme: str = "rk4"  # a key of SCHEMES
+    dt: float = 1e-2  # the step, or its upper bound when adaptive
     adaptive: bool = False
-    cfl_advect: float = 0.5  # c0 in dt <= c0 dx / |u|_inf
-    cfl_coupling: float = 0.5  # c1 in dt <= c1 / (1 + |kappa|); rk4 only
-    dealias_on: bool = True
-    guard_factor: float = GUARD_FACTOR
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "ifrk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; have {tuple(SCHEMES)}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
@@ -100,31 +98,39 @@ class Trajectory:
 # right-hand side
 
 
-def _own_velocity(omega: SpectralField, t: float) -> VectorField:
-    return biot_savart(omega)
+def _advecting(velocity, omega: SpectralField, t: float,
+               own: VectorField | None = None) -> VectorField:
+    """The advecting velocity at t: `velocity(t)`, or, when velocity is None,
+    omega's own Biot-Savart field (`own`, if the caller has computed it)."""
+    if velocity is not None:
+        return velocity(t)
+    return biot_savart(omega) if own is None else own
 
 
-def rhs(state: SimState, velocity_fn=_own_velocity):
-    """(d omega, d rho); `velocity_fn(omega, t)` supplies the advecting field.
+def rhs(state: SimState, velocity=None, nonlinear: bool = True):
+    """(d omega, d rho); `velocity(t)` supplies the advecting field, None
+    meaning the state's own.  nonlinear=False drops the advection terms.
 
     The kappa * u2 coupling always uses the unknown's own Biot-Savart
     velocity, so the same routine serves the frozen-transport linear solves.
     """
     u_own = biot_savart(state.omega)
-    u_adv = u_own if velocity_fn is _own_velocity else velocity_fn(state.omega, state.t)
-    adv_omega, adv_rho = advect(u_adv, state.omega, state.rho)
-    domega = -adv_omega + state.kappa * derivative(state.rho, 1)
-    drho = -adv_rho + state.kappa * u_own.u2
+    domega = state.kappa * derivative(state.rho, 1)
+    drho = state.kappa * u_own.u2
+    if nonlinear:
+        u_adv = _advecting(velocity, state.omega, state.t, own=u_own)
+        adv_omega, adv_rho = advect(u_adv, state.omega, state.rho)
+        domega, drho = -adv_omega + domega, -adv_rho + drho
     return domega, drho
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# steppers: scheme(state, dt, velocity, nonlinear) -> SimState
 
 
-def _rk4_step(state: SimState, dt: float, velocity_fn) -> SimState:
+def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
     def f(om, rh, t):
-        return rhs(SimState(om, rh, t, state.kappa), velocity_fn)
+        return rhs(SimState(om, rh, t, state.kappa), velocity, nonlinear)
 
     om, rh, t = state.omega, state.rho, state.t
     k1o, k1r = f(om, rh, t)
@@ -136,7 +142,7 @@ def _rk4_step(state: SimState, dt: float, velocity_fn) -> SimState:
     return SimState(om1, rh1, t + dt, state.kappa)
 
 
-def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True) -> SimState:
+def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
     """Lawson (integrating-factor) RK4 in the diagonal variables."""
     grid, kappa, rho_mean = state.grid, state.kappa, state.rho.mean
     vp, vm = (v.coeffs for v in diagonalize(state.omega, state.rho))
@@ -152,7 +158,7 @@ def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True)
             z = np.zeros_like(vp_c)
             return z, z
         omega, rho = merge(vp_c, vm_c)
-        fp, fm = diagonalize(*advect(velocity_fn(omega, t), omega, rho))
+        fp, fm = diagonalize(*advect(_advecting(velocity, omega, t), omega, rho))
         return -fp.coeffs, -fm.coeffs
 
     t = state.t
@@ -168,29 +174,29 @@ def _ifrk4_step(state: SimState, dt: float, velocity_fn, nonlinear: bool = True)
     return SimState(*merge(vp1, vm1), t + dt, kappa)
 
 
-def step(state: SimState, dt: float, config: StepperConfig, velocity_fn=_own_velocity,
+SCHEMES = {"rk4": _rk4_step, "ifrk4": _ifrk4_step}
+
+
+def step(state: SimState, dt: float, config: StepperConfig, velocity=None,
          nonlinear: bool = True) -> SimState:
-    if config.scheme == "ifrk4":
-        new = _ifrk4_step(state, dt, velocity_fn, nonlinear=nonlinear)
-    else:
-        new = _rk4_step(state, dt, velocity_fn)
+    new = SCHEMES[config.scheme](state, dt, velocity, nonlinear)
     if not (np.isfinite(new.omega.coeffs).all() and np.isfinite(new.rho.coeffs).all()):
         raise BlowupSuspectedError("non-finite coefficients after step", t=new.t)
     return new
 
 
-def cfl_dt(state: SimState, config: StepperConfig, velocity_fn=_own_velocity) -> float:
+def cfl_dt(state: SimState, config: StepperConfig, velocity=None) -> float:
     """Adaptive step size; falls back to config.dt as an upper bound."""
-    u = velocity_fn(state.omega, state.t)
+    u = _advecting(velocity, state.omega, state.t)
     speed = max(
         np.abs(inverse_transform(u.u1)).max(),
         np.abs(inverse_transform(u.u2)).max(),
     )
     dt = config.dt
     if speed > 0:
-        dt = min(dt, config.cfl_advect * state.grid.dx / speed)
+        dt = min(dt, CFL_ADVECT * state.grid.dx / speed)
     if config.scheme == "rk4":
-        dt = min(dt, config.cfl_coupling / (1.0 + abs(state.kappa)))
+        dt = min(dt, CFL_COUPLING / (1.0 + abs(state.kappa)))
     return dt
 
 
@@ -198,20 +204,11 @@ def cfl_dt(state: SimState, config: StepperConfig, velocity_fn=_own_velocity) ->
 # diagnostics
 
 
-def grad_inf(f: SpectralField) -> float:
-    """max over grid points of the euclidean norm of grad f."""
-    g1 = inverse_transform(derivative(f, 1))
-    g2 = inverse_transform(derivative(f, 2))
-    return float(np.sqrt(g1**2 + g2**2).max())
-
-
-def velocity_grad_inf(u: VectorField) -> float:
-    """max over grid points of the Frobenius norm of grad u."""
-    parts = [
-        inverse_transform(derivative(comp, ax))
-        for comp in (u.u1, u.u2)
-        for ax in (1, 2)
-    ]
+def grad_inf(*fields: SpectralField) -> float:
+    """max over grid points of the euclidean norm of the stacked gradients:
+    |grad f| for grad_inf(f), the Frobenius norm of grad u for
+    grad_inf(u.u1, u.u2)."""
+    parts = [inverse_transform(derivative(f, ax)) for f in fields for ax in (1, 2)]
     return float(np.sqrt(sum(p**2 for p in parts)).max())
 
 
@@ -235,7 +232,7 @@ def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float,
         t=state.t,
         energy=hminus1_norm(omega) ** 2 + lp_norm(rho, 2) ** 2,
         z=z_norm(omega, rho, bank, s, q),
-        grad_u_inf=velocity_grad_inf(u),
+        grad_u_inf=grad_inf(u.u1, u.u2),
         grad_rho_inf=grad_inf(rho),
         vplus_band_norm=besov_norm(vplus, _B0INF1, bank),
         vminus_band_norm=besov_norm(vminus, _B0INF1, bank),
@@ -273,19 +270,21 @@ def run(
     kappa: float,
     t_final: float,
     config: StepperConfig,
-    sample_times=None,
     n_samples: int = 21,
     store_snapshots: bool = False,
     bank: DyadicBank | None = None,
     s: float = 2.0,
     q: float = 1.0,
-    velocity_fn=_own_velocity,
+    velocity=None,
     nonlinear: bool = True,
     stop_when=None,
     record=None,
 ) -> Trajectory:
-    """Integrate to t_final, recording diagnostics at the sample times.
+    """Integrate to t_final, recording diagnostics at n_samples equally
+    spaced times from 0 (the data, dealiased) to t_final.
 
+    `velocity(t)` supplies the advecting field, by default the state's own
+    Biot-Savart velocity; nonlinear=False drops the advection terms.
     `record(state, bank, s, q, prev)` makes each sample's record; it must
     carry `t` and `z`, and defaults to the full `diagnostics`.
     `stop_when(record)` -> bool triggers an early stop (used by `lifespan`).
@@ -294,15 +293,9 @@ def run(
     """
     require_mean_zero(omega0, "time integration")
     grid = omega0.grid
-    if config.dealias_on:
-        omega0, rho0 = dealias(omega0), dealias(rho0)
+    omega0, rho0 = dealias(omega0), dealias(rho0)
     if bank is None:
         bank = DyadicBank(grid)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_final, n_samples)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times[0] != 0.0:
-        raise ValueError("sample times must start at 0")
     if record is None:
         record = diagnostics
 
@@ -314,12 +307,12 @@ def run(
         traj.snapshots.append(state)
     z0 = rec.z
 
-    for target in sample_times[1:]:
+    for target in np.linspace(0.0, t_final, n_samples)[1:]:
         try:
             while state.t < target - 1e-12 * max(1.0, target):
-                dt = cfl_dt(state, config, velocity_fn) if config.adaptive else config.dt
+                dt = cfl_dt(state, config, velocity) if config.adaptive else config.dt
                 dt = min(dt, target - state.t)
-                state = step(state, dt, config, velocity_fn, nonlinear=nonlinear)
+                state = step(state, dt, config, velocity, nonlinear=nonlinear)
         except BlowupSuspectedError:
             traj.status = "blowup"
             break
@@ -327,7 +320,7 @@ def run(
         traj.records.append(rec)
         if store_snapshots:
             traj.snapshots.append(state)
-        if not np.isfinite(rec.z) or (z0 > 0 and rec.z > config.guard_factor * z0):
+        if not np.isfinite(rec.z) or (z0 > 0 and rec.z > GUARD_FACTOR * z0):
             traj.status = "blowup"
             break
         if stop_when is not None and stop_when(rec):

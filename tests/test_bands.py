@@ -96,6 +96,11 @@ def test_project_band_grid_check(bank):
     other = forward_transform(GridSpec(64), np.zeros((64, 64)))
     with pytest.raises(GridMismatchError):
         project_band(other, 0, bank)
+    # same shape, other box: every p refuses it, not only the band-by-band ones
+    same_shape = forward_transform(GridSpec(128, box_scale=2.0), np.zeros((128, 128)))
+    for p in (2.0, np.inf):
+        with pytest.raises(GridMismatchError):
+            besov_norm(same_shape, BesovSpec(s=1.0, p=p), bank)
 
 
 def test_single_mode_band_membership(grid, bank):
@@ -225,13 +230,14 @@ def test_bank_stacks_band_multipliers():
         assert np.array_equal(bank.psi_hat(j), psi0(grid.xi_abs / 2.0**j))
 
 
-def _per_band_besov_l2(f, spec, bank):
-    """The p = 2 Besov norm band by band, as the definition reads."""
+def _per_band_besov(f, spec, bank):
+    """The Besov norm band by band, as the definition reads."""
     if spec.homogeneous:
-        vals = [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), 2) for j in bank.bands]
+        vals = [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p)
+                for j in bank.bands]
     else:
-        vals = [lp_norm(lowpass_nonhom(f, 0, bank), 2)]
-        vals += [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), 2)
+        vals = [lp_norm(lowpass_nonhom(f, 0, bank), spec.p)]
+        vals += [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p)
                  for j in range(1, bank.j_max + 1)]
     vals = np.array(vals)
     return vals.max() if np.isinf(spec.q) else np.sum(vals**spec.q) ** (1.0 / spec.q)
@@ -241,12 +247,14 @@ def _per_band_besov_l2(f, spec, bank):
 @pytest.mark.parametrize("n, box_scale", [(32, 1), (64, 1), (64, 8), (32, 4)])
 @pytest.mark.parametrize("homogeneous", [True, False])
 def test_batched_l2_besov_matches_per_band(n, box_scale, homogeneous):
+    # p = 2 sums all bands in one batch; every p selects the bands at once
     grid = GridSpec(n, box_scale=box_scale)
     bank = build_bank(grid)
     f = random_field(grid, seed=n, xi_lo=0.5 / box_scale, xi_hi=grid.dealias_cutoff,
                      amplitude=3.0)
-    for s in (-1.0, 0.0, 2.0):
-        for q in (1.0, 2.0, np.inf):
-            spec = BesovSpec(s=s, p=2.0, q=q, homogeneous=homogeneous)
-            ref = _per_band_besov_l2(f, spec, bank)
-            assert abs(besov_norm(f, spec, bank) - ref) <= 1e-14 * ref
+    for p in (2.0, 1.0, 4.0, np.inf):
+        for s in (-1.0, 0.0, 2.0):
+            for q in (1.0, 2.0, np.inf):
+                spec = BesovSpec(s=s, p=p, q=q, homogeneous=homogeneous)
+                ref = _per_band_besov(f, spec, bank)
+                assert abs(besov_norm(f, spec, bank) - ref) <= 1e-14 * ref

@@ -91,6 +91,9 @@ def test_config_validation(tmp_path):
     bad = dict(SIM_CONFIG, bogus_key=1)
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "d.json", bad))
+    bad = dict(SIM_CONFIG, scheme="euler")
+    with pytest.raises(ConfigError, match="unknown scheme"):
+        load_config(write_config(tmp_path / "e.json", bad))
 
 
 def test_overrides(tmp_path):

@@ -13,18 +13,22 @@ from strat2d.grid import (
     SpectralField,
     advect,
     biot_savart,
+    derivative,
     forward_transform,
     hminus1_norm,
     inner_hminus1,
     inner_l2,
+    inverse_transform,
     lp_norm,
 )
 from strat2d.solver import (
+    SCHEMES,
     DiagnosticsRecord,
     SimState,
     StepperConfig,
     ZRecord,
     cfl_dt,
+    grad_inf,
     gronwall_fit,
     lifespan,
     rhs,
@@ -54,6 +58,9 @@ def test_stepper_config_validation():
         StepperConfig(scheme="euler")
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
+    assert set(SCHEMES) == {"rk4", "ifrk4"}
+    for scheme in SCHEMES:
+        assert StepperConfig(scheme=scheme).scheme == scheme
 
 
 def test_rhs_stratified_rest_state(grid):
@@ -120,6 +127,31 @@ def test_if_scheme_norm_preserving_per_mode(grid):
         state = step(state, cfg.dt, cfg, nonlinear=False)
     vp1 = np.abs(state.omega.coeffs + lam * state.rho.coeffs)
     assert np.abs(vp1 - vp0).max() < 1e-13 * max(vp0.max(), 1.0)
+
+
+# rk4 steps (omega, rho) themselves, so nothing moves at all; ifrk4 passes
+# through V+- = omega +- Lambda rho and back, exact only to round-off
+@pytest.mark.parametrize("scheme, tol", [("rk4", 0.0), ("ifrk4", 1e-14)])
+def test_linear_step_at_kappa_zero_changes_nothing(grid, scheme, tol):
+    # kappa = 0 with the advection off: d/dt (omega, rho) = 0, for every scheme
+    omega, rho = random_spectrum(grid, seed=4, xi_lo=0.5, xi_hi=8.0)
+    state = SimState(omega, rho, 0.0, 0.0)
+    new = step(state, 0.05, StepperConfig(scheme=scheme, dt=0.05), nonlinear=False)
+    for got, want in ((new.omega, omega), (new.rho, rho)):
+        assert np.abs(got.coeffs - want.coeffs).max() <= tol * np.abs(want.coeffs).max()
+
+
+def test_grad_inf_euclidean_and_frobenius(grid):
+    omega, rho = random_spectrum(grid, seed=6, xi_lo=0.5, xi_hi=8.0)
+    u = biot_savart(omega)
+
+    def grad(f):
+        return [inverse_transform(derivative(f, ax)) for ax in (1, 2)]
+
+    g1, g2 = grad(rho)
+    assert grad_inf(rho) == float(np.sqrt(g1**2 + g2**2).max())
+    parts = grad(u.u1) + grad(u.u2)
+    assert grad_inf(u.u1, u.u2) == float(np.sqrt(sum(p**2 for p in parts)).max())
 
 
 def test_blowup_detection(grid):
@@ -210,7 +242,7 @@ def test_passive_scalar_conservation(grid, bank):
 
 def test_blowup_guard_in_run(grid, bank):
     omega, rho = random_spectrum(grid, seed=9, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
-    cfg = StepperConfig(scheme="rk4", dt=0.05, guard_factor=1e6)
+    cfg = StepperConfig(scheme="rk4", dt=0.05)
     # enormous kappa with an explicit scheme at coarse dt is violently unstable
     with np.errstate(invalid="ignore", over="ignore"):
         traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=21, bank=bank)
