@@ -81,6 +81,8 @@ class DyadicBank:
         self.j_max = j_max
         # psi_j for j = j_min..j_max, stacked so that L2 band norms batch
         self.psi = np.stack([psi0(grid.xi_abs / 2.0**j) for j in self.bands])
+        # chi(|xi|), the S_0 low pass of every nonhomogeneous norm
+        self.chi0 = chi(grid.xi_abs)
 
     # -- multipliers -----------------------------------------------------
     def psi_hat(self, j: int) -> np.ndarray:
@@ -90,6 +92,8 @@ class DyadicBank:
 
     def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(2^-k |xi|); value at xi=0 is 1 and is adjusted by callers."""
+        if k == 0:
+            return self.chi0
         return chi(self.grid.xi_abs / 2.0**k)
 
     @property

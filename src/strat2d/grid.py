@@ -321,6 +321,36 @@ def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return irfft2(coeffs, s=(grid.n, grid.n), norm="forward")
 
 
+class SupportSynthesis:
+    """`_samples` of half spectra that vanish off some rows and off the
+    columns k2 >= c, as two small matrix products (BLAS) in place of a full
+    inverse transform.
+
+    Called with the (B, R, c) entries on the rows and the columns
+    k2 = 0 .. c-1, it follows irfft2's rules exactly: an inverse DFT along k1,
+    then a real synthesis along k2 that reads only the real part of the
+    columns k2 = 0 and k2 = n/2 and weights the others twice.
+    """
+
+    def __init__(self, grid: GridSpec, rows: np.ndarray, c: int):
+        n = grid.n
+        j = np.arange(n)
+        k2 = np.arange(c)
+        # phases reduced mod n, so that the Nyquist row and column are exact
+        self._e1 = np.exp(2j * np.pi / n * (np.outer(j, rows) % n))  # (n, R)
+        angle = 2 * np.pi / n * (np.outer(k2, j) % n)
+        self_conjugate = ((k2 == 0) | (k2 == n // 2))[:, None]
+        weight = np.where(self_conjugate, 1.0, 2.0)
+        # rows 2k and 2k+1 meet the real and imaginary parts of column k
+        self._e2 = np.empty((2 * c, n))  # (2c, n)
+        self._e2[0::2] = weight * np.cos(angle)
+        self._e2[1::2] = np.where(self_conjugate, 0.0, -weight * np.sin(angle))
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        x1 = self._e1 @ coeffs  # (B, n, c): samples along x1, still spectral in k2
+        return x1.view(float) @ self._e2
+
+
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Spectral coefficients -> real grid samples; checks Hermitian symmetry."""
     require_hermitian(f)
@@ -435,9 +465,16 @@ def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarr
         raise ValueError("p must be >= 1")
     if p == 2:
         return 2 * np.pi * grid.box_scale * _coefficient_norms(coeffs)
-    samples = np.abs(_samples(grid, coeffs))
+    return sample_lp_norms(grid, _samples(grid, coeffs), p)
+
+
+def sample_lp_norms(grid: GridSpec, samples: np.ndarray, p: float) -> np.ndarray:
+    """L^p norms (p >= 1) of batched grid samples over the last two axes:
+    the grid max for p = inf, else grid quadrature."""
     if np.isinf(p):
-        return samples.max(axis=(-2, -1))
+        # max |x| without an |x| temporary
+        return np.maximum(samples.max(axis=(-2, -1)), -samples.min(axis=(-2, -1)))
+    samples = np.abs(samples)
     cell = (2 * np.pi * grid.box_scale / grid.n) ** 2
     return (np.sum(samples**p, axis=(-2, -1)) * cell) ** (1.0 / p)
 

@@ -89,6 +89,13 @@ class ExperimentConfig:
     # kappa0
     kappa0_inputs: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # JSON spells r = infinity "inf" (`as_dict`), so a manifest's config rebuilds
+        try:
+            self.r = float(self.r)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"r must be a number or \"inf\", got {self.r!r}") from exc
+
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; have {KINDS}")
@@ -135,8 +142,6 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         for p in parts[:-1]:
             node = node.setdefault(p, {})
         node[parts[-1]] = parsed
-    if "r" in raw and raw["r"] == "inf":
-        raw["r"] = float("inf")
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -236,9 +241,10 @@ class RunManifest:
 
 
 def _parallel_map(fn, items):
+    # members run on pool threads even with one worker: on the main thread
+    # glibc returns freed large numpy buffers to the OS and faults them in
+    # again on the next allocation
     workers = min(thread_count(), max(len(items), 1))
-    if workers <= 1:
-        return [fn(it) for it in items]
     # np.errstate is per thread: pool threads would start from numpy's defaults
     errstate = np.geterr()
 

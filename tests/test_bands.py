@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strat2d import bands
 from strat2d.errors import GridMismatchError, NonzeroMeanError
 from strat2d.bands import (
     BesovSpec,
@@ -155,6 +156,21 @@ def test_homogeneous_norm_mean_guard(grid, bank):
         besov_norm(f, BesovSpec(s=0.0, q=1.0), bank)
     # positive smoothness ignores the mean (weight 0 on the zero mode)
     besov_norm(f, BesovSpec(s=1.0, q=1.0), bank)
+
+
+def test_nonhomogeneous_norm_reads_the_cached_low_pass(grid, bank, monkeypatch):
+    # S_0's multiplier chi(|xi|) is built with the bank, not on every norm
+    f = band_limited_random(grid, bank).with_mean(0.25)
+    spec = BesovSpec(s=1.0, q=1.0, homogeneous=False)
+    expected = besov_norm(f, spec, bank)
+    assert np.array_equal(bank.lowpass_multiplier(0), chi(grid.xi_abs))
+
+    def no_chi(r):
+        raise AssertionError("chi rebuilt")
+
+    monkeypatch.setattr(bands, "chi", no_chi)
+    assert besov_norm(f, spec, bank) == expected
+    assert besov_norm(f, BesovSpec(s=1.0, p=np.inf, homogeneous=False), bank) > 0
 
 
 def test_nonhomogeneous_norm_keeps_mean(grid, bank):

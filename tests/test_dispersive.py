@@ -120,7 +120,7 @@ def test_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, monkey
     def no_node(*args, **kwargs):
         raise AssertionError("a time node was evaluated")
 
-    monkeypatch.setattr(dispersive, "lp_norms_unchecked", no_node)
+    monkeypatch.setattr(dispersive, "sample_lp_norms", no_node)
     f = coherent_band_field(grid, seed=0)
     with pytest.raises(ValueError, match="inadmissible"):
         strichartz_measure(f, 16.0, 4.0, 4.0, 0.5, bank=bank)
@@ -181,6 +181,16 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     ])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
     assert abs(sample.value - expected) < 1e-12 * expected
+
+
+@pytest.mark.parametrize("r", [np.inf, 4.0])
+def test_strichartz_empty_support_is_zero(grid, bank, r):
+    # band-0 data measured under the top band's cutoff: nothing is left
+    f = SpectralField(grid, bank.psi_hat(0) * coherent_band_field(grid, seed=0).coeffs)
+    cutoff_hat = bank.psi_hat(bank.j_max)
+    assert np.any(f.coeffs) and not np.any(cutoff_hat * f.coeffs)
+    sample = strichartz_measure(f, 16.0, 8.0, r, 0.5, cutoff_hat=cutoff_hat, bank=bank)
+    assert sample.value == 0.0
 
 
 def test_strichartz_mean_guard(grid, bank):

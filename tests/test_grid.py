@@ -12,6 +12,7 @@ from strat2d.bands import BesovSpec, DyadicBank, besov_norm
 from strat2d.grid import (
     GridSpec,
     SpectralField,
+    SupportSynthesis,
     VectorField,
     advect,
     biot_savart,
@@ -225,6 +226,23 @@ def test_batched_norms_match_single_fields(grid, p):
     batch = lp_norms_unchecked(grid, np.stack([f.coeffs for f in fields]), p)
     single = [lp_norm_unchecked(f, p) for f in fields]
     assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [32, 48, 128])
+def test_support_synthesis_matches_irfft2(n):
+    # random entries on random rows and columns, including the Nyquist row
+    # k1 = -n/2 and the columns k2 = 0 and n/2, left non-Hermitian there
+    g = GridSpec(n)
+    rng = np.random.default_rng(n)
+    rows = np.union1d([n // 2], rng.choice(n, n // 4, replace=False))
+    cols = np.union1d([0, n // 2], rng.choice(n // 2 + 1, n // 8, replace=False))
+    coeffs = np.zeros((3, *g.shape), dtype=complex)
+    size = (3, len(rows), len(cols))
+    coeffs[:, rows[:, None], cols] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    expected = grid_module._samples(g, coeffs)
+    got = SupportSynthesis(g, rows, n // 2 + 1)(coeffs[:, rows])
+    assert got.shape == (3, n, n)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_inner_products(grid):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -146,6 +147,43 @@ def test_sweep_reruns_byte_identical(tmp_path, monkeypatch, kind):
         runs[label] = manifest.runs
     assert outputs["one"] == outputs["two"]
     assert runs["one"] == runs["two"]
+
+
+def test_single_worker_sweep_runs_off_the_main_thread(tmp_path, monkeypatch):
+    # on the main thread glibc hands freed large numpy buffers back to the OS
+    # and faults them in again: members run on a pool thread even alone
+    threads = []
+
+    def recording(grid, seed):
+        threads.append(threading.current_thread())
+        return real(grid, seed)
+
+    real = harness.coherent_band_field
+    monkeypatch.setattr(harness, "coherent_band_field", recording)
+    monkeypatch.setenv("STRAT2D_THREADS", "1")
+    assert run_experiment(small_config("strichartz", tmp_path / "out")).passed
+    assert len(threads) == 4
+    assert threading.main_thread() not in threads
+
+
+def test_strichartz_manifest_config_rebuilds(tmp_path):
+    # the manifest spells r = infinity "inf"; the config it records rebuilds
+    manifest = run_experiment(small_config("strichartz", tmp_path / "out"))
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        recorded = json.load(fh)["config"]
+    assert recorded["r"] == "inf" and manifest.config == recorded
+    cfg = ExperimentConfig(**recorded)
+    cfg.validate()
+    assert cfg.r == np.inf
+    assert cfg.as_dict() == recorded
+
+
+def test_config_r_must_be_numeric(tmp_path):
+    with pytest.raises(ConfigError, match="r must be"):
+        ExperimentConfig(**dict(SMALL["strichartz"], r="infinity-ish"))
+    with pytest.raises(ConfigError, match="r must be"):
+        load_config(write_config(tmp_path / "cfg.json", dict(SMALL["strichartz"], r=[4])))
+    assert ExperimentConfig(**dict(SMALL["strichartz"], r=8)).r == 8.0
 
 
 def test_manifest_written(tmp_path):
