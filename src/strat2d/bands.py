@@ -63,22 +63,24 @@ class BesovSpec:
             raise ValueError("p and q must be >= 1")
 
 
+def band_range(grid: GridSpec) -> tuple[int, int]:
+    """(j_min, j_max) of the bands a grid resolves; ValueError below 3 bands."""
+    # top band must fit under the dealias cutoff
+    j_max = math.floor(math.log2(grid.dealias_cutoff / (7.0 / 4.0)))
+    # lowest band: coverage must reach the smallest nonzero frequency,
+    # i.e. chi(2^{-(j_min-1)} / L0) = 0, so bands below j_min vanish on the grid
+    j_min = math.floor(math.log2(8.0 / (7.0 * grid.box_scale)))
+    if j_max - j_min + 1 < 3:
+        raise ValueError(f"grid too small to host >= 3 dyadic bands (range [{j_min}, {j_max}])")
+    return j_min, j_max
+
+
 class DyadicBank:
     """Cached dyadic multipliers psi_j on a grid, j in [j_min, j_max]."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        # top band must fit under the dealias cutoff
-        j_max = math.floor(math.log2(grid.dealias_cutoff / (7.0 / 4.0)))
-        # lowest band: coverage must reach the smallest nonzero frequency,
-        # i.e. chi(2^{-(j_min-1)} / L0) = 0, so bands below j_min vanish on the grid
-        j_min = math.floor(math.log2(8.0 / (7.0 * grid.box_scale)))
-        if j_max - j_min + 1 < 3:
-            raise ValueError(
-                f"grid too small to host >= 3 dyadic bands (range [{j_min}, {j_max}])"
-            )
-        self.j_min = j_min
-        self.j_max = j_max
+        self.j_min, self.j_max = band_range(grid)
         # psi_j for j = j_min..j_max, stacked so that L2 band norms batch
         self.psi = np.stack([psi0(grid.xi_abs / 2.0**j) for j in self.bands])
         # chi(|xi|), the S_0 low pass of every nonhomogeneous norm
@@ -112,10 +114,6 @@ class DyadicBank:
         if not sel.any():
             return 0.0
         return float(np.abs(total[sel] - 1.0).max())
-
-
-def build_bank(grid: GridSpec) -> DyadicBank:
-    return DyadicBank(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Commutator, product-rule, and cancellation checks with empirical constants.
 
-The inequalities under test hold with some constant C independent of the
-data; we measure the best constant over seeded random trials and require it
-to be stable under grid doubling (same seed), which is the operational
-meaning of "universal" at fixed desk scale.
+The inequalities under test (the table `LEMMAS`) hold with some constant C
+independent of the data; we measure the best constant over seeded random
+trials and require it to be stable under grid doubling (same seed), which is
+the operational meaning of "universal" at fixed desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .bands import (
 )
 from .fields import random_field
 from .grid import (
+    GridSpec,
     SpectralField,
     VectorField,
     advect,
@@ -58,6 +59,7 @@ class RatioReport:
             self.max_ratio = max(self.max_ratio, lhs / rhs)
 
     def as_dict(self) -> dict:
+        """One report's record; its keys are the columns of ratio_reports.csv, in order."""
         return {
             "which": self.which,
             "s": self.s,
@@ -95,13 +97,6 @@ def commutator_smoothed(f: VectorField, g: SpectralField, j: int, bank: DyadicBa
     return advect(f_low, project_band(g, j, bank)) - project_band(advect(f, g), j, bank)
 
 
-_COMMUTATORS = {
-    "bracket": commutator_bracket,
-    "lambda": commutator_lambda,
-    "smoothed": commutator_smoothed,
-}
-
-
 def trial_spectrum_bounds(bank: DyadicBank) -> tuple[float, float, int]:
     """(xi_lo, xi_hi, kmax) keeping trial spectra inside the interior bands.
 
@@ -124,54 +119,53 @@ def _random_pair(grid, seed: int, trial: int, alpha: float, bounds):
     return biot_savart(omega), g
 
 
-def verify_commutator_lemma(
-    grid,
-    s: float,
-    q: float,
-    trials: int,
-    seed: int,
-    which: str = "bracket",
-    alpha: float = 2.5,
-    bank: DyadicBank | None = None,
-    bounds=None,
-) -> RatioReport:
-    """Max over trials of LHS/RHS for the dyadic commutator inequality.
+def _commutator_terms(comm):
+    """(lhs, rhs) of the dyadic commutator inequality for one commutator.
 
     LHS: l^q over bands of 2^{sj} |commutator|_{L2}.
     RHS: |grad f|_{L-inf} |g| in dotted B^s_{2,q}
          + |g|_{L-inf} |f| in dotted B^{s+1}_{2,q}  (two-term form).
     """
-    if which not in _COMMUTATORS:
-        raise ValueError(f"unknown commutator variant {which!r}")
-    if which == "bracket" and s <= 0:
-        raise ValueError("bracket variant needs s > 0")
-    if which in ("lambda", "smoothed") and s <= -1:
-        raise ValueError("this variant needs s > -1")
-    if bank is None:
-        bank = DyadicBank(grid)
-    if bounds is None:
-        bounds = trial_spectrum_bounds(bank)
-    comm = _COMMUTATORS[which]
-    report = RatioReport(which=which, s=s, q=q, seed=seed)
-    spec_g = BesovSpec(s=s, q=q, homogeneous=True)
-    for trial in range(trials):
-        f, g = _random_pair(grid, seed, trial, alpha, bounds)
+
+    def terms(f: VectorField, g: SpectralField, s: float, q: float, bank: DyadicBank):
         lhs = _lq([2.0 ** (s * j) * lp_norm(comm(f, g, j, bank), 2) for j in bank.bands], q)
         grad_f_inf = max(
             np.abs(inverse_transform(derivative(comp, ax))).max()
             for comp in (f.u1, f.u2)
             for ax in (1, 2)
         )
-        f_besov = besov_norm(f.u1, BesovSpec(s=s + 1, q=q, homogeneous=True), bank) + besov_norm(
-            f.u2, BesovSpec(s=s + 1, q=q, homogeneous=True), bank
-        )
-        rhs = grad_f_inf * besov_norm(g, spec_g, bank) + lp_norm(g, np.inf) * f_besov
-        report.record(lhs, rhs)
-    return report
+        spec_f = BesovSpec(s=s + 1, q=q, homogeneous=True)
+        f_besov = besov_norm(f.u1, spec_f, bank) + besov_norm(f.u2, spec_f, bank)
+        rhs = (grad_f_inf * besov_norm(g, BesovSpec(s=s, q=q, homogeneous=True), bank)
+               + lp_norm(g, np.inf) * f_besov)
+        return lhs, rhs
+
+    return terms
 
 
-def verify_product_rule(
+def _product_terms(fvec: VectorField, g: SpectralField, s: float, q: float, bank: DyadicBank):
+    """|fg| in dotted B^s_{2,q} vs |g|_inf |f|_{B^s_{2,q}} + |f|_inf |g|_{B^s_{2,q}}."""
+    f = fvec.u1  # any mean-zero scalar with the declared spectrum
+    spec = BesovSpec(s=s, q=q, homogeneous=True)
+    lhs = besov_norm(multiply(f, g).drop_mean(), spec, bank)
+    rhs = (lp_norm(g, np.inf) * besov_norm(f, spec, bank)
+           + lp_norm(f, np.inf) * besov_norm(g, spec, bank))
+    return lhs, rhs
+
+
+# the inequality battery: name -> (s_floor, terms); each inequality needs
+# s > s_floor, and terms(f, g, s, q, bank) -> (lhs, rhs) for one trial pair
+LEMMAS = {
+    "bracket": (0.0, _commutator_terms(commutator_bracket)),
+    "lambda": (-1.0, _commutator_terms(commutator_lambda)),
+    "smoothed": (-1.0, _commutator_terms(commutator_smoothed)),
+    "product": (0.0, _product_terms),
+}
+
+
+def verify_lemma(
     grid,
+    which: str,
     s: float,
     q: float,
     trials: int,
@@ -180,23 +174,20 @@ def verify_product_rule(
     bank: DyadicBank | None = None,
     bounds=None,
 ) -> RatioReport:
-    """|fg| in dotted B^s_{2,q} vs |g|_inf |f|_{B^s_{2,q}} + |f|_inf |g|_{B^s_{2,q}}."""
-    if s <= 0:
-        raise ValueError("product rule needs s > 0")
+    """Max over seeded trial pairs of LHS/RHS for the inequality `which` of LEMMAS."""
+    if which not in LEMMAS:
+        raise ValueError(f"unknown lemma {which!r}; have {tuple(LEMMAS)}")
+    s_floor, terms = LEMMAS[which]
+    if s <= s_floor:
+        raise ValueError(f"lemma {which!r} needs s > {s_floor:g}")
     if bank is None:
         bank = DyadicBank(grid)
     if bounds is None:
         bounds = trial_spectrum_bounds(bank)
-    report = RatioReport(which="product", s=s, q=q, seed=seed)
-    spec = BesovSpec(s=s, q=q, homogeneous=True)
+    report = RatioReport(which=which, s=s, q=q, seed=seed)
     for trial in range(trials):
-        fvec, g = _random_pair(grid, seed, trial, alpha, bounds)
-        f = fvec.u1  # any mean-zero scalar with the declared spectrum
-        lhs = besov_norm(multiply(f, g).drop_mean(), spec, bank)
-        rhs = lp_norm(g, np.inf) * besov_norm(f, spec, bank) + lp_norm(f, np.inf) * besov_norm(
-            g, spec, bank
-        )
-        report.record(lhs, rhs)
+        f, g = _random_pair(grid, seed, trial, alpha, bounds)
+        report.record(*terms(f, g, s, q, bank))
     return report
 
 
@@ -269,34 +260,23 @@ def transport_check(u: VectorField, g: SpectralField) -> float:
 
 def resolution_stability(
     which: str,
+    grid: GridSpec,
     s: float,
     q: float,
     trials: int,
     seed: int,
-    n: int,
-    box_scale: float = 1.0,
     alpha: float = 2.5,
 ) -> RatioReport:
-    """Run a ratio battery at n and at 2n with identical trial fields.
+    """Run a ratio battery on `grid` and on its doubling with identical trial fields.
 
     The fine grid reuses the coarse grid's spectral bounds, so the measured
     constants compare the same data at two discretizations; the doubled-grid
     max ratio lands in `max_ratio_doubled`.
     """
-    from .grid import GridSpec
-
-    coarse = GridSpec(n, box_scale=box_scale)
-    fine = GridSpec(2 * n, box_scale=box_scale)
-    bank_c = DyadicBank(coarse)
-    bounds = trial_spectrum_bounds(bank_c)
-    if which == "product":
-        rep = verify_product_rule(coarse, s, q, trials, seed, alpha=alpha,
-                                  bank=bank_c, bounds=bounds)
-        rep_f = verify_product_rule(fine, s, q, trials, seed, alpha=alpha, bounds=bounds)
-    else:
-        rep = verify_commutator_lemma(coarse, s, q, trials, seed, which=which,
-                                      alpha=alpha, bank=bank_c, bounds=bounds)
-        rep_f = verify_commutator_lemma(fine, s, q, trials, seed, which=which,
-                                        alpha=alpha, bounds=bounds)
-    rep.max_ratio_doubled = rep_f.max_ratio
+    bank = DyadicBank(grid)
+    bounds = trial_spectrum_bounds(bank)
+    rep = verify_lemma(grid, which, s, q, trials, seed, alpha, bank, bounds)
+    fine = replace(grid, n=2 * grid.n)
+    rep.max_ratio_doubled = verify_lemma(fine, which, s, q, trials, seed, alpha,
+                                         bounds=bounds).max_ratio
     return rep

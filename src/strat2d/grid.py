@@ -417,11 +417,10 @@ def dealias(f: SpectralField) -> SpectralField:
 # products, norms, pairings
 
 
-def multiply(f: SpectralField, g: SpectralField, dealias_product: bool = True) -> SpectralField:
-    """Pointwise product formed in physical space, optionally dealiased."""
+def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Dealiased pointwise product formed in physical space."""
     require_same_grid(f, g)
-    prod = forward_transform(f.grid, inverse_transform(f) * inverse_transform(g))
-    return dealias(prod) if dealias_product else prod
+    return dealias(forward_transform(f.grid, inverse_transform(f) * inverse_transform(g)))
 
 
 def advect(u: VectorField, *scalars: SpectralField):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import DyadicBank, band_profile_rows
+from .bands import DyadicBank, band_profile_rows, band_range
 from .dispersive import (
     Kappa0Inputs,
     admissible,
@@ -29,7 +29,7 @@ from .dispersive import (
     strichartz_measure,
 )
 from .errors import ConfigError
-from .estimates import resolution_stability
+from .estimates import LEMMAS, resolution_stability
 from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
@@ -113,9 +113,28 @@ class ExperimentConfig:
         if self.kind == "strichartz" and not admissible(self.gamma, self.r):
             raise ConfigError(f"inadmissible (gamma, r) = ({self.gamma}, {self.r}): "
                               "need 1/gamma + 1/(2r) <= 1/4")
+        if self.lemma not in (*LEMMAS, "all"):
+            raise ConfigError(f"unknown lemma {self.lemma!r}; have {(*LEMMAS, 'all')}")
+        if self.kind == "verify-estimates":
+            s_floor = max(LEMMAS[name][0] for name in self.lemmas())
+            if self.s <= s_floor:
+                raise ConfigError(f"lemma {self.lemma!r} needs s > {s_floor:g}, got {self.s}")
+        grid = self.grid_spec()
+        if self.kind != "kappa0":
+            try:
+                band_range(grid)
+            except ValueError as exc:
+                raise ConfigError(f"grid {self.grid}: {exc}") from exc
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(**self.grid)
+        try:
+            return GridSpec(**self.grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grid {self.grid}: {exc}") from exc
+
+    def lemmas(self) -> list[str]:
+        """The LEMMAS entries a verify-estimates run measures, in table order."""
+        return list(LEMMAS) if self.lemma == "all" else [self.lemma]
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(scheme=self.scheme, dt=self.dt, adaptive=self.adaptive)
@@ -386,19 +405,13 @@ def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
 
 
 def _verify_estimates(config: ExperimentConfig, grid: GridSpec):
-    lemmas = [config.lemma] if config.lemma != "all" else ["bracket", "lambda", "smoothed", "product"]
-    reports = []
-    for lemma in lemmas:
-        rep = resolution_stability(lemma, config.s, config.q, config.trials,
-                                   seed=int(config.seeds[0]), n=grid.n,
-                                   box_scale=grid.box_scale, alpha=config.alpha)
-        reports.append(rep)
-    rows = [[r.which, r.s, r.q, r.seed, len(r.lhs), r.max_ratio, r.max_ratio_doubled]
-            for r in reports]
+    lemmas = config.lemmas()
+    reports = [resolution_stability(lemma, grid, config.s, config.q, config.trials,
+                                    int(config.seeds[0]), config.alpha) for lemma in lemmas]
+    records = [r.as_dict() for r in reports]
     files = {
-        "ratio_reports.csv": (("which", "s", "q", "seed", "trials", "max_ratio",
-                               "max_ratio_doubled"), rows),
-        "ratio_reports.json": [r.as_dict() for r in reports],
+        "ratio_reports.csv": (tuple(records[0]), [list(d.values()) for d in records]),
+        "ratio_reports.json": records,
     }
     stable = all(
         r.max_ratio > 0 and abs(r.max_ratio_doubled - r.max_ratio) <= 0.25 * r.max_ratio

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
+from .bands import (BesovSpec, DyadicBank, besov_norm, intersection_norm, lowpass_hom,
+                    lowpass_nonhom)
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
 from .solver import StepperConfig, Trajectory, run, z_norm, z_record
 
@@ -100,14 +101,10 @@ class FrozenVelocity:
 
 def mollify_initial(omega0: SpectralField, rho0: SpectralField, n: int,
                     bank: DyadicBank):
-    """(S_{n+2} omega_0, S_{n+2} rho_0); low-pass keeps rho's mean."""
+    """(S-dot_{n+2} omega_0, S_{n+2} rho_0): omega's mean dropped, rho's kept."""
     if n < 0:
         raise ValueError("iteration index must be >= 0")
-    k = n + 2
-    mult = bank.lowpass_multiplier(k)
-    om = SpectralField(omega0.grid, mult * omega0.coeffs).drop_mean()
-    rh = SpectralField(rho0.grid, mult * rho0.coeffs).with_mean(rho0.mean)
-    return om, rh
+    return lowpass_hom(omega0, n + 2, bank), lowpass_nonhom(rho0, n + 2, bank)
 
 
 def linear_solve(

@@ -8,7 +8,7 @@ do not loosen them here.
 import numpy as np
 import pytest
 
-from strat2d.bands import build_bank
+from strat2d.bands import DyadicBank
 from strat2d.dispersive import (
     diagonalize,
     duhamel_residual,
@@ -55,11 +55,11 @@ def grid64():
 
 @pytest.fixture(scope="module")
 def bank64(grid64):
-    return build_bank(grid64)
+    return DyadicBank(grid64)
 
 
 def test_criterion_01_partition_of_unity():
-    worst = max(build_bank(GridSpec(n)).partition_residual() for n in (64, 128, 256))
+    worst = max(DyadicBank(GridSpec(n)).partition_residual() for n in (64, 128, 256))
     report(1, worst < 1e-12, f"partition-of-unity residual {worst:.2e} < 1e-12 at N=64,128,256")
 
 
@@ -83,7 +83,7 @@ def test_criterion_03_cancellation_identity(grid64):
 
 def test_criterion_04_energy_identity_and_conservation():
     grid = GridSpec(128)
-    bank = build_bank(grid)
+    bank = DyadicBank(grid)
     omega0, rho0 = random_spectrum(grid, seed=4, amplitude=1.0, xi_lo=0.5, xi_hi=8.0)
 
     worst_identity = 0.0
@@ -138,7 +138,7 @@ def test_criterion_06_strichartz_kappa_scaling():
     # large box so the cutoff band holds enough modes for genuine dispersive
     # spreading before torus equidistribution sets in
     grid = GridSpec(128, box_scale=8.0)
-    bank = build_bank(grid)
+    bank = DyadicBank(grid)
     gamma, t_max = 4.0, 0.5
     kappas = [2.0**e for e in range(4, 11)]
     means = []
@@ -240,7 +240,7 @@ def test_criterion_10_estimate_battery():
     details = []
     ok = True
     for which in ("bracket", "lambda", "smoothed", "product"):
-        rep = resolution_stability(which, 1.0, 1.0, trials=100, seed=42, n=64)
+        rep = resolution_stability(which, GridSpec(64), 1.0, 1.0, trials=100, seed=42)
         change = abs(rep.max_ratio_doubled - rep.max_ratio) / rep.max_ratio
         finite = np.isfinite(rep.max_ratio) and np.isfinite(rep.max_ratio_doubled)
         ok = ok and finite and change <= 0.25

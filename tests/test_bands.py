@@ -10,7 +10,6 @@ from strat2d.bands import (
     band_profile_rows,
     besov_norm,
     boundary_band_fraction,
-    build_bank,
     chi,
     intersection_norm,
     lowpass_hom,
@@ -39,7 +38,7 @@ def grid():
 
 @pytest.fixture
 def bank(grid):
-    return build_bank(grid)
+    return DyadicBank(grid)
 
 
 def band_limited_random(grid, bank, seed=0):
@@ -234,12 +233,12 @@ def test_band_profile_rows(bank):
 
 def test_partition_across_resolutions():
     for n in (64, 128, 256):
-        assert build_bank(GridSpec(n)).partition_residual() < 1e-12
+        assert DyadicBank(GridSpec(n)).partition_residual() < 1e-12
 
 
 def test_bank_stacks_band_multipliers():
     grid = GridSpec(64)
-    bank = build_bank(grid)
+    bank = DyadicBank(grid)
     assert bank.psi.shape == (len(bank.bands), *grid.shape)
     for j in bank.bands:
         assert np.shares_memory(bank.psi_hat(j), bank.psi)
@@ -265,7 +264,7 @@ def _per_band_besov(f, spec, bank):
 def test_batched_l2_besov_matches_per_band(n, box_scale, homogeneous):
     # p = 2 sums all bands in one batch; every p selects the bands at once
     grid = GridSpec(n, box_scale=box_scale)
-    bank = build_bank(grid)
+    bank = DyadicBank(grid)
     f = random_field(grid, seed=n, xi_lo=0.5 / box_scale, xi_hi=grid.dealias_cutoff,
                      amplitude=3.0)
     for p in (2.0, 1.0, 4.0, np.inf):

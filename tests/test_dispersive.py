@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strat2d.bands import BesovSpec, besov_norm, build_bank
+from strat2d.bands import BesovSpec, DyadicBank, besov_norm
 from strat2d import dispersive
 from strat2d.dispersive import (
     NODE_BLOCK,
@@ -40,7 +40,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def bank(grid):
-    return build_bank(grid)
+    return DyadicBank(grid)
 
 
 def test_semigroup_axis_mode_half_period(grid):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strat2d.bands import build_bank, project_band
+from strat2d.bands import DyadicBank, project_band
 from strat2d.estimates import (
     RatioReport,
     cancellation_check,
@@ -12,8 +12,7 @@ from strat2d.estimates import (
     transport_check,
     trial_spectrum_bounds,
     verify_bernstein,
-    verify_commutator_lemma,
-    verify_product_rule,
+    verify_lemma,
 )
 from strat2d.fields import random_field, random_spectrum
 from strat2d.grid import (
@@ -34,7 +33,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def bank(grid):
-    return build_bank(grid)
+    return DyadicBank(grid)
 
 
 def zero_vec(grid):
@@ -157,33 +156,32 @@ def test_ratio_report_rejects_bad_entries():
 
 def test_verify_commutator_validation(grid):
     with pytest.raises(ValueError):
-        verify_commutator_lemma(grid, s=-1.0, q=1.0, trials=1, seed=0, which="bracket")
+        verify_lemma(grid, "bracket", s=-1.0, q=1.0, trials=1, seed=0)
     with pytest.raises(ValueError):
-        verify_commutator_lemma(grid, s=-2.0, q=1.0, trials=1, seed=0, which="smoothed")
+        verify_lemma(grid, "smoothed", s=-2.0, q=1.0, trials=1, seed=0)
     with pytest.raises(ValueError):
-        verify_commutator_lemma(grid, s=1.0, q=1.0, trials=1, seed=0, which="nope")
+        verify_lemma(grid, "nope", s=1.0, q=1.0, trials=1, seed=0)
 
 
 def test_verify_product_rule_validation(grid):
     with pytest.raises(ValueError):
-        verify_product_rule(grid, s=0.0, q=1.0, trials=1, seed=0)
+        verify_lemma(grid, "product", s=0.0, q=1.0, trials=1, seed=0)
 
 
 def test_commutator_ratios_finite(grid, bank):
     for which in ("bracket", "lambda", "smoothed"):
-        rep = verify_commutator_lemma(grid, s=1.0, q=1.0, trials=5, seed=21,
-                                      which=which, bank=bank)
+        rep = verify_lemma(grid, which, s=1.0, q=1.0, trials=5, seed=21, bank=bank)
         assert np.isfinite(rep.max_ratio)
         assert rep.max_ratio > 0
 
 
 def test_product_rule_ratio_bounded(grid, bank):
-    rep = verify_product_rule(grid, s=1.0, q=1.0, trials=5, seed=22, bank=bank)
+    rep = verify_lemma(grid, "product", s=1.0, q=1.0, trials=5, seed=22, bank=bank)
     assert np.isfinite(rep.max_ratio)
     assert 0 < rep.max_ratio < 10.0
 
 
 def test_resolution_stability_quick():
-    rep = resolution_stability("bracket", 1.0, 1.0, trials=5, seed=33, n=32)
+    rep = resolution_stability("bracket", GridSpec(32), 1.0, 1.0, trials=5, seed=33)
     assert rep.max_ratio_doubled is not None
     assert abs(rep.max_ratio_doubled - rep.max_ratio) <= 0.25 * rep.max_ratio

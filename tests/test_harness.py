@@ -1,13 +1,15 @@
 import csv
+import dataclasses
 import json
 import os
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strat2d import harness, picard
+from strat2d import estimates, harness, picard
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
 from strat2d.harness import (
@@ -287,6 +289,72 @@ def test_cli_override(tmp_path):
     assert cli_main(["bands", "--config", path, "--override",
                      f'output_dir="{alt}"']) == 0
     assert os.path.isdir(alt)
+
+
+@pytest.mark.parametrize("change", [
+    {"grid": {"n": 33}},                      # odd n
+    {"grid": {"n": 6}},                       # n < 8
+    {"grid": {"n": 64, "nodes": 64}},         # unknown grid key
+    {"grid": {"n": 16}},                      # too small for a dyadic bank
+    {"kind": "verify-estimates", "lemma": "nope"},
+    {"kind": "verify-estimates", "lemma": "all", "s": 0.0},  # bracket needs s > 0
+])
+def test_cli_config_errors_exit_2(tmp_path, capsys, change):
+    path = write_config(tmp_path / "cfg.json",
+                        {"kind": "bands", "grid": {"n": 64},
+                         "output_dir": str(tmp_path / "out"), **change})
+    command = "verify-estimates" if change.get("kind") == "verify-estimates" else "bands"
+    assert cli_main([command, "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+VERIFY_CONFIG = {"kind": "verify-estimates", "grid": {"n": 32}, "lemma": "all", "trials": 2}
+
+
+def test_verify_estimates_experiment(tmp_path, capsys, monkeypatch):
+    grids = []
+    verify_lemma = estimates.verify_lemma
+
+    def spy(grid, *args, **kwargs):
+        grids.append((grid.n, grid.dealias_fraction))
+        return verify_lemma(grid, *args, **kwargs)
+
+    monkeypatch.setattr(estimates, "verify_lemma", spy)
+    outputs = []
+    for name in ("a", "b"):
+        path = write_config(tmp_path / f"{name}.json",
+                            dict(VERIFY_CONFIG, output_dir=str(tmp_path / name)))
+        code = cli_main(["verify-estimates", "--config", path])
+        printed = capsys.readouterr().out
+        assert code in (0, 1)
+        assert f"ratios_resolution_stable_25pct: {'PASS' if code == 0 else 'FAIL'}" in printed
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("ratio_reports.csv", "ratio_reports.json")])
+    assert outputs[0] == outputs[1]
+    with open(tmp_path / "a" / "ratio_reports.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["which"] for r in rows] == list(estimates.LEMMAS)
+    assert all(r["trials"] == "2" for r in rows)
+    assert set(grids) == {(32, 2.0 / 3.0), (64, 2.0 / 3.0)}
+
+    # grid.dealias_fraction reaches the coarse grid and its doubling
+    grids.clear()
+    run_experiment(ExperimentConfig(**dict(VERIFY_CONFIG, lemma="product",
+                                           grid={"n": 32, "dealias_fraction": 0.5},
+                                           output_dir=str(tmp_path / "c"))))
+    assert grids == [(32, 0.5), (64, 0.5)]
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("| `")}
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f"`{f.name}`" not in rows]
+    assert not missing, f"README's config-key table lacks {missing}"
+    lemma_row = next(line for line in section.splitlines() if line.startswith("| `lemma`"))
+    assert all(f"`{name}`" in lemma_row for name in (*estimates.LEMMAS, "all"))
 
 
 def test_readme_simulate_at_n128(tmp_path):

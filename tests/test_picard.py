@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from strat2d import solver
-from strat2d.bands import BesovSpec, besov_norm, build_bank, intersection_norm
+from strat2d.bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from strat2d.dispersive import diagonalize, semigroup_apply
 from strat2d.fields import random_field, random_spectrum
 from strat2d.grid import (
@@ -34,7 +34,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def bank(grid):
-    return build_bank(grid)
+    return DyadicBank(grid)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strat2d.bands import build_bank
+from strat2d.bands import DyadicBank
 from strat2d.errors import BlowupSuspectedError, NonzeroMeanError
 from strat2d.fields import random_spectrum, taylor_green
 from strat2d.grid import (
@@ -46,7 +46,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def bank(grid):
-    return build_bank(grid)
+    return DyadicBank(grid)
 
 
 def zero_field(grid):
