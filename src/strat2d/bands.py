@@ -1,4 +1,4 @@
-"""Dyadic multiplier bank, Besov norms, and the Bony paraproduct.
+"""Dyadic multiplier bank and Besov norms.
 
 The radial cutoff chi is built from the standard smooth step
 eta(t) = zeta(t) / (zeta(t) + zeta(1-t)) with zeta(t) = exp(-1/t) for t > 0,
@@ -20,12 +20,9 @@ from .grid import (
     SpectralField,
     has_nonzero_mean,
     hminus1_norm,
-    lp_norm,
     lp_norm_unchecked,
     lp_norms_unchecked,
-    multiply,
     require_hermitian,
-    require_same_grid,
 )
 
 
@@ -140,31 +137,18 @@ def lowpass_nonhom(f: SpectralField, k: int, bank: DyadicBank) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def band_decomposition(f: SpectralField, bank: DyadicBank):
-    """List of (j, Delta_j f) plus the nonhomogeneous S_0 block."""
-    blocks = [(j, project_band(f, j, bank)) for j in bank.bands]
-    return blocks, lowpass_nonhom(f, 0, bank)
-
-
-def boundary_band_fraction(f: SpectralField, bank: DyadicBank) -> float:
-    """Fraction of band L2 mass carried by the two boundary bands."""
-    norms = {j: lp_norm(project_band(f, j, bank), 2) for j in bank.bands}
-    total = sum(v**2 for v in norms.values())
-    if total == 0.0:
-        return 0.0
-    edge = norms[bank.j_min] ** 2 + norms[bank.j_max] ** 2
-    return float(edge / total)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
 
-def _lq(values: np.ndarray, q: float) -> float:
+def _lq(values: np.ndarray, q: float):
+    """l^q norm of nonnegative values over the first axis; a float for 1-D values."""
     values = np.asarray(values, dtype=float)
     if np.isinf(q):
-        return float(values.max()) if values.size else 0.0
-    return float(np.sum(values**q) ** (1.0 / q))
+        out = values.max(axis=0, initial=0.0)
+    else:
+        out = np.sum(values**q, axis=0) ** (1.0 / q)
+    return float(out) if out.ndim == 0 else out
 
 
 def _band_norms(f: SpectralField, j_lo: int, p: float, bank: DyadicBank) -> list:
@@ -202,31 +186,6 @@ def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
 def intersection_norm(omega: SpectralField, s: float, q: float, bank: DyadicBank) -> float:
     """|omega| in (dotted B^s_{2,q}) intersect H^-1, as the sum of both norms."""
     return besov_norm(omega, BesovSpec(s=s, q=q, homogeneous=True), bank) + hminus1_norm(omega)
-
-
-# ---------------------------------------------------------------------------
-# Bony paraproduct
-
-
-def paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
-    """(T_f g, T_g f, R(f, g)) with dealiased physical-space products.
-
-    Means are excluded by the homogeneous low pass; the reconstruction
-    T_f g + T_g f + R = fg holds on mean-zero band-limited data up to the
-    unresolved remainder.
-    """
-    require_same_grid(f, g)
-    zero = SpectralField(f.grid, np.zeros_like(f.coeffs))
-    t_fg, t_gf, remainder = zero, zero, zero
-    bands_f = {j: project_band(f, j, bank) for j in bank.bands}
-    bands_g = {j: project_band(g, j, bank) for j in bank.bands}
-    for j in bank.bands:
-        t_fg = t_fg + multiply(lowpass_hom(f, j - 2, bank), bands_g[j])
-        t_gf = t_gf + multiply(lowpass_hom(g, j - 2, bank), bands_f[j])
-        for jp in bank.bands:
-            if abs(j - jp) <= 1:
-                remainder = remainder + multiply(bands_f[j], bands_g[jp])
-    return t_fg, t_gf, remainder
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BesovSpec, DyadicBank, besov_norm
+from .bands import DyadicBank, _lq
 from .grid import (
     SpectralField,
     SupportSynthesis,
@@ -65,20 +65,6 @@ def undiagonalize(vplus: SpectralField, vminus: SpectralField, rho_mean: float =
     return SpectralField(grid, 0.5 * (vplus.coeffs + vminus.coeffs)), SpectralField(grid, rho)
 
 
-def g_operator(f: SpectralField, t: float, cutoff_hat: np.ndarray | None = None,
-               bank: DyadicBank | None = None, sign: int = +1) -> SpectralField:
-    """Frequency-localized propagator: multiplier phi_hat(xi) exp(+-i t xi1/|xi|).
-
-    Default cutoff is the band-0 profile from the dyadic bank.
-    """
-    if cutoff_hat is None:
-        if bank is None:
-            bank = DyadicBank(f.grid)
-        cutoff_hat = bank.psi_hat(0)
-    phase = phase_multiplier(f.grid, t, 1.0, sign)
-    return SpectralField(f.grid, cutoff_hat * phase * f.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # windowed space-time norms
 
@@ -101,7 +87,6 @@ class StrichartzSample:
     t_max: float
     nodes: int
     value: float
-    space: str = "lr"  # "lr" | "besov"
 
     def __post_init__(self):
         require_admissible(self.gamma, self.r)
@@ -131,35 +116,27 @@ def _lgamma_time_norm(values: np.ndarray, times: np.ndarray, gamma: float) -> fl
     return float(np.trapezoid(values**gamma, times) ** (1.0 / gamma))
 
 
-def strichartz_measure(
-    f: SpectralField,
-    kappa: float,
-    gamma: float,
-    r: float,
-    t_max: float,
-    nodes: int | None = None,
-    cutoff_hat: np.ndarray | None = None,
-    bank: DyadicBank | None = None,
-    sign: int = +1,
-) -> StrichartzSample:
-    """(int_0^T |G(+-kappa t) f|_{L^r}^gamma dt)^{1/gamma} on the window.
+def _require_measurable(f: SpectralField, gamma: float, r: float, sign: int) -> None:
+    """The guards of both measurements, before any node is evaluated.
 
-    Depends on kappa only through |kappa|; the propagation direction is the
-    separate `sign` argument.  G(kappa t) f is g_operator(f, kappa t); the
-    phases are formed only where the cutoff times f is nonzero, and each
-    block of NODE_BLOCK nodes is synthesized on that support's rows and
-    columns (`SupportSynthesis`).
+    The phases and the radial cutoffs keep f's zero mode and its absolute
+    Hermitian defect, so one check of f covers every node and every band.
     """
     require_admissible(gamma, r)
+    if sign not in SIGNS:
+        raise ValueError("sign must be +1 or -1")
     require_mean_zero(f, "dispersive measurement")
-    kappa = abs(kappa)
-    if bank is None:
-        bank = DyadicBank(f.grid)
-    if cutoff_hat is None:
-        cutoff_hat = bank.psi_hat(0)
-    times = _time_nodes(kappa, t_max, nodes)
-    # checked once here: the radial cutoff and the phase keep f's absolute defect
     require_hermitian(f)
+
+
+def _node_norms(f: SpectralField, kappa: float, times: np.ndarray, cutoff_hat: np.ndarray,
+                r: float, sign: int) -> np.ndarray:
+    """|cutoff_hat exp(+-i kappa t xi1/|xi|) f|_{L^r} at each time node t.
+
+    The phases are formed only where the cutoff times f is nonzero, and each
+    block of NODE_BLOCK nodes is synthesized on that support's rows and
+    columns (`SupportSynthesis`).  Unchecked: callers guard f first.
+    """
     amp = cutoff_hat * f.coeffs
     k1, k2 = np.nonzero(amp)
     amp, symbol = amp[k1, k2], sign * f.grid.xi1_over_abs[k1, k2]
@@ -174,8 +151,33 @@ def strichartz_measure(
         coeffs = block[: len(t)]
         coeffs[:, row, k2] = amp * np.exp(1j * kappa * t[:, None] * symbol)
         vals[start : start + len(t)] = sample_lp_norms(f.grid, synthesis(coeffs), r)
-    value = _lgamma_time_norm(vals, times, gamma)
-    return StrichartzSample(kappa=abs(kappa), gamma=gamma, r=r, t_max=t_max,
+    return vals
+
+
+def strichartz_measure(
+    f: SpectralField,
+    kappa: float,
+    gamma: float,
+    r: float,
+    t_max: float,
+    nodes: int | None = None,
+    cutoff_hat: np.ndarray | None = None,
+    bank: DyadicBank | None = None,
+    sign: int = +1,
+) -> StrichartzSample:
+    """(int_0^T |cutoff exp(+-kappa t R1) f|_{L^r}^gamma dt)^{1/gamma} on the
+    window; the cutoff defaults to band 0.
+
+    Depends on kappa only through |kappa|; the propagation direction is the
+    separate `sign` argument.
+    """
+    _require_measurable(f, gamma, r, sign)
+    kappa = abs(kappa)
+    if cutoff_hat is None:
+        cutoff_hat = (bank or DyadicBank(f.grid)).psi_hat(0)
+    times = _time_nodes(kappa, t_max, nodes)
+    value = _lgamma_time_norm(_node_norms(f, kappa, times, cutoff_hat, r, sign), times, gamma)
+    return StrichartzSample(kappa=kappa, gamma=gamma, r=r, t_max=t_max,
                             nodes=len(times), value=value)
 
 
@@ -191,21 +193,21 @@ def besov_strichartz_measure(
     bank: DyadicBank | None = None,
     sign: int = +1,
 ) -> StrichartzSample:
-    """As strichartz_measure with X = dotted B^s_{r,q} and the full propagator."""
-    require_mean_zero(f, "dispersive measurement")
+    """As strichartz_measure with X = dotted B^s_{r,q} and the full propagator:
+    at each node, the l^q sum over the bank's bands of 2^{sj} times the band's
+    `_node_norms`."""
+    _require_measurable(f, gamma, r, sign)
     kappa = abs(kappa)
     if not 4.0 <= gamma <= q:
         raise ValueError("need 4 <= gamma <= q")
     if bank is None:
         bank = DyadicBank(f.grid)
-    spec = BesovSpec(s=s, p=r, q=q, homogeneous=True)
     times = _time_nodes(kappa, t_max, nodes)
-    vals = np.array([
-        besov_norm(semigroup_apply(f, t, kappa, sign), spec, bank) for t in times
-    ])
-    value = _lgamma_time_norm(vals, times, gamma)
-    return StrichartzSample(kappa=abs(kappa), gamma=gamma, r=r, t_max=t_max,
-                            nodes=len(times), value=value, space="besov")
+    bands = np.array([2.0 ** (s * j) * _node_norms(f, kappa, times, bank.psi_hat(j), r, sign)
+                      for j in bank.bands])
+    value = _lgamma_time_norm(_lq(bands, q), times, gamma)
+    return StrichartzSample(kappa=kappa, gamma=gamma, r=r, t_max=t_max,
+                            nodes=len(times), value=value)
 
 
 def fit_slope(kappas, values) -> float:

@@ -16,8 +16,8 @@ stands for both signs of that Nyquist wavenumber, and a multiplier acts
 there by the mean of its values at the two signs.  For the symbols used
 here that mean is reached by one convention: xi1 is 0 on the Nyquist row
 and xi2 is 0 on the Nyquist column (`GridSpec.xi1`, `GridSpec.xi2`), while
-|xi| keeps the Nyquist wavenumber.  Derivatives, Riesz transforms and the
-Biot-Savart law thus equal real(ifft2) of their full-spectrum multipliers,
+|xi| keeps the Nyquist wavenumber.  Derivatives, the symbol xi1/|xi| and
+the Biot-Savart law thus equal real(ifft2) of their full-spectrum multipliers,
 and the stratified phase is 1 on the Nyquist row, which keeps it unitary
 with an exact group law.
 """
@@ -382,18 +382,6 @@ def lambda_power(f: SpectralField, s: float) -> SpectralField:
     c = mult * f.coeffs
     c[0, 0] = 0.0  # also for s = 0, where the symbol is 1 at xi = 0
     return SpectralField(f.grid, c)
-
-
-def inverse_laplacian(f: SpectralField) -> SpectralField:
-    require_mean_zero(f, "(-Laplacian)^-1")
-    return SpectralField(f.grid, f.grid.inv_xi_sq * f.coeffs)
-
-
-def riesz(f: SpectralField, axis: int = 1) -> SpectralField:
-    """Riesz transform R_axis, symbol i*xi_axis/|xi|."""
-    require_mean_zero(f, "Riesz transform")
-    mult = f.grid.xi1_over_abs if axis == 1 else f.grid.xi2 * f.grid.inv_xi_abs
-    return SpectralField(f.grid, 1j * mult * f.coeffs)
 
 
 def phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int = +1) -> np.ndarray:

@@ -6,15 +6,12 @@ from strat2d.errors import GridMismatchError, NonzeroMeanError
 from strat2d.bands import (
     BesovSpec,
     DyadicBank,
-    band_decomposition,
     band_profile_rows,
     besov_norm,
-    boundary_band_fraction,
     chi,
     intersection_norm,
     lowpass_hom,
     lowpass_nonhom,
-    paraproduct,
     project_band,
     psi0,
     smooth_step,
@@ -23,11 +20,9 @@ from strat2d.fields import random_field
 from strat2d.grid import (
     GridSpec,
     SpectralField,
-    dealias,
     forward_transform,
     hminus1_norm,
     lp_norm,
-    multiply,
 )
 
 
@@ -125,15 +120,6 @@ def test_lowpass_mean_policy(grid, bank):
     assert abs(hom.coeffs[1, 0] - 0.5) < 1e-14
 
 
-def test_band_decomposition_reconstructs(grid, bank):
-    f = band_limited_random(grid, bank, seed=1)
-    blocks, s0 = band_decomposition(f, bank)
-    total = np.zeros_like(f.coeffs)
-    for j, fj in blocks:
-        total += fj.coeffs
-    assert np.abs(total - f.coeffs).max() < 1e-12 * np.abs(f.coeffs).max()
-
-
 def test_besov_norm_single_mode(grid, bank):
     x1, _ = grid.meshgrid()
     f = forward_transform(grid, np.cos(x1))  # lives entirely in band 0
@@ -190,35 +176,6 @@ def test_besov_spec_validation():
         BesovSpec(s=1.0, p=0.5)
     with pytest.raises(ValueError):
         BesovSpec(s=1.0, q=0.0)
-
-
-def test_paraproduct_reconstruction(grid, bank):
-    f = band_limited_random(grid, bank, seed=4)
-    g = band_limited_random(grid, bank, seed=5)
-    t_fg, t_gf, remainder = paraproduct(f, g, bank)
-    total = t_fg + t_gf + remainder
-    direct = multiply(f, g)
-    # the factors are mean-zero and band-limited, so the three Bony pieces
-    # recombine to the full dealiased product
-    err = np.abs(total.coeffs - direct.coeffs).max()
-    assert err < 1e-10 * max(np.abs(direct.coeffs).max(), 1e-300)
-
-
-def test_paraproduct_zero_factor(grid, bank):
-    f = band_limited_random(grid, bank, seed=6)
-    zero = SpectralField(grid, np.zeros_like(f.coeffs))
-    t_fg, t_gf, remainder = paraproduct(f, zero, bank)
-    assert t_fg.coefficient_norm() == 0.0
-    assert t_gf.coefficient_norm() == 0.0
-    assert remainder.coefficient_norm() == 0.0
-
-
-def test_boundary_band_fraction(grid, bank):
-    x1, _ = grid.meshgrid()
-    interior = forward_transform(grid, np.cos(4 * x1))  # band 2, interior
-    assert boundary_band_fraction(interior, bank) < 1e-20
-    edge = forward_transform(grid, np.cos(x1))  # band 0 = lowest band
-    assert boundary_band_fraction(edge, bank) > 0.99
 
 
 def test_band_profile_rows(bank):

@@ -3,6 +3,7 @@ import pytest
 
 from strat2d.bands import BesovSpec, DyadicBank, besov_norm
 from strat2d import dispersive
+from strat2d import grid as grid_module
 from strat2d.dispersive import (
     NODE_BLOCK,
     SIGNS,
@@ -13,7 +14,6 @@ from strat2d.dispersive import (
     diagonalize,
     duhamel_residual,
     fit_slope,
-    g_operator,
     kappa0_estimate,
     semigroup_apply,
     strichartz_measure,
@@ -24,11 +24,13 @@ from strat2d.fields import coherent_band_field, random_field, random_spectrum
 from strat2d.grid import (
     GridSpec,
     SpectralField,
+    dealias,
     forward_transform,
     hminus1_norm,
     inverse_transform,
     lp_norm,
     lp_norm_unchecked,
+    phase_multiplier,
 )
 from strat2d.solver import StepperConfig, run
 
@@ -100,17 +102,6 @@ def test_diagonalize_examples(grid):
     assert np.abs(vm.coeffs - omega.coeffs).max() == 0.0
 
 
-def test_g_operator_cutoff(grid, bank):
-    x1, _ = grid.meshgrid()
-    inside = forward_transform(grid, np.cos(x1))  # |xi| = 1, in band 0
-    outside = forward_transform(grid, np.cos(8 * x1))  # far outside band 0
-    assert np.abs(g_operator(inside, 0.0, bank=bank).coeffs - inside.coeffs).max() < 1e-13
-    assert g_operator(outside, 3.0, bank=bank).coefficient_norm() < 1e-14
-    # unimodular in time: L2 bounded by the input uniformly
-    for t in (0.0, 1.0, 10.0):
-        assert lp_norm(g_operator(inside, t, bank=bank), 2) <= lp_norm(inside, 2) + 1e-12
-
-
 def test_strichartz_admissibility():
     with pytest.raises(ValueError):
         StrichartzSample(kappa=1.0, gamma=4.0, r=2.0, t_max=1.0, nodes=10, value=1.0)
@@ -176,7 +167,8 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     # the per-node loop: one propagated copy of f, transformed on its own
     times = np.linspace(0.0, t_max, nodes)
     vals = np.array([
-        lp_norm_unchecked(g_operator(f, kappa * t, cutoff_hat=cutoff_hat, sign=sign), r)
+        lp_norm_unchecked(SpectralField(
+            grid, cutoff_hat * phase_multiplier(grid, kappa * t, 1.0, sign) * f.coeffs), r)
         for t in times
     ])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
@@ -212,6 +204,42 @@ def test_besov_strichartz_validation(grid, bank):
     f = coherent_band_field(grid, seed=4)
     with pytest.raises(ValueError):
         besov_strichartz_measure(f, 16.0, 8.0, np.inf, 4.0, 0.0, 0.5, bank=bank)
+    with pytest.raises(ValueError, match="sign"):
+        besov_strichartz_measure(f, 16.0, 4.0, np.inf, 4.0, 0.0, 0.5, bank=bank, sign=2)
+
+
+def test_besov_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, monkeypatch):
+    def no_node(*args, **kwargs):
+        raise AssertionError("a time node was evaluated")
+
+    # every L^r reduction of a node, blocked or band by band
+    monkeypatch.setattr(dispersive, "sample_lp_norms", no_node)
+    monkeypatch.setattr(grid_module, "sample_lp_norms", no_node)
+    f = coherent_band_field(grid, seed=4)
+    with pytest.raises(ValueError, match="inadmissible"):
+        besov_strichartz_measure(f, 16.0, 4.0, 4.0, 4.0, 0.0, 0.5, bank=bank)
+
+
+@pytest.mark.parametrize("data", ["packet", "noise"])
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("r, gamma, q", [(np.inf, 4.0, 4.0), (4.0, 8.0, 8.0),
+                                         (np.inf, 4.0, np.inf)])
+def test_besov_strichartz_matches_per_node_reference(grid, bank, r, gamma, q, sign, data):
+    if data == "packet":
+        f = coherent_band_field(grid, seed=7)
+    else:
+        noise = np.random.default_rng(13).standard_normal((grid.n, grid.n))
+        f = dealias(forward_transform(grid, noise)).drop_mean()
+    kappa, s, t_max, nodes = 16.0, 0.5, 0.5, 35
+    assert nodes % NODE_BLOCK  # the last block is partial
+    sample = besov_strichartz_measure(f, kappa, gamma, r, q, s, t_max, nodes=nodes,
+                                      bank=bank, sign=sign)
+    # the per-node loop: the Besov norm of each propagated copy of f
+    spec = BesovSpec(s=s, p=r, q=q, homogeneous=True)
+    times = np.linspace(0.0, t_max, nodes)
+    vals = np.array([besov_norm(semigroup_apply(f, t, kappa, sign), spec, bank) for t in times])
+    expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
+    assert abs(sample.value - expected) < 1e-12 * expected
 
 
 def test_besov_strichartz_sign_symmetry(grid, bank):
