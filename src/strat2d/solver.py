@@ -12,7 +12,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from .grid import (
     inverse_transform,
     lp_norm,
     phase_multiplier,
+    require_hermitian,
     require_mean_zero,
 )
 
@@ -52,6 +53,15 @@ class SimState:
     @property
     def grid(self) -> GridSpec:
         return self.omega.grid
+
+    def own_velocity(self) -> VectorField:
+        """omega's Biot-Savart velocity, computed on first use and kept in the
+        instance dict, as `VectorField.samples` keeps its samples: `cfl_dt`,
+        the first stage of the next step and `diagnostics` share it."""
+        memo = self.__dict__.get("_own_velocity")
+        if memo is None:
+            memo = self.__dict__["_own_velocity"] = biot_savart(self.omega)
+        return memo
 
 
 @dataclass(frozen=True)
@@ -98,13 +108,10 @@ class Trajectory:
 # right-hand side
 
 
-def _advecting(velocity, omega: SpectralField, t: float,
-               own: VectorField | None = None) -> VectorField:
-    """The advecting velocity at t: `velocity(t)`, or, when velocity is None,
-    omega's own Biot-Savart field (`own`, if the caller has computed it)."""
-    if velocity is not None:
-        return velocity(t)
-    return biot_savart(omega) if own is None else own
+def _advecting(velocity, state: SimState) -> VectorField:
+    """The advecting velocity at state.t: `velocity(t)`, or, when velocity is
+    None, the state's own."""
+    return state.own_velocity() if velocity is None else velocity(state.t)
 
 
 def rhs(state: SimState, velocity=None, nonlinear: bool = True):
@@ -114,12 +121,10 @@ def rhs(state: SimState, velocity=None, nonlinear: bool = True):
     The kappa * u2 coupling always uses the unknown's own Biot-Savart
     velocity, so the same routine serves the frozen-transport linear solves.
     """
-    u_own = biot_savart(state.omega)
     domega = state.kappa * derivative(state.rho, 1)
-    drho = state.kappa * u_own.u2
+    drho = state.kappa * state.own_velocity().u2
     if nonlinear:
-        u_adv = _advecting(velocity, state.omega, state.t, own=u_own)
-        adv_omega, adv_rho = advect(u_adv, state.omega, state.rho)
+        adv_omega, adv_rho = advect(_advecting(velocity, state), state.omega, state.rho)
         domega, drho = -adv_omega + domega, -adv_rho + drho
     return domega, drho
 
@@ -133,7 +138,7 @@ def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState
         return rhs(SimState(om, rh, t, state.kappa), velocity, nonlinear)
 
     om, rh, t = state.omega, state.rho, state.t
-    k1o, k1r = f(om, rh, t)
+    k1o, k1r = rhs(state, velocity, nonlinear)  # on the state itself: its velocity memo
     k2o, k2r = f(om + (dt / 2) * k1o, rh + (dt / 2) * k1r, t + dt / 2)
     k3o, k3r = f(om + (dt / 2) * k2o, rh + (dt / 2) * k2r, t + dt / 2)
     k4o, k4r = f(om + dt * k3o, rh + dt * k3r, t + dt)
@@ -152,17 +157,23 @@ def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimSta
     def merge(vp_c, vm_c):
         return undiagonalize(SpectralField(grid, vp_c), SpectralField(grid, vm_c), rho_mean)
 
-    def nl(vp_c, vm_c, t):
-        """N+- = -advect(u, omega) -+ Lambda advect(u, rho)."""
+    def nl(vp_c, vm_c, t, carrier=None):
+        """N+- = -advect(u, omega) -+ Lambda advect(u, rho) for the merged
+        (omega, rho); u is that of `carrier`, a state equal to them up to
+        round-off, when one is given."""
         if not nonlinear:
             z = np.zeros_like(vp_c)
             return z, z
         omega, rho = merge(vp_c, vm_c)
-        fp, fm = diagonalize(*advect(_advecting(velocity, omega, t), omega, rho))
+        if carrier is None:
+            carrier = SimState(omega, rho, t, kappa)
+        fp, fm = diagonalize(*advect(_advecting(velocity, carrier), omega, rho))
         return -fp.coeffs, -fm.coeffs
 
     t = state.t
-    k1p, k1m = nl(vp, vm, t)
+    # stage 1 advects with the step's own state's velocity, which cfl_dt has
+    # usually computed already, and differentiates the merged fields
+    k1p, k1m = nl(vp, vm, t, carrier=state)
     k2p, k2m = nl(e_half * (vp + dt / 2 * k1p), np.conj(e_half) * (vm + dt / 2 * k1m), t + dt / 2)
     k2p, k2m = np.conj(e_half) * k2p, e_half * k2m
     k3p, k3m = nl(e_half * (vp + dt / 2 * k2p), np.conj(e_half) * (vm + dt / 2 * k2m), t + dt / 2)
@@ -187,11 +198,10 @@ def step(state: SimState, dt: float, config: StepperConfig, velocity=None,
 
 def cfl_dt(state: SimState, config: StepperConfig, velocity=None) -> float:
     """Adaptive step size; falls back to config.dt as an upper bound."""
-    u = _advecting(velocity, state.omega, state.t)
-    speed = max(
-        np.abs(inverse_transform(u.u1)).max(),
-        np.abs(inverse_transform(u.u2)).max(),
-    )
+    u = _advecting(velocity, state)
+    require_hermitian(u.u1)
+    require_hermitian(u.u2)
+    speed = max(np.abs(samples).max() for samples in u.samples())
     dt = config.dt
     if speed > 0:
         dt = min(dt, CFL_ADVECT * state.grid.dx / speed)
@@ -226,7 +236,7 @@ _B0INF1 = BesovSpec(s=0.0, p=np.inf, q=1.0, homogeneous=True)
 def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float,
                 prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
     omega, rho = state.omega, state.rho
-    u = biot_savart(omega)
+    u = state.own_velocity()
     vplus, vminus = diagonalize(omega, rho)
     rec = DiagnosticsRecord(
         t=state.t,
@@ -303,8 +313,8 @@ def run(
     traj = Trajectory(grid=grid, kappa=kappa, nonlinear=nonlinear)
     rec = record(state, bank, s, q, None)
     traj.records.append(rec)
-    if store_snapshots:
-        traj.snapshots.append(state)
+    if store_snapshots:  # copies, which do not keep the velocity memo
+        traj.snapshots.append(replace(state))
     z0 = rec.z
 
     for target in np.linspace(0.0, t_final, n_samples)[1:]:
@@ -319,7 +329,7 @@ def run(
         rec = record(state, bank, s, q, traj.records[-1])
         traj.records.append(rec)
         if store_snapshots:
-            traj.snapshots.append(state)
+            traj.snapshots.append(replace(state))
         if not np.isfinite(rec.z) or (z0 > 0 and rec.z > GUARD_FACTOR * z0):
             traj.status = "blowup"
             break

@@ -5,6 +5,7 @@ from strat2d.errors import (
     GridMismatchError,
     HermitianSymmetryError,
     NegativePowerOnNonzeroMeanError,
+    NonzeroMeanError,
 )
 from strat2d import grid as grid_module
 from strat2d.bands import BesovSpec, DyadicBank, besov_norm
@@ -19,6 +20,7 @@ from strat2d.grid import (
     derivative,
     forward_transform,
     gradient,
+    has_nonzero_mean,
     hminus1_norm,
     inner_hminus1,
     inner_l2,
@@ -30,6 +32,8 @@ from strat2d.grid import (
     lp_norms_unchecked,
     multiply,
     phase_multiplier,
+    require_mean_zero,
+    sample_lp_norms,
     save_field,
 )
 
@@ -115,6 +119,37 @@ def test_lambda_power_negative_mean_guard(grid):
     # positive powers kill the mean and are fine
     out = lambda_power(f, 1.0)
     assert out.mean == 0.0
+
+
+def test_mean_guard_decides_as_the_full_norm(grid, monkeypatch):
+    tol = grid_module.MEAN_TOL
+    base = random_real_field(grid, seed=3)
+    c = np.zeros(grid.shape, dtype=complex)
+    c[3, 5] = 1.0 - 2.0j  # energy only off the row k1 = 0 and the column k2 = 0
+    off_slice = SpectralField(grid, c)
+    cases = [base, base.drop_mean(), SpectralField(grid, np.zeros(grid.shape, dtype=complex))]
+    for f in (base, off_slice):
+        norm = f.drop_mean().coefficient_norm()
+        cases += [f.with_mean(scale * tol * norm) for scale in (1e-5, 0.5, 0.99, 1.01, 2.0)]
+    for f in cases:
+        assert has_nonzero_mean(f) == (abs(f.coeffs[0, 0]) > tol * f.coefficient_norm())
+    with pytest.raises(NonzeroMeanError):
+        require_mean_zero(off_slice.with_mean(1.01 * tol * off_slice.coefficient_norm()))
+
+    # a round-off mean passes on the O(n) slice, without the full norm
+    def forbidden(self):
+        raise AssertionError("full coefficient norm computed")
+
+    monkeypatch.setattr(SpectralField, "coefficient_norm", forbidden)
+    assert not has_nonzero_mean(base.with_mean(1e-17))
+
+
+def test_sample_lp_norms_at_p4_match_the_float_power(grid):
+    samples = np.stack([inverse_transform(random_real_field(grid, seed=s)) for s in (10, 11)])
+    cell = (2 * np.pi * grid.box_scale / grid.n) ** 2
+    expected = (np.sum(np.abs(samples) ** 4.0, axis=(-2, -1)) * cell) ** 0.25
+    for p in (4, 4.0):
+        assert np.allclose(sample_lp_norms(grid, samples, p), expected, rtol=1e-14, atol=0.0)
 
 
 def test_lambda_power_composition(grid):

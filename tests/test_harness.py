@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import os
+import platform
+import resource
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -12,6 +15,8 @@ import pytest
 from strat2d import estimates, harness, picard
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
+from strat2d.fields import random_spectrum
+from strat2d.grid import GridSpec, dealias
 from strat2d.harness import (
     ExperimentConfig,
     _nondecreasing_per_seed,
@@ -21,6 +26,7 @@ from strat2d.harness import (
     thread_count,
     write_csv,
 )
+from strat2d.solver import SimState, StepperConfig, cfl_dt, step
 
 
 def write_config(path, payload):
@@ -152,8 +158,9 @@ def test_sweep_reruns_byte_identical(tmp_path, monkeypatch, kind):
 
 
 def test_single_worker_sweep_runs_off_the_main_thread(tmp_path, monkeypatch):
-    # on the main thread glibc hands freed large numpy buffers back to the OS
-    # and faults them in again: members run on a pool thread even alone
+    # members run on a pool thread even alone, so that every sweep takes one
+    # code path; the page faults of freed temporaries are stopped by
+    # keep_freed_memory on any thread
     threads = []
 
     def recording(grid, seed):
@@ -166,6 +173,38 @@ def test_single_worker_sweep_runs_off_the_main_thread(tmp_path, monkeypatch):
     assert run_experiment(small_config("strichartz", tmp_path / "out")).passed
     assert len(threads) == 4
     assert threading.main_thread() not in threads
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+                    reason="glibc's malloc thresholds")
+def test_stepping_thread_keeps_its_freed_memory():
+    # without keep_freed_memory a thread stepping at N=128 faults its freed
+    # per-step temporaries in again: thousands of minor faults in 20 steps.
+    # With it, the heap may still grow once by one array (33 pages), at a
+    # step that depends on the process's allocation history, so the best of
+    # three 20-step windows is judged.
+    harness.keep_freed_memory()
+    grid = GridSpec(128)
+    omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0,
+                                 xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
+    faults = []
+
+    def stepping():
+        state = SimState(dealias(omega), dealias(rho), 0.0, 256.0)
+        for _ in range(3):  # warm-up: plans, cached symbols, the heap itself
+            state = step(state, cfl_dt(state, cfg), cfg)
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            for _ in range(20):
+                state = step(state, cfl_dt(state, cfg), cfg)
+            faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+
+    thread = threading.Thread(target=stepping)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert len(faults) == 3 and min(faults) <= 20, faults
 
 
 def test_strichartz_manifest_config_rebuilds(tmp_path):

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strat2d import solver
 from strat2d.bands import DyadicBank
-from strat2d.errors import BlowupSuspectedError, NonzeroMeanError
+from strat2d.errors import BlowupSuspectedError, HermitianSymmetryError, NonzeroMeanError
 from strat2d.fields import random_spectrum, taylor_green
 from strat2d.grid import (
     GridSpec,
@@ -259,6 +260,35 @@ def test_cfl_dt_caps(grid):
     cfg_if = StepperConfig(scheme="ifrk4", dt=1.0, adaptive=True)
     dt_if = cfl_dt(state, cfg_if)
     assert dt_if > dt  # the integrating factor drops the kappa cap
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "rk4"])
+def test_adaptive_step_computes_the_states_velocity_once(monkeypatch, scheme):
+    # cfl_dt and the first stage share the state's Biot-Savart velocity:
+    # 1 + 3 later stages, not 1 + 4
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    state = SimState(omega, rho, 0.0, 16.0)
+    cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=True)
+    calls = []
+
+    def counting(om):
+        calls.append(om)
+        return real(om)
+
+    real = solver.biot_savart
+    monkeypatch.setattr(solver, "biot_savart", counting)
+    step(state, cfl_dt(state, cfg), cfg)
+    assert len(calls) == 4
+
+
+def test_cfl_dt_checks_the_velocity_is_real(grid):
+    omega, rho = random_spectrum(grid, seed=10, amplitude=5.0, xi_lo=0.5, xi_hi=4.0)
+    c = omega.coeffs.copy()
+    c[3, 0] += 1.0  # breaks c(k) = conj c(-k) on the column k2 = 0
+    state = SimState(SpectralField(grid, c), rho, 0.0, 1.0)
+    with pytest.raises(HermitianSymmetryError):
+        cfl_dt(state, StepperConfig(scheme="ifrk4", dt=1.0, adaptive=True))
 
 
 def test_lifespan_zero_data(grid, bank):
