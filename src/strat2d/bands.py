@@ -20,7 +20,6 @@ from .grid import (
     SpectralField,
     has_nonzero_mean,
     hminus1_norm,
-    lp_norm_unchecked,
     lp_norms_unchecked,
     require_hermitian,
 )
@@ -73,15 +72,18 @@ def band_range(grid: GridSpec) -> tuple[int, int]:
 
 
 class DyadicBank:
-    """Cached dyadic multipliers psi_j on a grid, j in [j_min, j_max]."""
+    """Cached dyadic multipliers on a grid, stacked as the pieces of a Besov
+    norm: `psi`, psi_j for j in `bands` = j_min..j_max (homogeneous), and
+    `nonhom_psi`, S_0 = chi(|xi|) then psi_j for j in `nonhom_bands` =
+    0, max(1, j_min)..j_max; bands 1..j_min-1 vanish on the grid."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.j_min, self.j_max = band_range(grid)
-        # psi_j for j = j_min..j_max, stacked so that L2 band norms batch
         self.psi = np.stack([psi0(grid.xi_abs / 2.0**j) for j in self.bands])
-        # chi(|xi|), the S_0 low pass of every nonhomogeneous norm
-        self.chi0 = chi(grid.xi_abs)
+        j_lo = max(1, self.j_min)
+        self.nonhom_bands = [0, *range(j_lo, self.j_max + 1)]
+        self.nonhom_psi = np.concatenate((chi(grid.xi_abs)[None], self.psi[j_lo - self.j_min:]))
 
     # -- multipliers -----------------------------------------------------
     def psi_hat(self, j: int) -> np.ndarray:
@@ -92,7 +94,7 @@ class DyadicBank:
     def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(2^-k |xi|); value at xi=0 is 1 and is adjusted by callers."""
         if k == 0:
-            return self.chi0
+            return self.nonhom_psi[0]
         return chi(self.grid.xi_abs / 2.0**k)
 
     @property
@@ -151,23 +153,15 @@ def _lq(values: np.ndarray, q: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _band_norms(f: SpectralField, j_lo: int, p: float, bank: DyadicBank) -> list:
-    """lp_norm_unchecked(Delta_j f) for j = j_lo..j_max; j_lo below j_min
-    raises and j_lo above j_max gives no bands.  The bands are formed at
-    once; p = 2 takes one batched Plancherel sum, other p transform band by
-    band, because a batched inverse transform is slower per slice at
-    N >= 128."""
+def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
+    """The l^q sum of 2^{sj} |piece_j f|_{L^p} over one of the bank's stacks.
+
+    The pieces are formed at once; p = 2 takes one batched Plancherel sum,
+    other p transform piece by piece, because a batched inverse transform
+    was slower at N = 256 and no faster at N = 128.
+    """
     if f.grid != bank.grid:
         raise GridMismatchError("field and bank live on different grids")
-    if j_lo < bank.j_min:
-        bank.psi_hat(j_lo)
-    bands = bank.psi[j_lo - bank.j_min:] * f.coeffs
-    if p == 2:
-        return lp_norms_unchecked(f.grid, bands, 2).tolist()
-    return [float(lp_norms_unchecked(f.grid, b, p)) for b in bands]
-
-
-def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     # the Hermitian guard is scaled by the whole field: a band holding only
     # round-off would fail it relative to its own size
     if spec.p != 2:
@@ -175,12 +169,13 @@ def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     if spec.homogeneous:
         if spec.s <= 0 and has_nonzero_mean(f):
             raise NonzeroMeanError("homogeneous Besov norm with s <= 0 needs mean-zero data")
-        j_lo, vals = bank.j_min, []
+        js, psi = bank.bands, bank.psi
     else:
-        j_lo, vals = 1, [lp_norm_unchecked(lowpass_nonhom(f, 0, bank), spec.p)]
-    norms = _band_norms(f, j_lo, spec.p, bank)
-    vals += [2.0 ** (spec.s * j) * v for j, v in zip(range(j_lo, bank.j_max + 1), norms)]
-    return _lq(np.array(vals), spec.q)
+        js, psi = bank.nonhom_bands, bank.nonhom_psi
+    pieces = psi * f.coeffs
+    norms = (lp_norms_unchecked(f.grid, pieces, 2) if spec.p == 2
+             else [lp_norms_unchecked(f.grid, c, spec.p) for c in pieces])
+    return _lq(np.array([2.0 ** (spec.s * j) * v for j, v in zip(js, norms)]), spec.q)
 
 
 def intersection_norm(omega: SpectralField, s: float, q: float, bank: DyadicBank) -> float:

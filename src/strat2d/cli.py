@@ -5,13 +5,15 @@
 
 The config file is JSON; --override patches dotted keys (values parsed as
 JSON when possible).  Exit code 0 means every acceptance flag attached to
-the experiment passed.
+the experiment passed, 1 that one failed, 2 a configuration error and 3
+any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .errors import ConfigError, Strat2dError
 from .harness import load_config, run_experiment
@@ -58,6 +60,10 @@ def main(argv=None) -> int:
         return 2
     except Strat2dError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # unclassified: a defect, never a failed flag (exit 1)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
     for name, ok in manifest.flags.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")

@@ -438,23 +438,19 @@ def lp_norm(f: SpectralField, p: float) -> float:
     """L^p norm; p=2 via Plancherel, p=inf grid max, else grid quadrature."""
     if p != 2:
         require_hermitian(f)
-    return lp_norm_unchecked(f, p)
+    return float(lp_norms_unchecked(f.grid, f.coeffs, p))
 
 
-def lp_norm_unchecked(f: SpectralField, p: float) -> float:
-    """lp_norm without the Hermitian check, for the band projections or
-    propagated copies of a field the caller has checked once.
+def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """lp_norm over the last two axes of a batch of coefficient arrays, one
+    batched inverse transform for p != 2, without the Hermitian check: for
+    the band projections or propagated copies of a field the caller has
+    checked once.
 
     Their symbols are symmetric under k -> -k (up to conjugation), so their
     absolute Hermitian defect is at most the checked field's; relative to
     their own size it may not be (a band holding only round-off).
     """
-    return float(lp_norms_unchecked(f.grid, f.coeffs, p))
-
-
-def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarray:
-    """lp_norm_unchecked over the last two axes of a batch of coefficient
-    arrays: one batched inverse transform for p != 2."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 2:

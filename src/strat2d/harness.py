@@ -10,7 +10,6 @@ outputs are byte-identical regardless of parallelism.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import os
 import time
@@ -51,25 +50,6 @@ def thread_count() -> int:
             raise ConfigError("STRAT2D_THREADS must be >= 1")
         return value
     return os.cpu_count() or 1
-
-
-def keep_freed_memory() -> None:
-    """Let glibc keep freed memory for reuse instead of returning it to the OS.
-
-    A time step allocates and frees arrays of 128 KiB to 1 MiB.  By default
-    glibc maps such arrays afresh until its dynamic mmap threshold has risen
-    past them, and trims the freed top of each heap, on the main thread and
-    on pool threads alike, so every step faults the same pages in again.
-    Both limits must rise: with only the mmap threshold raised, trimming
-    keeps the faults.  Process-wide; a no-op where the C library has no
-    mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
-        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: 4 MiB
-    except (OSError, AttributeError, TypeError):
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +110,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; have {tuple(SCHEMES)}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("dt and t_final must be positive")
+        if self.n_samples < 2:
+            raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.threshold <= 0:
+            raise ConfigError(f"threshold must be positive, got {self.threshold}")
+        if self.n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        if self.kind == "kappa0":  # the default {} is incomplete
+            try:
+                Kappa0Inputs(**self.kappa0_inputs)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"kappa0_inputs {self.kappa0_inputs}: {exc}") from exc
         if self.kind == "strichartz" and not admissible(self.gamma, self.r):
             raise ConfigError(f"inadmissible (gamma, r) = ({self.gamma}, {self.r}): "
                               "need 1/gamma + 1/(2r) <= 1/4")
@@ -282,7 +273,8 @@ class RunManifest:
 def _parallel_map(fn, items):
     # members run on pool threads even with one worker, so that there is one
     # code path; the page-fault churn of their freed temporaries is stopped
-    # on every thread by keep_freed_memory, not by the choice of thread
+    # on every thread by the malloc thresholds that importing strat2d sets,
+    # not by the choice of thread
     workers = min(thread_count(), max(len(items), 1))
     # np.errstate is per thread: pool threads would start from numpy's defaults
     errstate = np.geterr()
@@ -474,7 +466,6 @@ _SWEEPS = ("simulate", "strichartz", "lifespan-sweep")
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     config.validate()
-    keep_freed_memory()
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .bands import (BesovSpec, DyadicBank, besov_norm, intersection_norm, lowpass_hom,
-                    lowpass_nonhom)
+from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
 from .solver import StepperConfig, Trajectory, run, z_norm, z_record
 
@@ -128,11 +127,7 @@ def _difference_norm(sa, sb, bank: DyadicBank, s: float, q: float) -> float:
     """|omega_a - omega_b| in (B^{s-2} cap H^-1) + |rho_a - rho_b| in B^{s-1}."""
     # both iterates are mean-zero in omega; the difference's mean is pure
     # round-off and would trip the homogeneous-norm mean guard
-    dom = (sa.omega - sb.omega).drop_mean()
-    drh = sa.rho - sb.rho
-    return intersection_norm(dom, s - 2.0, q, bank) + besov_norm(
-        drh, BesovSpec(s=s - 1.0, q=q, homogeneous=False), bank
-    )
+    return z_norm((sa.omega - sb.omega).drop_mean(), sa.rho - sb.rho, bank, s - 1.0, q)
 
 
 def picard_run(

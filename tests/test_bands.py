@@ -208,15 +208,22 @@ def _per_band_besov(f, spec, bank):
         vals = [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p)
                 for j in bank.bands]
     else:
+        # a band below j_min is not resolved: read it off its profile
+        def band(j):
+            if j >= bank.j_min:
+                return project_band(f, j, bank)
+            return SpectralField(f.grid, psi0(f.grid.xi_abs / 2.0**j) * f.coeffs)
+
         vals = [lp_norm(lowpass_nonhom(f, 0, bank), spec.p)]
-        vals += [2.0 ** (spec.s * j) * lp_norm(project_band(f, j, bank), spec.p)
+        vals += [2.0 ** (spec.s * j) * lp_norm(band(j), spec.p)
                  for j in range(1, bank.j_max + 1)]
     vals = np.array(vals)
     return vals.max() if np.isinf(spec.q) else np.sum(vals**spec.q) ** (1.0 / spec.q)
 
 
-# (64, 8) and (32, 4) have j_max = 0: the nonhomogeneous norm is S_0 alone
-@pytest.mark.parametrize("n, box_scale", [(32, 1), (64, 1), (64, 8), (32, 4)])
+# (64, 8) and (32, 4) have j_max = 0: the nonhomogeneous norm is S_0 alone;
+# (64, 0.25) has j_min = 2: band 1 vanishes on the grid
+@pytest.mark.parametrize("n, box_scale", [(32, 1), (64, 1), (64, 8), (32, 4), (64, 0.25)])
 @pytest.mark.parametrize("homogeneous", [True, False])
 def test_batched_l2_besov_matches_per_band(n, box_scale, homogeneous):
     # p = 2 sums all bands in one batch; every p selects the bands at once

@@ -29,7 +29,7 @@ from strat2d.grid import (
     hminus1_norm,
     inverse_transform,
     lp_norm,
-    lp_norm_unchecked,
+    lp_norms_unchecked,
     phase_multiplier,
 )
 from strat2d.solver import StepperConfig, run
@@ -167,8 +167,8 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     # the per-node loop: one propagated copy of f, transformed on its own
     times = np.linspace(0.0, t_max, nodes)
     vals = np.array([
-        lp_norm_unchecked(SpectralField(
-            grid, cutoff_hat * phase_multiplier(grid, kappa * t, 1.0, sign) * f.coeffs), r)
+        lp_norms_unchecked(
+            grid, cutoff_hat * phase_multiplier(grid, kappa * t, 1.0, sign) * f.coeffs, r)
         for t in times
     ])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)

@@ -28,7 +28,6 @@ from strat2d.grid import (
     lambda_power,
     load_field,
     lp_norm,
-    lp_norm_unchecked,
     lp_norms_unchecked,
     multiply,
     phase_multiplier,
@@ -235,7 +234,7 @@ def test_advect_transforms_a_velocity_once(grid, monkeypatch):
 def test_batched_norms_match_single_fields(grid, p):
     fields = [random_real_field(grid, seed=s) for s in (10, 11, 12)]
     batch = lp_norms_unchecked(grid, np.stack([f.coeffs for f in fields]), p)
-    single = [lp_norm_unchecked(f, p) for f in fields]
+    single = [lp_norms_unchecked(grid, f.coeffs, p) for f in fields]
     assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
 
 

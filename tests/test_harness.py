@@ -3,7 +3,7 @@ import dataclasses
 import json
 import os
 import platform
-import resource
+import subprocess
 import sys
 import threading
 import warnings
@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strat2d import estimates, harness, picard
+import strat2d
+from strat2d import cli, estimates, harness, picard
+from strat2d.cli import SUBCOMMANDS
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
-from strat2d.fields import random_spectrum
-from strat2d.grid import GridSpec, dealias
 from strat2d.harness import (
     ExperimentConfig,
     _nondecreasing_per_seed,
@@ -26,7 +26,6 @@ from strat2d.harness import (
     thread_count,
     write_csv,
 )
-from strat2d.solver import SimState, StepperConfig, cfl_dt, step
 
 
 def write_config(path, payload):
@@ -175,35 +174,53 @@ def test_single_worker_sweep_runs_off_the_main_thread(tmp_path, monkeypatch):
     assert threading.main_thread() not in threads
 
 
+# a thread stepping at N=128, 3 warm-up steps, then three 20-step windows;
+# prints each window's minor page faults
+_STEPPING_SCRIPT = """
+import json, resource, threading
+from strat2d.fields import random_spectrum
+from strat2d.grid import GridSpec, dealias
+from strat2d.solver import SimState, StepperConfig, cfl_dt, step
+
+grid = GridSpec(128)
+omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
+cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
+faults = []
+
+def stepping():
+    state = SimState(dealias(omega), dealias(rho), 0.0, 256.0)
+    for _ in range(3):  # warm-up: plans, cached symbols, the heap itself
+        state = step(state, cfl_dt(state, cfg), cfg)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for _ in range(20):
+            state = step(state, cfl_dt(state, cfg), cfg)
+        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+
+thread = threading.Thread(target=stepping)
+thread.start()
+thread.join()
+print(json.dumps(faults))
+"""
+
+
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
                     reason="glibc's malloc thresholds")
 def test_stepping_thread_keeps_its_freed_memory():
-    # without keep_freed_memory a thread stepping at N=128 faults its freed
-    # per-step temporaries in again: thousands of minor faults in 20 steps.
-    # With it, the heap may still grow once by one array (33 pages), at a
-    # step that depends on the process's allocation history, so the best of
-    # three 20-step windows is judged.
-    harness.keep_freed_memory()
-    grid = GridSpec(128)
-    omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0,
-                                 xi_lo=0.5, xi_hi=4.0)
-    cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
-    faults = []
-
-    def stepping():
-        state = SimState(dealias(omega), dealias(rho), 0.0, 256.0)
-        for _ in range(3):  # warm-up: plans, cached symbols, the heap itself
-            state = step(state, cfl_dt(state, cfg), cfg)
-        for _ in range(3):
-            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-            for _ in range(20):
-                state = step(state, cfl_dt(state, cfg), cfg)
-            faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
-
-    thread = threading.Thread(target=stepping)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
+    # importing strat2d alone sets the malloc thresholds: without them a
+    # thread stepping at N=128 faults its freed per-step temporaries in
+    # again, thousands of minor faults in 20 steps.  With them the heap may
+    # still grow once by one array (33 pages), at a step that depends on the
+    # process's allocation history, so the best of three 20-step windows is
+    # judged.  A fresh interpreter, so that no earlier test has set them.
+    src = str(Path(strat2d.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("GLIBC_TUNABLES", None)
+    done = subprocess.run([sys.executable, "-c", _STEPPING_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
     assert len(faults) == 3 and min(faults) <= 20, faults
 
 
@@ -337,15 +354,38 @@ def test_cli_override(tmp_path):
     {"grid": {"n": 16}},                      # too small for a dyadic bank
     {"kind": "verify-estimates", "lemma": "nope"},
     {"kind": "verify-estimates", "lemma": "all", "s": 0.0},  # bracket needs s > 0
+    # values that would fail only once the run is under way, or not at all
+    {"kind": "simulate", "n_samples": 1},
+    {"kind": "lifespan-sweep", "n_samples": 1},  # no step: t_life = t_max
+    {"kind": "picard", "n_samples": 1},
+    {"kind": "lifespan-sweep", "threshold": 0.0},
+    {"kind": "picard", "n_max": 0},
+    {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0}},
+    {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0,
+                                         "gamma": 0.0}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
                         {"kind": "bands", "grid": {"n": 64},
                          "output_dir": str(tmp_path / "out"), **change})
-    command = "verify-estimates" if change.get("kind") == "verify-estimates" else "bands"
+    command = {kind: verb for verb, kind in SUBCOMMANDS.items()}[change.get("kind", "bands")]
     assert cli_main([command, "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    # exit 1 means a quality flag failed; a defect must not look like one
+    def broken(config):
+        raise RuntimeError("broken driver")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    path = write_config(tmp_path / "cfg.json", {"kind": "bands", "grid": {"n": 64},
+                                                "output_dir": str(tmp_path / "out")})
+    assert cli_main(["bands", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuntimeError: broken driver")
+    assert "Traceback" in err
 
 
 VERIFY_CONFIG = {"kind": "verify-estimates", "grid": {"n": 32}, "lemma": "all", "trials": 2}
@@ -498,10 +538,18 @@ def test_strichartz_member_error_is_isolated(tmp_path, monkeypatch):
     assert cli_main(["strichartz-sweep", "--config", path]) == 1
 
 
-def test_picard_error_is_not_isolated(tmp_path):
+def test_picard_error_is_not_isolated(tmp_path, monkeypatch):
     # picard maps one data set over kappa; an error aborts the experiment
-    with pytest.raises(ValueError, match="n_max"):
-        run_experiment(small_config("picard", tmp_path / "out", n_max=0))
+    real = harness.picard_run
+
+    def failing(omega0, rho0, kappa, *args, **kwargs):
+        if kappa == 0.5:
+            raise RuntimeError("iteration failed")
+        return real(omega0, rho0, kappa, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "picard_run", failing)
+    with pytest.raises(RuntimeError, match="iteration failed"):
+        run_experiment(small_config("picard", tmp_path / "out"))
 
 
 @pytest.mark.parametrize("kind, members", [
