@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from numpy.fft import irfft2, rfft2
 
 from .errors import (
     GridMismatchError,

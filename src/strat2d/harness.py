@@ -55,6 +55,11 @@ def thread_count() -> int:
 # ---------------------------------------------------------------------------
 # configuration
 
+# keys that hold a real number (NaN refused), and keys that hold a count
+REAL_KEYS = ("dt", "t_final", "s", "q", "threshold", "t_max", "spread_limit",
+             "gamma", "window", "alpha")
+COUNT_KEYS = ("n_samples", "n_max", "trials")
+
 
 @dataclass
 class ExperimentConfig:
@@ -97,6 +102,14 @@ class ExperimentConfig:
             raise ConfigError(f"r must be a number or \"inf\", got {self.r!r}") from exc
 
     def validate(self) -> None:
+        for key in REAL_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+        for key in COUNT_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; have {KINDS}")
         if not self.kappa_list:

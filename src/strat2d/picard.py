@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
@@ -56,12 +55,11 @@ class FrozenVelocity:
         self.times = times
         self.grid = velocities[0].grid
         if len(times) >= 2:
-            u1 = np.stack([v.u1.coeffs for v in velocities])
-            u2 = np.stack([v.u2.coeffs for v in velocities])
-            self._s1 = CubicSpline(times, u1, axis=0)
-            self._s2 = CubicSpline(times, u2, axis=0)
+            # one spline for both components: axis 1 is (u1, u2)
+            samples = np.stack([np.stack([v.u1.coeffs, v.u2.coeffs]) for v in velocities])
+            self._spline = _CubicSpline(times, samples)
         else:
-            self._s1 = self._s2 = None
+            self._spline = None
             self._only = velocities[0]
         self._recent = []  # the last two (t, velocity) answers
 
@@ -73,7 +71,7 @@ class FrozenVelocity:
         """The velocity at t.  The last two answers are kept: with a fixed dt
         the RK stages ask for t + dt/2 twice and the next step starts at the
         previous stage 4's time, so half the queries repeat."""
-        if self._s1 is None:
+        if self._spline is None:
             return self._only
         for t_seen, u in self._recent:
             if t_seen == t:
@@ -81,10 +79,8 @@ class FrozenVelocity:
         if t < self.times[0] - 1e-9 or t > self.times[-1] + 1e-9:
             raise ValueError(f"frozen velocity queried at t={t} outside [{self.times[0]}, {self.times[-1]}]")
         tc = min(max(t, self.times[0]), self.times[-1])
-        u = VectorField(
-            SpectralField(self.grid, self._s1(tc)),
-            SpectralField(self.grid, self._s2(tc)),
-        )
+        u1, u2 = self._spline(tc)
+        u = VectorField(SpectralField(self.grid, u1), SpectralField(self.grid, u2))
         self._recent = self._recent[-1:] + [(t, u)]
         return u
 
@@ -93,6 +89,98 @@ class FrozenVelocity:
         times = [s.t for s in traj.snapshots]
         vels = [biot_savart(s.omega) for s in traj.snapshots]
         return cls(np.array(times), vels)
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline of samples y[i] at increasing times x[i]:
+    ``scipy.interpolate.CubicSpline(x, y, axis=0)`` ported to numpy.
+
+    From four samples on, the numbers are SciPy's bit for bit: the slopes
+    solve SciPy's tridiagonal system by LAPACK gtsv's elimination with
+    partial pivoting (the matrix is real, so it runs on the float view of the
+    right-hand side with scalar pivots), and `__call__` sums the terms in
+    SciPy's `PPoly` order.  Two samples give the chord, and three the
+    parabola through them (a dense 3 x 3 solve, SciPy's to round-off).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        m = len(x)
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("spline times must increase strictly")
+        dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        if m == 2:
+            s = np.concatenate([slope, slope])
+        elif m == 3:
+            a = np.array([[1.0, 1.0, 0.0],
+                          [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                          [0.0, 1.0, 1.0]])
+            b = np.stack([2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]),
+                          2 * slope[1]])
+            s = np.linalg.solve(a, b.reshape(3, -1)).reshape(b.shape)
+        else:
+            # rows 1 .. m-2: continuity of the second derivative; rows 0 and
+            # m-1: continuity of the third across the first and last knots
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            b = np.empty(y.shape, dtype=y.dtype)
+            b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+            lower = np.append(dx[1:], d1)
+            diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
+            upper = np.insert(dx[:-1], 0, d0)
+            s = _gtsv(lower, diag, upper, b.reshape(m, -1).view(float))
+            s = s.view(y.dtype).reshape(y.shape)
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        # c[k, i] multiplies (t - x[i])**(3 - k) on [x[i], x[i+1]]
+        self.c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+    def __call__(self, t: float) -> np.ndarray:
+        """The spline at t, extrapolating the end pieces outside [x[0], x[-1]]."""
+        x = self.x
+        i = min(max(int(np.searchsorted(x, t, side="right")) - 1, 0), len(x) - 2)
+        h = t - x[i]
+        c = self.c[:, i]
+        # SciPy's PPoly order: ((c3 + c2 h) + c1 h^2) + c0 h^3
+        out = c[2] * h
+        out += c[3]
+        out += c[1] * (h * h)
+        out += c[0] * (h * h * h)
+        return out
+
+
+def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+          b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (lower, diag, upper) x = b in place of b,
+    by LAPACK gtsv's Gaussian elimination with row interchanges."""
+    n = len(diag)
+    dl, d, du = lower.tolist(), diag.tolist(), upper.tolist()
+    for k in range(n - 1):
+        if dl[k] == 0.0:
+            if d[k] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal system")
+        elif abs(d[k]) >= abs(dl[k]):
+            mult = dl[k] / d[k]
+            d[k + 1] -= mult * du[k]
+            b[k + 1] -= mult * b[k]
+            if k < n - 2:
+                dl[k] = 0.0
+        else:  # interchange rows k and k + 1
+            mult = d[k] / dl[k]
+            d[k], d[k + 1], du[k] = dl[k], du[k] - mult * d[k + 1], d[k + 1]
+            if k < n - 2:
+                dl[k] = du[k + 1]
+                du[k + 1] = -mult * dl[k]
+            b[k], b[k + 1] = b[k + 1], b[k] - mult * b[k + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for k in range(n - 3, -1, -1):
+        b[k] = (b[k] - du[k] * b[k + 1] - dl[k] * b[k + 2]) / d[k]
+    return b
 
 
 # ---------------------------------------------------------------------------

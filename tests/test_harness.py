@@ -224,6 +224,21 @@ def test_stepping_thread_keeps_its_freed_memory():
     assert len(faults) == 3 and min(faults) <= 20, faults
 
 
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test oracle only: importing the CLI, which imports every
+    # module of the package, must not load it.  A fresh interpreter, so that
+    # no earlier test has imported it.
+    src = str(Path(strat2d.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = ("import json, sys, strat2d.cli; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
 def test_strichartz_manifest_config_rebuilds(tmp_path):
     # the manifest spells r = infinity "inf"; the config it records rebuilds
     manifest = run_experiment(small_config("strichartz", tmp_path / "out"))
@@ -363,6 +378,19 @@ def test_cli_override(tmp_path):
     {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0}},
     {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0,
                                          "gamma": 0.0}},
+    # a numeric key of the wrong type
+    {"kind": "lifespan-sweep", "threshold": "abc"},
+    {"kind": "lifespan-sweep", "t_max": None},
+    {"kind": "simulate", "dt": "0.01"},
+    {"kind": "simulate", "t_final": [1.0]},
+    {"kind": "simulate", "s": True},
+    {"kind": "simulate", "dt": float("nan")},
+    {"kind": "strichartz", "window": {"t": 0.5}},
+    # a count that is not an integer
+    {"kind": "picard", "n_samples": 2.5},
+    {"kind": "picard", "n_max": 1.5},
+    {"kind": "verify-estimates", "trials": 10.5},
+    {"kind": "verify-estimates", "trials": "10"},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",

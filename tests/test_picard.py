@@ -18,6 +18,7 @@ from strat2d.grid import (
 )
 from strat2d.picard import (
     FrozenVelocity,
+    _CubicSpline,
     cauchy_ratios,
     linear_solve,
     mollify_initial,
@@ -210,16 +211,70 @@ def test_picard_reproduces_recorded_iterates():
                 for tr in traces] == expected["a_bar_n"]
 
 
+def _spline_case(m, uniform, seed):
+    """Times and complex samples of shape (m, 2, 6, 4), a few entries zero."""
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = np.linspace(0.0, 0.25, m)
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, m) ** 3) - 0.3
+    y = rng.standard_normal((m, 2, 6, 4)) + 1j * rng.standard_normal((m, 2, 6, 4))
+    y[:, 0, 0, 0] = 0.0
+    y[:, 1, 0, 0] = -0.0
+    return x, y
+
+
+def _spline_queries(x, seed):
+    """The breakpoints and points between them."""
+    rng = np.random.default_rng(seed)
+    return [*x, *rng.uniform(x[0], x[-1], 12), *(0.5 * (x[1:] + x[:-1]))]
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("m", [4, 5, 6, 11, 21, 26])
+def test_spline_matches_scipy_bit_for_bit(m, uniform):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = _spline_case(m, uniform, seed=m)
+    ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
+    assert ours.c.view(np.uint64).tolist() == ref.c.view(np.uint64).tolist()
+    for t in _spline_queries(x, seed=m):
+        assert np.array_equal(ours(t).view(np.uint64), ref(t).view(np.uint64)), t
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_two_and_three_sample_splines_match_scipy(uniform):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = _spline_case(2, uniform, seed=2)
+    ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
+    assert np.array_equal(ours.c, ref.c)  # the chord
+    assert not ours.c[:2].any()
+    for t in _spline_queries(x, seed=2):
+        assert np.array_equal(ours(t), ref(t))
+    x, y = _spline_case(3, uniform, seed=3)
+    ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
+    scale = np.abs(ref.c).max()
+    assert np.abs(ours.c - ref.c).max() <= 1e-14 * scale
+    for t in _spline_queries(x, seed=3):
+        want = ref(t)
+        assert np.abs(ours(t) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_spline_refuses_unordered_times():
+    y = np.ones((4, 3), complex)
+    with pytest.raises(ValueError):
+        _CubicSpline(np.array([0.0, 0.1, 0.1, 0.2]), y)
+
+
 def _counting_spline(frozen):
     """Record the times at which the frozen velocity's spline is evaluated."""
     seen = []
-    spline = frozen._s1
+    spline = frozen._spline
 
     def counted(t):
         seen.append(t)
         return spline(t)
 
-    frozen._s1 = counted
+    frozen._spline = counted
     return seen
 
 
