@@ -16,18 +16,10 @@ import sys
 import traceback
 
 from .errors import ConfigError, Strat2dError
-from .harness import load_config, run_experiment
+from .harness import KINDS, load_config, run_experiment
 
 # CLI verb -> ExperimentConfig.kind
-SUBCOMMANDS = {
-    "simulate": "simulate",
-    "picard": "picard",
-    "strichartz-sweep": "strichartz",
-    "lifespan-sweep": "lifespan-sweep",
-    "verify-estimates": "verify-estimates",
-    "kappa0": "kappa0",
-    "bands": "bands",
-}
+SUBCOMMANDS = {verb: kind for kind, (verb, *_) in KINDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

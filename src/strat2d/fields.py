@@ -1,9 +1,10 @@
 """Initial-data presets and seeded random spectral fields.
 
 Random fields are built per integer wave vector from a counter-based
-(Philox) stream in a fixed ordering, so the same seed yields the same
-spectrum on any grid that resolves it.  This is what makes the
-resolution-stability checks meaningful.
+(Philox) stream in a fixed ordering of |k_i| <= kmax.  That ordering
+depends on kmax, so the same seed yields the same spectrum on any grid that
+resolves it only with kmax pinned; the default kmax, the grid's dealias
+cutoff, draws a different field on every grid.
 """
 
 from __future__ import annotations

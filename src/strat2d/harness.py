@@ -23,9 +23,9 @@ from . import __version__
 from .bands import DyadicBank, band_profile_rows, band_range
 from .dispersive import (
     Kappa0Inputs,
-    admissible,
     fit_slope,
     kappa0_estimate,
+    require_admissible,
     strichartz_measure,
 )
 from .errors import ConfigError
@@ -33,7 +33,7 @@ from .estimates import LEMMAS, resolution_stability
 from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
-from .solver import SCHEMES, DiagnosticsRecord, StepperConfig, gronwall_fit, lifespan, run
+from .solver import DiagnosticsRecord, StepperConfig, gronwall_fit, lifespan, run
 
 DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
@@ -54,11 +54,6 @@ def thread_count() -> int:
 
 # ---------------------------------------------------------------------------
 # configuration
-
-# keys that hold a real number (NaN refused), and keys that hold a count
-REAL_KEYS = ("dt", "t_final", "s", "q", "threshold", "t_max", "spread_limit",
-             "gamma", "window", "alpha")
-COUNT_KEYS = ("n_samples", "n_max", "trials")
 
 
 @dataclass
@@ -102,16 +97,16 @@ class ExperimentConfig:
             raise ConfigError(f"r must be a number or \"inf\", got {self.r!r}") from exc
 
     def validate(self) -> None:
-        for key in REAL_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-        for key in COUNT_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        # a float key holds a real number (NaN refused), an int key a count
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "float" and not (number and value == value):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "int" and not (number and isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; have {KINDS}")
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; have {tuple(KINDS)}")
         if not self.kappa_list:
             raise ConfigError("kappa list must be nonempty")
         if not self.seeds:
@@ -119,24 +114,14 @@ class ExperimentConfig:
         name = self.initial_data.get("name")
         if name not in PRESETS:
             raise ConfigError(f"unknown initial-data preset {name!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; have {tuple(SCHEMES)}")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ConfigError("dt and t_final must be positive")
+        if self.t_final <= 0:
+            raise ConfigError("t_final must be positive")
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.threshold <= 0:
             raise ConfigError(f"threshold must be positive, got {self.threshold}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if self.kind == "kappa0":  # the default {} is incomplete
-            try:
-                Kappa0Inputs(**self.kappa0_inputs)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"kappa0_inputs {self.kappa0_inputs}: {exc}") from exc
-        if self.kind == "strichartz" and not admissible(self.gamma, self.r):
-            raise ConfigError(f"inadmissible (gamma, r) = ({self.gamma}, {self.r}): "
-                              "need 1/gamma + 1/(2r) <= 1/4")
         if self.lemma not in (*LEMMAS, "all"):
             raise ConfigError(f"unknown lemma {self.lemma!r}; have {(*LEMMAS, 'all')}")
         if self.kind == "verify-estimates":
@@ -144,11 +129,16 @@ class ExperimentConfig:
             if self.s <= s_floor:
                 raise ConfigError(f"lemma {self.lemma!r} needs s > {s_floor:g}, got {self.s}")
         grid = self.grid_spec()
-        if self.kind != "kappa0":
-            try:
+        try:  # the objects a run builds refuse what it cannot run
+            self.stepper()
+            if self.kind == "kappa0":  # the default {} is incomplete
+                Kappa0Inputs(**self.kappa0_inputs)
+            else:
                 band_range(grid)
-            except ValueError as exc:
-                raise ConfigError(f"grid {self.grid}: {exc}") from exc
+            if self.kind == "strichartz":
+                require_admissible(self.gamma, self.r)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.kind} config: {exc}") from exc
 
     def grid_spec(self) -> GridSpec:
         try:
@@ -300,11 +290,11 @@ def _parallel_map(fn, items):
         return list(pool.map(call, items))
 
 
-def _sweep(config: ExperimentConfig, one):
-    """Map one(spec) over the sweep schedule, isolating each member's crash.
+def _sweep(specs, one):
+    """Map one(spec) over the member specs, isolating each member's crash.
 
-    Returns (spec, result, entry) in schedule order; entry is the member's
-    manifest record, and result is None when the member raised.
+    Returns (spec, result, entry) in the order of specs; entry is the
+    member's manifest record, and result is None when the member raised.
     """
 
     def member(spec: RunSpec):
@@ -316,7 +306,7 @@ def _sweep(config: ExperimentConfig, one):
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
             return spec, None, entry
 
-    return _parallel_map(member, sweep_schedule(config))
+    return _parallel_map(member, specs)
 
 
 def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
@@ -348,7 +338,7 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                    s=config.s, q=config.q)
 
     files, runs = {}, []
-    for spec, traj, entry in _sweep(config, one):
+    for spec, traj, entry in _sweep(sweep_schedule(config), one):
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
             entry.update(status=traj.status, c6=gronwall_fit(traj.records))
@@ -366,7 +356,7 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                         s=config.s, q=config.q)
 
     files, rows, runs = {}, [], []
-    for spec, result, entry in _sweep(config, one):
+    for spec, result, entry in _sweep(sweep_schedule(config), one):
         if result is not None:
             t_life, traj = result
             curve = f"{spec.tag}_bcurve.csv"
@@ -379,25 +369,27 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
 
 
 def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
-    # one data set mapped over kappa: not a sweep, and an error aborts it
+    # one data set, one member per kappa
     omega0, rho0 = make_initial_data(grid, dict(config.initial_data))
     stepper = config.stepper()
-    kappas = [float(k) for k in config.kappa_list]
+    seed = config.initial_data.get("seed", 0)
+    specs = [RunSpec(index=i, kappa=float(kappa), seed=seed, scheme=config.scheme)
+             for i, kappa in enumerate(config.kappa_list)]
 
-    def one(kappa):
-        return picard_run(omega0, rho0, kappa, config.t_final, config.n_max, stepper,
+    def one(spec: RunSpec):
+        return picard_run(omega0, rho0, spec.kappa, config.t_final, config.n_max, stepper,
                           s=config.s, q=config.q, n_samples=config.n_samples, bank=bank)
 
     files, runs, traces_by_kappa = {}, [], {}
-    for kappa, traces in zip(kappas, _parallel_map(one, kappas)):
-        traces_by_kappa[kappa] = traces
-        rows = []
-        for tr in traces:
-            for i, t in enumerate(tr.t):
-                rows.append([tr.n, t, tr.a[i], tr.a_bar[i] if tr.a_bar is not None else ""])
-        files[f"picard_kappa{_kappa_tag(kappa)}.csv"] = (("n", "t", "a_n", "a_bar_n"), rows)
-        runs.append({"kappa": kappa, "status": "ok",
-                     "cauchy_ratios": [float(x) for x in cauchy_ratios(traces)]})
+    for spec, traces, entry in _sweep(specs, one):
+        if traces is not None:
+            traces_by_kappa[spec.kappa] = traces
+            rows = [[tr.n, t, tr.a[i], tr.a_bar[i] if tr.a_bar is not None else ""]
+                    for tr in traces for i, t in enumerate(tr.t)]
+            name = f"picard_kappa{_kappa_tag(spec.kappa)}.csv"
+            files[name] = (("n", "t", "a_n", "a_bar_n"), rows)
+            entry["cauchy_ratios"] = [float(x) for x in cauchy_ratios(traces)]
+        runs.append(entry)
     report = uniformity_report(traces_by_kappa, spread_limit=config.spread_limit)
     files["uniformity_report.json"] = report
     return files, {"kappa_uniform_spread": bool(report["pass"])}, runs
@@ -409,10 +401,9 @@ def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                                   config.gamma, config.r, t_max=config.window, bank=bank)
 
     rows, by_kappa, runs = [], {}, []
-    for spec, sample, entry in _sweep(config, one):
+    for spec, sample, entry in _sweep(sweep_schedule(config), one):
         if sample is not None:
-            rows.append([sample.kappa, spec.seed, sample.gamma,
-                         "inf" if np.isinf(sample.r) else sample.r,
+            rows.append([sample.kappa, spec.seed, sample.gamma, sample.r,
                          sample.t_max, sample.nodes, sample.value])
             by_kappa.setdefault(spec.kappa, []).append(sample.value)
         runs.append(entry)
@@ -462,19 +453,17 @@ def _bands(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     return files, {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}]
 
 
-# kind -> driver(config, grid[, bank]) -> (files, flags, runs)
-_DRIVERS = {
-    "simulate": _simulate,
-    "picard": _picard,
-    "strichartz": _strichartz,
-    "lifespan-sweep": _lifespan_sweep,
-    "verify-estimates": _verify_estimates,
-    "kappa0": _kappa0,
-    "bands": _bands,
+# kind -> (CLI verb, driver(config, grid[, bank]) -> (files, flags, runs),
+#          takes a bank, is a sweep: its runs decide all_runs_completed)
+KINDS = {
+    "simulate": ("simulate", _simulate, True, True),
+    "picard": ("picard", _picard, True, True),
+    "strichartz": ("strichartz-sweep", _strichartz, True, True),
+    "lifespan-sweep": ("lifespan-sweep", _lifespan_sweep, True, True),
+    "verify-estimates": ("verify-estimates", _verify_estimates, False, False),
+    "kappa0": ("kappa0", _kappa0, False, False),
+    "bands": ("bands", _bands, True, False),
 }
-KINDS = tuple(_DRIVERS)
-_BANKED = ("simulate", "picard", "strichartz", "lifespan-sweep", "bands")
-_SWEEPS = ("simulate", "strichartz", "lifespan-sweep")
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -483,9 +472,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     grid = config.grid_spec()
-    args = (config, grid, DyadicBank(grid)) if config.kind in _BANKED else (config, grid)
-    files, flags, runs = _DRIVERS[config.kind](*args)
-    if config.kind in _SWEEPS:
+    _, driver, banked, sweep = KINDS[config.kind]
+    files, flags, runs = driver(config, grid, DyadicBank(grid)) if banked else driver(config, grid)
+    if sweep:
         completed = all(r["status"] in ("ok", "blowup") for r in runs)
         flags = {"all_runs_completed": completed, **flags}
     for name, content in files.items():

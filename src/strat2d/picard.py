@@ -280,7 +280,8 @@ def cauchy_ratios(traces) -> np.ndarray:
 
 
 def uniformity_report(traces_by_kappa: dict, spread_limit: float = 1.5) -> dict:
-    """Per-kappa sup_{n,t} A_n / A_0 table with a spread pass flag."""
+    """Per-kappa sup_{n,t} A_n / A_0 table with a spread pass flag, which
+    fails when no kappa completed."""
     entries = {}
     for kappa, traces in traces_by_kappa.items():
         a0 = traces[0].a0
@@ -292,5 +293,5 @@ def uniformity_report(traces_by_kappa: dict, spread_limit: float = 1.5) -> dict:
         "sup_ratio_by_kappa": entries,
         "spread": spread,
         "spread_limit": spread_limit,
-        "pass": spread < spread_limit,
+        "pass": bool(entries) and spread < spread_limit,
     }

@@ -142,7 +142,7 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
-@pytest.mark.parametrize("kind", ["simulate", "lifespan-sweep", "strichartz"])
+@pytest.mark.parametrize("kind", ["simulate", "lifespan-sweep", "strichartz", "picard"])
 def test_sweep_reruns_byte_identical(tmp_path, monkeypatch, kind):
     outputs, runs = {}, {}
     for label, threads in (("one", "1"), ("two", "4")):
@@ -464,6 +464,14 @@ def test_readme_names_every_config_key():
     assert all(f"`{name}`" in lemma_row for name in (*estimates.LEMMAS, "all"))
 
 
+def test_readme_subcommand_table_lists_every_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand |", 1)[1].split("\n\n", 1)[0]
+    verbs = [line.split("|")[1].strip().strip("`") for line in table.splitlines()
+             if line.startswith("| `")]
+    assert sorted(verbs) == sorted(verb for verb, *_ in harness.KINDS.values())
+
+
 def test_readme_simulate_at_n128(tmp_path):
     # the diagnostics' top-band norms used to trip the Hermitian guard at N >= 96
     path = write_config(tmp_path / "sim.json",
@@ -566,8 +574,9 @@ def test_strichartz_member_error_is_isolated(tmp_path, monkeypatch):
     assert cli_main(["strichartz-sweep", "--config", path]) == 1
 
 
-def test_picard_error_is_not_isolated(tmp_path, monkeypatch):
-    # picard maps one data set over kappa; an error aborts the experiment
+def test_picard_member_error_is_isolated(tmp_path, monkeypatch):
+    # picard maps one data set over kappa, one sweep member per kappa: a kappa
+    # that raises is recorded, and the other kappa's iterates are still written
     real = harness.picard_run
 
     def failing(omega0, rho0, kappa, *args, **kwargs):
@@ -576,8 +585,31 @@ def test_picard_error_is_not_isolated(tmp_path, monkeypatch):
         return real(omega0, rho0, kappa, *args, **kwargs)
 
     monkeypatch.setattr(harness, "picard_run", failing)
-    with pytest.raises(RuntimeError, match="iteration failed"):
-        run_experiment(small_config("picard", tmp_path / "out"))
+    manifest = run_experiment(small_config("picard", tmp_path / "out"))
+    by_kappa = {r["kappa"]: r for r in manifest.runs}
+    assert by_kappa[0.5] == {"tag": "run001_kappa0p5_seed7_ifrk4", "kappa": 0.5, "seed": 7,
+                             "scheme": "ifrk4", "status": "error",
+                             "error": "RuntimeError: iteration failed"}
+    assert by_kappa[16.0]["status"] == "ok" and "cauchy_ratios" in by_kappa[16.0]
+    assert [name for name in manifest.outputs if name.endswith(".csv")] == ["picard_kappa16.csv"]
+    assert (tmp_path / "out" / "picard_kappa16.csv").exists()
+    assert manifest.flags["all_runs_completed"] is False
+    path = write_config(tmp_path / "cfg.json",
+                        dict(SMALL["picard"], output_dir=str(tmp_path / "cli")))
+    assert cli_main(["picard", "--config", path]) == 1
+
+
+def test_picard_with_no_completed_kappa_fails_uniformity(tmp_path, monkeypatch):
+    # a spread over no kappa is no evidence of uniformity
+    def failing(*args, **kwargs):
+        raise RuntimeError("iteration failed")
+
+    monkeypatch.setattr(harness, "picard_run", failing)
+    manifest = run_experiment(small_config("picard", tmp_path / "out"))
+    assert [r["status"] for r in manifest.runs] == ["error", "error"]
+    assert manifest.flags == {"all_runs_completed": False, "kappa_uniform_spread": False}
+    with open(tmp_path / "out" / "uniformity_report.json") as fh:
+        assert json.load(fh)["pass"] is False
 
 
 @pytest.mark.parametrize("kind, members", [

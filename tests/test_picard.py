@@ -320,3 +320,17 @@ def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypat
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3, bank=bank)
     assert len(traces) == 3 and all(np.isfinite(tr.a).all() for tr in traces)
+
+
+def test_picard_keeps_hermitian_symmetry_exactly(grid, bank, smooth_data):
+    # the iterates and the frozen velocity interpolated between their samples
+    # (a real spline of Hermitian samples) are Hermitian to the last bit
+    omega0, rho0 = smooth_data
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    _, snaps = picard_run(omega0, rho0, 16.0, 0.1, 2, cfg, n_samples=6, bank=bank,
+                          return_states=True)
+    frozen = FrozenVelocity([s.t for s in snaps], [biot_savart(s.omega) for s in snaps])
+    velocities = [frozen(t) for t in np.linspace(0.0, 0.1, 37)]
+    parts = [f for s in snaps for f in (s.omega, s.rho)]
+    parts += [f for u in velocities for f in (u.u1, u.u2)]
+    assert [f.hermitian_defect() for f in parts] == [0.0] * len(parts)

@@ -338,6 +338,24 @@ def test_step_path_calls_no_blas_norm(monkeypatch, scheme):
     assert new.t > 0 and np.isfinite(new.omega.coeffs).all()
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_steps_keep_hermitian_symmetry_exactly(grid, bank, scheme, adaptive):
+    # exact, not within the guard's tolerance: the forward transform
+    # symmetrizes its output, every symbol is even or odd under k1 -> -k1
+    # (with the Nyquist rule), and complex products commute with conjugation.
+    # A change that breaks this fails here rather than as a late
+    # HermitianSymmetryError.
+    omega, rho = random_spectrum(grid, seed=5, amplitude=2.0)
+    cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
+    traj = run(omega, rho, 16.0, 0.1, cfg, n_samples=6, store_snapshots=True, bank=bank)
+    assert traj.status == "ok" and len(traj.snapshots) == 6
+    velocities = [snap.own_velocity() for snap in traj.snapshots]
+    parts = [f for snap in traj.snapshots for f in (snap.omega, snap.rho)]
+    parts += [f for u in velocities for f in (u.u1, u.u2)]
+    assert [f.hermitian_defect() for f in parts] == [0.0] * len(parts)
+
+
 with open(Path(__file__).parent / "data" / "full_layout_diagnostics.json") as fh:
     FULL_LAYOUT = json.load(fh)
 
