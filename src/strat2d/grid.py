@@ -513,33 +513,24 @@ def _half_spectrum(grid: GridSpec, full: np.ndarray) -> SpectralField:
     return SpectralField(grid, _symmetrize_columns(half))
 
 
-def save_field(f: SpectralField, path, kind: str = "coeffs") -> None:
-    """Write a self-describing field snapshot (.npz)."""
-    if kind not in ("coeffs", "samples"):
-        raise ValueError("kind must be 'coeffs' or 'samples'")
-    payload = {
-        "format": np.array("strat2d-field-v1"),
-        "kind": np.array(kind),
-        "n": np.array(f.grid.n),
-        "box_scale": np.array(f.grid.box_scale),
-        "dealias_fraction": np.array(f.grid.dealias_fraction),
-    }
-    if kind == "coeffs":
-        payload["coeffs"] = _full_spectrum(f.coeffs)
-    else:
-        payload["samples"] = inverse_transform(f)  # row-major, x2 fastest
-    np.savez(path, **payload)
+def save_field(f: SpectralField, path) -> None:
+    """Write a self-describing field snapshot (.npz): the full n x n spectrum
+    in np.fft layout."""
+    np.savez(path, format=np.array("strat2d-field-v1"), kind=np.array("coeffs"),
+             n=np.array(f.grid.n), box_scale=np.array(f.grid.box_scale),
+             dealias_fraction=np.array(f.grid.dealias_fraction),
+             coeffs=_full_spectrum(f.coeffs))
 
 
 def load_field(path) -> SpectralField:
     with np.load(path) as data:
-        if str(data["format"]) != "strat2d-field-v1":
+        if str(data.get("format")) != "strat2d-field-v1":
             raise ValueError("not a strat2d field snapshot")
+        if str(data.get("kind")) != "coeffs":
+            raise ValueError(f"snapshot kind {str(data.get('kind'))!r} is not 'coeffs'")
         grid = GridSpec(
             n=int(data["n"]),
             box_scale=float(data["box_scale"]),
             dealias_fraction=float(data["dealias_fraction"]),
         )
-        if str(data["kind"]) == "coeffs":
-            return _half_spectrum(grid, data["coeffs"])
-        return forward_transform(grid, data["samples"])
+        return _half_spectrum(grid, data["coeffs"])

@@ -114,14 +114,12 @@ class ExperimentConfig:
         name = self.initial_data.get("name")
         if name not in PRESETS:
             raise ConfigError(f"unknown initial-data preset {name!r}")
-        if self.t_final <= 0:
-            raise ConfigError("t_final must be positive")
-        if self.n_samples < 2:
-            raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.threshold <= 0:
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        for key in ("t_final", "threshold", "t_max", "window"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key, least in (("n_samples", 2), ("n_max", 1), ("trials", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.lemma not in (*LEMMAS, "all"):
             raise ConfigError(f"unknown lemma {self.lemma!r}; have {(*LEMMAS, 'all')}")
         if self.kind == "verify-estimates":
@@ -341,7 +339,7 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     for spec, traj, entry in _sweep(sweep_schedule(config), one):
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
-            entry.update(status=traj.status, c6=gronwall_fit(traj.records))
+            entry.update(status=traj.status, t_stop=traj.t_stop, c6=gronwall_fit(traj.records))
             if config.snapshots:
                 files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
         runs.append(entry)
@@ -361,10 +359,14 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
             t_life, traj = result
             curve = f"{spec.tag}_bcurve.csv"
             files[curve] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
-            rows.append([spec.kappa, spec.seed, t_life, curve])
+            entry.update(status=traj.status, t_stop=traj.t_stop)
+            if t_life is not None:
+                rows.append([spec.kappa, spec.seed, t_life, curve])
         runs.append(entry)
     files["lifespan_table.csv"] = (("kappa", "seed", "t_life", "b_curve_file"), rows)
-    flags = {"lifespan_nondecreasing_5pct": _nondecreasing_per_seed(r[:3] for r in rows)}
+    # a member without a lifespan (blown up or raised) fails the trend
+    flags = {"lifespan_nondecreasing_5pct": len(rows) == len(runs)
+             and _nondecreasing_per_seed(r[:3] for r in rows)}
     return files, flags, runs
 
 

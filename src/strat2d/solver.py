@@ -96,9 +96,9 @@ class Trajectory:
     kappa: float
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # SimState at sample times
-    status: str = "ok"  # "ok" | "blowup"
-    t_end: float = 0.0
     nonlinear: bool = True  # whether the advection terms were active
+    status: str = "ok"  # "ok" | "blowup"
+    t_stop: float = 0.0  # t_final, the stop rule's crossing, or the blow-up time
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -287,7 +287,7 @@ def run(
     q: float = 1.0,
     velocity=None,
     nonlinear: bool = True,
-    stop_when=None,
+    stop=None,
     record=None,
 ) -> Trajectory:
     """Integrate to t_final, recording diagnostics at n_samples equally
@@ -297,9 +297,15 @@ def run(
     Biot-Savart velocity; nonlinear=False drops the advection terms.
     `record(state, bank, s, q, prev)` makes each sample's record; it must
     carry `t` and `z`, and defaults to the full `diagnostics`.
-    `stop_when(record)` -> bool triggers an early stop (used by `lifespan`).
-    Raises nothing on suspected blow-up: the trajectory is returned with
-    status "blowup" and whatever records were collected.
+    `stop = (name, threshold)` ends the run at the first sample whose record
+    field `name` reaches threshold; raises ValueError when the data's record
+    already does.
+
+    How the run ended is decided here alone, in `status` and `t_stop`:
+    "ok" with t_stop = t_final, or the stop rule's crossing interpolated
+    linearly from the previous sample; "blowup" (non-finite coefficients
+    after a step, or z beyond GUARD_FACTOR z(0) at a sample) with t_stop
+    the time it was seen, and whatever records were collected.
     """
     require_mean_zero(omega0, "time integration")
     grid = omega0.grid
@@ -310,8 +316,10 @@ def run(
         record = diagnostics
 
     state = SimState(omega0, rho0, 0.0, kappa)
-    traj = Trajectory(grid=grid, kappa=kappa, nonlinear=nonlinear)
+    traj = Trajectory(grid=grid, kappa=kappa, nonlinear=nonlinear, t_stop=t_final)
     rec = record(state, bank, s, q, None)
+    if stop is not None and getattr(rec, stop[0]) >= stop[1]:
+        raise ValueError(f"the data already meets the stop rule {stop[0]} >= {stop[1]}")
     traj.records.append(rec)
     if store_snapshots:  # copies, which do not keep the velocity memo
         traj.snapshots.append(replace(state))
@@ -323,19 +331,22 @@ def run(
                 dt = cfl_dt(state, config, velocity) if config.adaptive else config.dt
                 dt = min(dt, target - state.t)
                 state = step(state, dt, config, velocity, nonlinear=nonlinear)
-        except BlowupSuspectedError:
-            traj.status = "blowup"
+        except BlowupSuspectedError as exc:
+            traj.status, traj.t_stop = "blowup", exc.t
             break
-        rec = record(state, bank, s, q, traj.records[-1])
+        prev, rec = rec, record(state, bank, s, q, rec)
         traj.records.append(rec)
         if store_snapshots:
             traj.snapshots.append(replace(state))
         if not np.isfinite(rec.z) or (z0 > 0 and rec.z > GUARD_FACTOR * z0):
-            traj.status = "blowup"
+            traj.status, traj.t_stop = "blowup", rec.t
             break
-        if stop_when is not None and stop_when(rec):
+        if stop is not None and getattr(rec, stop[0]) >= stop[1]:
+            # the crossing, linear inside the last sample interval
+            before, after = getattr(prev, stop[0]), getattr(rec, stop[0])
+            frac = (stop[1] - before) / (after - before)
+            traj.t_stop = float(prev.t + frac * (rec.t - prev.t))
             break
-    traj.t_end = traj.records[-1].t
     return traj
 
 
@@ -348,28 +359,14 @@ def lifespan(
     config: StepperConfig,
     **run_kwargs,
 ):
-    """First time B(t) = int (|grad rho|_inf + |grad u|_inf) crosses theta.
+    """First time B(t) = int (|grad rho|_inf + |grad u|_inf) reaches theta:
+    `run` to t_max with the stop rule ("b_integral", theta).
 
-    Returns (t_life, trajectory); t_life = t_max when no crossing occurs.
+    Returns (t_life, trajectory): t_life is the run's t_stop (t_max when B
+    stays below theta), or None when the run blew up.
     """
-    if theta <= 0:
-        raise ValueError("threshold must be positive")
-    traj = run(
-        omega0, rho0, kappa, t_max, config,
-        stop_when=lambda r: r.b_integral >= theta,
-        **run_kwargs,
-    )
-    b = traj.column("b_integral")
-    t = traj.column("t")
-    above = np.nonzero(b >= theta)[0]
-    if above.size == 0:
-        return t_max, traj
-    i = above[0]
-    if i == 0:
-        return float(t[0]), traj
-    # linear interpolation of the crossing inside the last sample interval
-    frac = (theta - b[i - 1]) / (b[i] - b[i - 1])
-    return float(t[i - 1] + frac * (t[i] - t[i - 1])), traj
+    traj = run(omega0, rho0, kappa, t_max, config, stop=("b_integral", theta), **run_kwargs)
+    return (traj.t_stop if traj.status == "ok" else None), traj
 
 
 def gronwall_fit(records) -> float:

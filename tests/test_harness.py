@@ -374,6 +374,9 @@ def test_cli_override(tmp_path):
     {"kind": "lifespan-sweep", "n_samples": 1},  # no step: t_life = t_max
     {"kind": "picard", "n_samples": 1},
     {"kind": "lifespan-sweep", "threshold": 0.0},
+    {"kind": "lifespan-sweep", "t_max": 0.0},  # every t_life would read 0.0
+    {"kind": "strichartz", "window": 0.0},  # fails each member at run time
+    {"kind": "verify-estimates", "trials": 0},  # a flag judged on no trials
     {"kind": "picard", "n_max": 0},
     {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0}},
     {"kind": "kappa0", "kappa0_inputs": {"t": 1.0, "z": 1.0, "c6": 1.0, "c7": 1.0,
@@ -464,6 +467,17 @@ def test_readme_names_every_config_key():
     assert all(f"`{name}`" in lemma_row for name in (*estimates.LEMMAS, "all"))
 
 
+def test_readme_names_every_manifest_run_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = " ".join(readme.split("manifest's `runs` as", 1)[1].split()).split("`")[1]
+    documented = {key.strip(" {}?") for key in schema.split(",")}
+    for kind in ("simulate", "lifespan-sweep"):
+        manifest = run_experiment(small_config(kind, tmp_path / kind, grid={"n": 32},
+                                               kappa_list=[0.0], seeds=[1]))
+        carried = {key for entry in manifest.runs for key in entry}
+        assert carried <= documented, f"README's runs schema lacks {carried - documented}"
+
+
 def test_readme_subcommand_table_lists_every_kind():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| subcommand |", 1)[1].split("\n\n", 1)[0]
@@ -541,6 +555,29 @@ def test_lifespan_sweep_draws_data_from_each_seed(tmp_path):
     curves = [(tmp_path / "out" / r["b_curve_file"]).read_text() for r in rows]
     assert curves[0] != curves[1]
     assert manifest.flags["lifespan_nondecreasing_5pct"]
+
+
+def test_lifespan_member_that_blows_up_has_no_lifespan(tmp_path, capsys):
+    # rk4 at kappa=1e4 with a coarse step goes non-finite within a few steps:
+    # the member is a blow-up, not one that lived to t_max
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "lifespan-sweep", "grid": {"n": 32}, "scheme": "rk4", "dt": 0.05,
+        "initial_data": {"name": "random-spectrum", "amplitude": 1.0,
+                         "xi_lo": 0.5, "xi_hi": 4.0},
+        "kappa_list": [0.0, 1e4], "seeds": [9], "n_samples": 3,
+        "output_dir": str(tmp_path / "out")})
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert cli_main(["lifespan-sweep", "--config", path]) == 1
+    assert "lifespan_nondecreasing_5pct: FAIL" in capsys.readouterr().out
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["flags"]["all_runs_completed"]
+    ok, blown = manifest["runs"]
+    assert (ok["status"], ok["t_stop"]) == ("ok", 2.0)
+    assert blown["status"] == "blowup" and 0.0 < blown["t_stop"] < 2.0
+    rows = read_rows(tmp_path / "out" / "lifespan_table.csv")
+    assert [(r["kappa"], r["t_life"]) for r in rows] == [("0.0", "2.0")]
+    assert (tmp_path / "out" / f"{blown['tag']}_bcurve.csv").exists()
 
 
 def test_lifespan_flag_judged_within_each_seed():

@@ -208,10 +208,10 @@ def test_run_with_z_record(grid, bank):
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
     lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=z_record,
-               stop_when=lambda r: r.t > 0.01)
+               stop=("t", 0.01))
     assert lean.records == [ZRecord(r.t, r.z) for r in full.records[:2]]
     assert np.array_equal(lean.column("z"), full.column("z")[:2])
-    assert lean.t_end == full.records[1].t
+    assert lean.t_stop == 0.01
 
 
 def test_run_requires_mean_zero_vorticity(grid, bank):
@@ -248,7 +248,56 @@ def test_blowup_guard_in_run(grid, bank):
     with np.errstate(invalid="ignore", over="ignore"):
         traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=21, bank=bank)
     assert traj.status == "blowup"
-    assert traj.t_end < 2.0
+    assert traj.t_stop < 2.0
+
+
+def test_run_to_the_end_stops_at_t_final(grid, bank):
+    # ten steps of 0.01 sum to 0.09999999999999999: t_stop is t_final itself
+    z = zero_field(grid)
+    traj = run(z, z, 0.0, 0.1, StepperConfig(scheme="rk4", dt=0.01), n_samples=3, bank=bank)
+    assert traj.status == "ok" and traj.records[-1].t != 0.1
+    assert traj.t_stop == 0.1
+
+
+def test_run_refuses_a_stop_rule_the_data_meets(grid, bank):
+    omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    for rule in (("t", 0.0), ("b_integral", 0.0), ("z", 1e-3)):
+        with pytest.raises(ValueError, match="stop rule"):
+            run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, stop=rule)
+
+
+def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
+    # criterion 9's data and step at kappa=0; the literal is the lifespan
+    # that scanning the finished trajectory for the crossing gave
+    omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0,
+                                 xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
+    traj = run(omega, rho, 0.0, 1.0, cfg, n_samples=41, bank=bank, stop=("b_integral", 8.0))
+    assert traj.status == "ok"
+    assert traj.t_stop == 0.5777623702972501
+    b = traj.column("b_integral")
+    assert b[-2] < 8.0 <= b[-1]
+    assert traj.records[-2].t < traj.t_stop <= traj.records[-1].t
+
+
+@pytest.mark.parametrize("n_samples, seen_at", [
+    (41, "guard"),  # z passes GUARD_FACTOR z(0) at the sample t = 0.05
+    (2, "step"),  # the coefficients overflow before the only sample after t=0
+])
+def test_blowup_sets_t_stop(grid, bank, n_samples, seen_at):
+    omega, rho = random_spectrum(grid, seed=9, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="rk4", dt=0.05)
+    with np.errstate(invalid="ignore", over="ignore"):
+        traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=n_samples, bank=bank,
+                   record=z_record)
+    assert traj.status == "blowup"
+    assert 0.0 < traj.t_stop < 2.0
+    last = traj.records[-1]
+    if seen_at == "guard":
+        assert traj.t_stop == last.t and last.z > solver.GUARD_FACTOR * traj.records[0].z
+    else:
+        assert len(traj.records) == 1 and traj.t_stop > last.t
 
 
 def test_cfl_dt_caps(grid):
