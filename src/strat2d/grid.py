@@ -41,6 +41,10 @@ MEAN_TOL = 1e-12
 # largest Hermitian defect, relative to the field's largest coefficient, that
 # the transforms accept as round-off
 HERMITIAN_LIMIT = 1e-8
+# largest half-spectrum stack, in bytes, that one transform call takes: 31
+# slices at N=64, 7 at N=128 and 1 at N>=256, where a bigger stack outgrows
+# a core's L2 cache and a batched call runs slower per slice than single ones
+TRANSFORM_CALL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,10 @@ def _coefficient_norms(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _partner(coeffs: np.ndarray) -> np.ndarray:
-    """conj c(-k1, k2) along axis 0: the conjugate partners of a
-    self-conjugate column; applied to the column k2, the full spectrum's
-    column -k2."""
-    return np.conj(np.concatenate((coeffs[:1], coeffs[:0:-1])))
+    """conj c(-k1, k2) along axis -2 (leading axes are a batch): the
+    conjugate partners of a self-conjugate column; applied to the column k2,
+    the full spectrum's column -k2."""
+    return np.conj(np.concatenate((coeffs[..., :1, :], coeffs[..., :0:-1, :]), axis=-2))
 
 
 def _self_conjugate_columns(coeffs: np.ndarray) -> np.ndarray:
@@ -261,8 +265,8 @@ class VectorField:
         a class-wide lock while transforming, serializing sweep threads)."""
         memo = self.__dict__.get("_samples")
         if memo is None:
-            memo = (_samples(self.grid, self.u1.coeffs), _samples(self.grid, self.u2.coeffs))
-            self.__dict__["_samples"] = memo
+            memo = self.__dict__["_samples"] = tuple(
+                _samples(self.grid, [self.u1.coeffs, self.u2.coeffs]))
         return memo
 
     def divergence(self) -> SpectralField:
@@ -305,14 +309,42 @@ def _symmetrize_columns(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _per_call(grid: GridSpec) -> int:
+    """Slices of a half-spectrum stack that one transform call takes:
+    TRANSFORM_CALL_BYTES worth, at least one."""
+    return max(1, TRANSFORM_CALL_BYTES // (16 * grid.n * (grid.n // 2 + 1)))
+
+
+def _by_chunks(grid: GridSpec, transform, stack):
+    """`transform` over an array, or over the slices of a stack (an array
+    or a list of arrays), one call per chunk of at most `_per_call(grid)`
+    slices.  The call's own result when one call takes everything, else a
+    list of the slices' results (views of each call's result).  A slice's
+    numbers are those of a call on it alone."""
+    per = _per_call(grid)
+    if isinstance(stack, np.ndarray) and (stack.ndim == 2 or len(stack) <= per):
+        return transform(stack)
+    out = []
+    for start in range(0, len(stack), per):
+        chunk = stack[start : start + per]
+        out.extend([transform(chunk[0])] if len(chunk) == 1 else transform(np.asarray(chunk)))
+    return out
+
+
+def _spectra(grid: GridSpec, samples):
+    """Half-spectrum coefficients of real grid samples (an array, or a stack
+    as `_by_chunks` takes it), the self-conjugate columns made exactly
+    Hermitian: rfft2 leaves them so only up to round-off."""
+    return _by_chunks(grid, lambda x: _symmetrize_columns(rfft2(x, norm="forward")), samples)
+
+
 def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     """Real grid samples -> spectral coefficients (pure mode amplitude 1/2)."""
     samples = np.asarray(samples, dtype=float)
     n = grid.n
     if samples.shape != (n, n):
         raise ValueError(f"expected samples of shape {(n, n)}, got {samples.shape}")
-    # rfft2 leaves the self-conjugate columns Hermitian only up to round-off
-    return SpectralField(grid, _symmetrize_columns(rfft2(samples, norm="forward")))
+    return SpectralField(grid, _spectra(grid, samples))
 
 
 def require_hermitian(f: SpectralField) -> None:
@@ -322,10 +354,11 @@ def require_hermitian(f: SpectralField) -> None:
         raise HermitianSymmetryError(f"coefficients not Hermitian (defect {defect:.2e})")
 
 
-def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Grid samples of half-spectrum coefficients over the last two axes;
-    leading axes are a batch."""
-    return irfft2(coeffs, s=(grid.n, grid.n), norm="forward")
+def _samples(grid: GridSpec, coeffs):
+    """Grid samples of half-spectrum coefficients: an array, or a stack as
+    `_by_chunks` takes it."""
+    n = grid.n
+    return _by_chunks(grid, lambda c: irfft2(c, s=(n, n), norm="forward"), coeffs)
 
 
 class SupportSynthesis:
@@ -422,15 +455,27 @@ def advect(u: VectorField, *scalars: SpectralField):
     """dealias(u . grad g) via physical-space products, for each scalar g.
 
     The velocity is transformed once per VectorField (`VectorField.samples`).
+    The scalars go in groups whose gradients one transform call takes (all
+    of them below N=256, one at a time from there): a group's gradients
+    take one inverse transform and its products one forward transform.
     Returns a field for one scalar and a tuple of fields, in order, for several.
     """
     require_same_grid(u.u1, *scalars)
     grid = u.grid
     u1, u2 = u.samples()
+    group = max(1, _per_call(grid) // 2)
     out = []
-    for g in scalars:
-        g1, g2 = _samples(grid, derivative(g, 1).coeffs), _samples(grid, derivative(g, 2).coeffs)
-        out.append(dealias(forward_transform(grid, u1 * g1 + u2 * g2)))
+    for start in range(0, len(scalars), group):
+        batch = scalars[start : start + group]
+        grads = np.empty((2 * len(batch),) + grid.shape, dtype=complex)
+        for i, g in enumerate(batch):
+            np.multiply(grid.i_xi1, g.coeffs, out=grads[2 * i])
+            np.multiply(grid.i_xi2, g.coeffs, out=grads[2 * i + 1])
+        d = _samples(grid, grads)
+        products = np.empty((len(batch), grid.n, grid.n))
+        for i, p in enumerate(products):
+            np.add(np.multiply(d[2 * i], u1, out=p), d[2 * i + 1] * u2, out=p)
+        out.extend(dealias(SpectralField(grid, c)) for c in _spectra(grid, products))
     return out[0] if len(out) == 1 else tuple(out)
 
 
@@ -455,7 +500,7 @@ def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarr
         raise ValueError("p must be >= 1")
     if p == 2:
         return 2 * np.pi * grid.box_scale * _coefficient_norms(coeffs)
-    return sample_lp_norms(grid, _samples(grid, coeffs), p)
+    return sample_lp_norms(grid, np.asarray(_samples(grid, coeffs)), p)
 
 
 def sample_lp_norms(grid: GridSpec, samples: np.ndarray, p: float) -> np.ndarray:

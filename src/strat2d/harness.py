@@ -39,7 +39,8 @@ DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def thread_count() -> int:
-    """Worker cap from STRAT2D_THREADS (default: all cores)."""
+    """Worker cap from STRAT2D_THREADS (default: the cores this process may
+    run on, which `taskset` or a cpuset can make fewer than the machine's)."""
     raw = os.environ.get("STRAT2D_THREADS", "")
     if raw.strip():
         try:
@@ -49,6 +50,8 @@ def thread_count() -> int:
         if value < 1:
             raise ConfigError("STRAT2D_THREADS must be >= 1")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

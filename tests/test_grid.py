@@ -213,21 +213,75 @@ def test_advect_several_scalars_match_single_calls(grid):
 
 
 def test_advect_transforms_a_velocity_once(grid, monkeypatch):
+    # both components in one call, and only in the first advect
     u = biot_savart(random_real_field(grid, seed=7).drop_mean())
     g, h = random_real_field(grid, seed=8), random_real_field(grid, seed=9)
     fresh = [advect(VectorField(u.u1, u.u2), f).coeffs for f in (g, h)]
+    velocity = np.stack((u.u1.coeffs, u.u2.coeffs))
     transformed = []
     samples = grid_module._samples
 
     def counted(grid_, coeffs):
-        transformed.append(id(coeffs))
+        transformed.append(np.array_equal(np.asarray(coeffs), velocity))
         return samples(grid_, coeffs)
 
     monkeypatch.setattr(grid_module, "_samples", counted)
     assert np.array_equal(advect(u, g).coeffs, fresh[0])
     assert np.array_equal(advect(u, h).coeffs, fresh[1])
-    assert transformed.count(id(u.u1.coeffs)) == 1
-    assert transformed.count(id(u.u2.coeffs)) == 1
+    assert transformed == [True, False, False]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(grid_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[:-2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, name, counted)
+    return calls
+
+
+def test_transforms_split_a_stack_under_the_cap(grid, monkeypatch):
+    # a cap of two slices: a 5-stack, as an array or a list, takes three
+    # calls, and each slice's numbers are those of a call on it alone
+    coeffs = np.stack([random_real_field(grid, seed=s).coeffs for s in range(5)])
+    samples = np.stack([inverse_transform(SpectralField(grid, c)) for c in coeffs])
+    one_by_one = [grid_module._samples(grid, c) for c in coeffs]
+    spectra = [grid_module._spectra(grid, x) for x in samples]
+    monkeypatch.setattr(grid_module, "TRANSFORM_CALL_BYTES", 2 * coeffs[0].nbytes)
+    inverse, forward = _counting(monkeypatch, "irfft2"), _counting(monkeypatch, "rfft2")
+    for stack in (coeffs, list(coeffs)):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(grid_module._samples(grid, stack), one_by_one, strict=True))
+    for stack in (samples, list(samples)):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(grid_module._spectra(grid, stack), spectra, strict=True))
+    assert inverse == forward == [(2,), (2,), ()] * 2
+
+
+@pytest.mark.parametrize("slices", [1, 2, 4, 7])
+def test_advect_is_the_same_under_any_cap(grid, monkeypatch, slices):
+    u = biot_savart(random_real_field(grid, seed=7).drop_mean())
+    fields = [random_real_field(grid, seed=s) for s in (8, 9, 10)]
+    fresh = [advect(u, f).coeffs for f in fields]
+    monkeypatch.setattr(grid_module, "TRANSFORM_CALL_BYTES", slices * fields[0].coeffs.nbytes)
+    u = VectorField(u.u1, u.u2)  # without the kept samples
+    assert all(np.array_equal(a.coeffs, b) for a, b in zip(advect(u, *fields), fresh, strict=True))
+
+
+def test_conjugate_columns_act_slice_by_slice(grid):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    stack = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+    cols = grid_module._self_conjugate_columns(stack)
+    gaps = np.abs(cols - grid_module._partner(cols))
+    for c, gap in zip(stack, gaps, strict=True):
+        one = grid_module._self_conjugate_columns(c)
+        assert np.array_equal(gap, np.abs(one - grid_module._partner(one)))
+    symmetric = grid_module._symmetrize_columns(stack.copy())
+    for c, sym in zip(stack, symmetric, strict=True):
+        assert np.array_equal(sym, grid_module._symmetrize_columns(c.copy()))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])

@@ -142,6 +142,15 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
+def test_thread_count_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv("STRAT2D_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert thread_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity masks
+    assert thread_count() == 64
+
+
 @pytest.mark.parametrize("kind", ["simulate", "lifespan-sweep", "strichartz", "picard"])
 def test_sweep_reruns_byte_identical(tmp_path, monkeypatch, kind):
     outputs, runs = {}, {}

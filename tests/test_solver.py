@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strat2d import grid as grid_module
 from strat2d import solver
 from strat2d.bands import DyadicBank
 from strat2d.errors import BlowupSuspectedError, HermitianSymmetryError, NonzeroMeanError
@@ -329,6 +330,25 @@ def test_adaptive_step_computes_the_states_velocity_once(monkeypatch, scheme):
     monkeypatch.setattr(solver, "biot_savart", counting)
     step(state, cfl_dt(state, cfg), cfg)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("scheme, adaptive", [("ifrk4", True), ("rk4", False)])
+def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
+    # per stage: the velocity's two components in one inverse call, the
+    # gradients of omega and rho in one more, their two products in one
+    # forward call; one call per transform made 24 inverse and 8 forward
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    calls = {"irfft2": 0, "rfft2": 0}
+    for name in calls:
+        def counting(*args, real=getattr(grid_module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(grid_module, name, counting)
+    state = SimState(omega, rho, 0.0, 16.0)
+    cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
+    step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)
+    assert calls == {"irfft2": 8, "rfft2": 4}
 
 
 def test_cfl_dt_checks_the_velocity_is_real(grid):
