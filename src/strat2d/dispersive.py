@@ -17,6 +17,7 @@ import numpy as np
 
 from .bands import DyadicBank, _lq
 from .grid import (
+    GridSpec,
     SpectralField,
     SupportSynthesis,
     _coefficient_norms,
@@ -43,26 +44,48 @@ def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) ->
     return SpectralField(f.grid, phase_multiplier(f.grid, t, kappa, sign) * f.coeffs)
 
 
-def diagonalize(omega: SpectralField, rho: SpectralField):
-    """V+- = omega +- Lambda rho (rho's mean is annihilated by Lambda).
+def diagonal_stack(grid: GridSpec, omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """V+- = omega +- Lambda rho on coefficients: (V+, V-) as one
+    (2, n, n//2 + 1) array (rho's mean is annihilated by Lambda).
 
-    The one home of the diagonal variables: the integrating-factor stepper
-    (state and nonlinear forcing), the diagnostics and `duhamel_residual` use
-    this pair.  omega's mean passes into both V+- and back; forcings carry a
-    round-off mean, so the mean-zero guards stay with the operators that
-    need them (Biot-Savart, the propagators).
+    The one home of the diagonal variables, in the stacked form that the
+    integrating-factor stepper works in (state and nonlinear forcing);
+    `diagonalize` gives the same pair as fields to the diagnostics and
+    `duhamel_residual`.  omega's mean passes into both V+- and back; forcings
+    carry a round-off mean, so the mean-zero guards stay with the operators
+    that need them (Biot-Savart, the propagators).
     """
-    lam_rho = omega.grid.xi_abs * rho.coeffs
-    return (SpectralField(omega.grid, omega.coeffs + lam_rho),
-            SpectralField(omega.grid, omega.coeffs - lam_rho))
+    lam_rho = grid.xi_abs * rho
+    v = np.empty((2,) + grid.shape, dtype=complex)
+    np.add(omega, lam_rho, out=v[0])
+    np.subtract(omega, lam_rho, out=v[1])
+    return v
+
+
+def merged_stack(grid: GridSpec, v: np.ndarray, rho_mean: float = 0.0) -> np.ndarray:
+    """(omega, rho) as one (2, n, n//2 + 1) array from v = (V+, V-), a stack
+    or a pair of arrays; rho's mean, which Lambda annihilates, is given."""
+    out = np.empty((2,) + grid.shape, dtype=complex)
+    np.add(v[0], v[1], out=out[0])
+    np.subtract(v[0], v[1], out=out[1])
+    out *= 0.5
+    out[1] *= grid.inv_xi_abs
+    out[1, 0, 0] = rho_mean
+    return out
+
+
+def diagonalize(omega: SpectralField, rho: SpectralField):
+    """(V+, V-) as fields: `diagonal_stack` of (omega, rho)."""
+    grid = omega.grid
+    v = diagonal_stack(grid, omega.coeffs, rho.coeffs)
+    return SpectralField(grid, v[0]), SpectralField(grid, v[1])
 
 
 def undiagonalize(vplus: SpectralField, vminus: SpectralField, rho_mean: float = 0.0):
-    """(omega, rho) from V+-; rho's mean, which Lambda annihilates, is given."""
+    """(omega, rho) from V+- as fields: `merged_stack`."""
     grid = vplus.grid
-    rho = grid.inv_xi_abs * (0.5 * (vplus.coeffs - vminus.coeffs))
-    rho[0, 0] = rho_mean
-    return SpectralField(grid, 0.5 * (vplus.coeffs + vminus.coeffs)), SpectralField(grid, rho)
+    merged = merged_stack(grid, (vplus.coeffs, vminus.coeffs), rho_mean)
+    return SpectralField(grid, merged[0]), SpectralField(grid, merged[1])
 
 
 # ---------------------------------------------------------------------------

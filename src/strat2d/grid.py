@@ -95,14 +95,25 @@ class GridSpec:
         return xi2
 
     @cached_property
+    def grad_symbol(self) -> np.ndarray:
+        """(i*xi1, i*xi2), the gradient's symbol, as one (2, n, n//2 + 1) array."""
+        return 1j * np.stack([self.xi1, self.xi2])
+
+    @cached_property
     def i_xi1(self) -> np.ndarray:
         """i*xi1, the symbol of d/dx1."""
-        return 1j * self.xi1
+        return self.grad_symbol[0]
 
     @cached_property
     def i_xi2(self) -> np.ndarray:
         """i*xi2, the symbol of d/dx2."""
-        return 1j * self.xi2
+        return self.grad_symbol[1]
+
+    @cached_property
+    def velocity_symbol(self) -> np.ndarray:
+        """(-i*xi2, i*xi1), the perpendicular gradient, as one (2, n, n//2 + 1)
+        array: the Biot-Savart velocity is this times |xi|^-2 omega."""
+        return np.stack([-self.i_xi2, self.i_xi1])
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
@@ -259,14 +270,22 @@ class VectorField:
     def grid(self) -> GridSpec:
         return self.u1.grid
 
+    @classmethod
+    def from_stack(cls, grid: GridSpec, coeffs: np.ndarray) -> "VectorField":
+        """The field whose components are the two slices of one (2, n, n//2 + 1)
+        coefficient array, which `samples` then transforms as it is."""
+        u = cls(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]))
+        u.__dict__["_stack"] = coeffs
+        return u
+
     def samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked grid samples of (u1, u2), transformed on first use and
         kept in the instance dict (a plain memo: `cached_property` would hold
         a class-wide lock while transforming, serializing sweep threads)."""
         memo = self.__dict__.get("_samples")
         if memo is None:
-            memo = self.__dict__["_samples"] = tuple(
-                _samples(self.grid, [self.u1.coeffs, self.u2.coeffs]))
+            stack = self.__dict__.get("_stack", [self.u1.coeffs, self.u2.coeffs])
+            memo = self.__dict__["_samples"] = tuple(_samples(self.grid, stack))
         return memo
 
     def divergence(self) -> SpectralField:
@@ -429,12 +448,17 @@ def phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int = +1) -> 
     return np.exp(1j * sign * kappa * t * grid.xi1_over_abs)
 
 
+def _velocity(grid: GridSpec, omega: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Biot-Savart law on coefficients, unchecked: (u1, u2) as one
+    (2, n, n//2 + 1) array, the perpendicular gradient of the stream function
+    |xi|^-2 omega."""
+    return np.multiply(grid.velocity_symbol, grid.inv_xi_sq * omega, out=out)
+
+
 def biot_savart(omega: SpectralField) -> VectorField:
     """u = perp-gradient of (-Laplacian)^-1 omega; divergence-free."""
     require_mean_zero(omega, "Biot-Savart")
-    g = omega.grid
-    psi = g.inv_xi_sq * omega.coeffs
-    return VectorField(SpectralField(g, -(g.i_xi2 * psi)), SpectralField(g, g.i_xi1 * psi))
+    return VectorField.from_stack(omega.grid, _velocity(omega.grid, omega.coeffs))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -451,31 +475,42 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return dealias(forward_transform(f.grid, inverse_transform(f) * inverse_transform(g)))
 
 
-def advect(u: VectorField, *scalars: SpectralField):
-    """dealias(u . grad g) via physical-space products, for each scalar g.
+def _advection(grid: GridSpec, fields, u_samples=None):
+    """The spectra of u . grad g, not yet dealiased, for each coefficient
+    array g of `fields` (a list or a stack): the one advection kernel.
 
-    The velocity is transformed once per VectorField (`VectorField.samples`).
-    The scalars go in groups whose gradients one transform call takes (all
-    of them below N=256, one at a time from there): a group's gradients
-    take one inverse transform and its products one forward transform.
-    Returns a field for one scalar and a tuple of fields, in order, for several.
+    u is given by its grid samples (u1, u2) or, when None, is the Biot-Savart
+    velocity of fields[0], whose coefficients then go into the gradients'
+    inverse call.  All gradients (and that velocity) are one stack for
+    `_samples`, and the products one stack for `_spectra`, so below N=256
+    one inverse and one forward call do everything.  Returns what `_spectra`
+    returns: an array, or a list of slices.
+    """
+    own = 2 if u_samples is None else 0  # the velocity's slices, first in the stack
+    stack = np.empty((own + 2 * len(fields),) + grid.shape, dtype=complex)
+    if own:
+        require_mean_zero(SpectralField(grid, fields[0]), "Biot-Savart")
+        _velocity(grid, fields[0], out=stack[:2])
+    for i, g in enumerate(fields):
+        np.multiply(grid.grad_symbol, g, out=stack[own + 2 * i : own + 2 * i + 2])
+    d = _samples(grid, stack)
+    u1, u2 = (d[0], d[1]) if own else u_samples
+    products = np.empty((len(fields), grid.n, grid.n))
+    for i, p in enumerate(products):
+        np.add(np.multiply(d[own + 2 * i], u1, out=p), d[own + 2 * i + 1] * u2, out=p)
+    return _spectra(grid, products)
+
+
+def advect(u: VectorField, *scalars: SpectralField):
+    """dealias(u . grad g) via physical-space products, for each scalar g
+    (`_advection`); the velocity is transformed once per VectorField
+    (`VectorField.samples`).  Returns a field for one scalar and a tuple of
+    fields, in order, for several.
     """
     require_same_grid(u.u1, *scalars)
     grid = u.grid
-    u1, u2 = u.samples()
-    group = max(1, _per_call(grid) // 2)
-    out = []
-    for start in range(0, len(scalars), group):
-        batch = scalars[start : start + group]
-        grads = np.empty((2 * len(batch),) + grid.shape, dtype=complex)
-        for i, g in enumerate(batch):
-            np.multiply(grid.i_xi1, g.coeffs, out=grads[2 * i])
-            np.multiply(grid.i_xi2, g.coeffs, out=grads[2 * i + 1])
-        d = _samples(grid, grads)
-        products = np.empty((len(batch), grid.n, grid.n))
-        for i, p in enumerate(products):
-            np.add(np.multiply(d[2 * i], u1, out=p), d[2 * i + 1] * u2, out=p)
-        out.extend(dealias(SpectralField(grid, c)) for c in _spectra(grid, products))
+    spectra = _advection(grid, [g.coeffs for g in scalars], u.samples())
+    out = [dealias(SpectralField(grid, c)) for c in spectra]
     return out[0] if len(out) == 1 else tuple(out)
 
 

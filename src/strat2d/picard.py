@@ -79,8 +79,7 @@ class FrozenVelocity:
         if t < self.times[0] - 1e-9 or t > self.times[-1] + 1e-9:
             raise ValueError(f"frozen velocity queried at t={t} outside [{self.times[0]}, {self.times[-1]}]")
         tc = min(max(t, self.times[0]), self.times[-1])
-        u1, u2 = self._spline(tc)
-        u = VectorField(SpectralField(self.grid, u1), SpectralField(self.grid, u2))
+        u = VectorField.from_stack(self.grid, self._spline(tc))
         self._recent = self._recent[-1:] + [(t, u)]
         return u
 

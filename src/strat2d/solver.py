@@ -12,18 +12,20 @@ explicitly.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
-from .dispersive import diagonalize, undiagonalize
+from .dispersive import diagonal_stack, diagonalize, merged_stack
 from .errors import BlowupSuspectedError
 from .grid import (
     GridSpec,
     SpectralField,
     VectorField,
+    _advection,
     advect,
     biot_savart,
     dealias,
@@ -147,42 +149,76 @@ def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState
     return SimState(om1, rh1, t + dt, state.kappa)
 
 
+# the last (grid, dt, kappa)'s Lawson multipliers, one entry per thread: the
+# adaptive step sits at its cap on almost every step, and a sample boundary
+# that cuts a step replaces the entry instead of adding one
+_LAWSON = threading.local()
+
+
+def _lawson_multipliers(grid: GridSpec, dt: float, kappa: float):
+    """Read-only arrays for one Lawson step on (V+, V-): the phases
+    (e, conj e) over dt/2 and over dt, each one (2, n, n//2 + 1) stack, and
+    minus the dealias mask, which takes a stage's advection spectra to its
+    forcing."""
+    key = (grid, dt, kappa)
+    memo = getattr(_LAWSON, "memo", None)
+    if memo is None or memo[0] != key:
+        _LAWSON.memo = None  # freed before its successor is made
+        e = phase_multiplier(grid, dt / 2, kappa)
+        half = np.stack([e, np.conj(e)])
+        arrays = (half, half * half, np.where(grid.dealias_mask, -1.0, 0.0))
+        for a in arrays:
+            a.flags.writeable = False
+        memo = _LAWSON.memo = (key, arrays)
+    return memo[1]
+
+
 def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
-    """Lawson (integrating-factor) RK4 in the diagonal variables."""
-    grid, kappa, rho_mean = state.grid, state.kappa, state.rho.mean
-    vp, vm = (v.coeffs for v in diagonalize(state.omega, state.rho))
-    e_half = phase_multiplier(grid, dt / 2, kappa)
-    e_full = e_half * e_half
+    """Lawson (integrating-factor) RK4 on the stacked diagonal variables
+    V = (V+, V-): each stage input, the RK combination and each pull-back
+    by the phase are one array operation on both."""
+    grid, kappa, t, rho_mean = state.grid, state.kappa, state.t, state.rho.mean
+    half, full, minus_mask = _lawson_multipliers(grid, dt, kappa)
+    v = diagonal_stack(grid, state.omega.coeffs, state.rho.coeffs)
 
-    def merge(vp_c, vm_c):
-        return undiagonalize(SpectralField(grid, vp_c), SpectralField(grid, vm_c), rho_mean)
+    def done(v1):
+        omega, rho = merged_stack(grid, v1, rho_mean)
+        return SimState(SpectralField(grid, omega), SpectralField(grid, rho), t + dt, kappa)
 
-    def nl(vp_c, vm_c, t, carrier=None):
-        """N+- = -advect(u, omega) -+ Lambda advect(u, rho) for the merged
-        (omega, rho); u is that of `carrier`, a state equal to them up to
-        round-off, when one is given."""
-        if not nonlinear:
-            z = np.zeros_like(vp_c)
-            return z, z
-        omega, rho = merge(vp_c, vm_c)
-        if carrier is None:
-            carrier = SimState(omega, rho, t, kappa)
-        fp, fm = diagonalize(*advect(_advecting(velocity, carrier), omega, rho))
-        return -fp.coeffs, -fm.coeffs
+    if not nonlinear:
+        return done(_turn(full, v))
 
-    t = state.t
+    def forcing(w, t, phase=None, u=None):
+        """-dealias(a +- Lambda b), pulled back by `phase`, where (a, b) are
+        the spectra of u . grad (omega, rho) for the (omega, rho) merged from
+        w; u is given, `velocity(t)`, or else omega's own, computed with the
+        gradients."""
+        if velocity is not None:
+            u = velocity(t)
+        samples = None if u is None else u.samples()
+        f = diagonal_stack(grid, *_advection(grid, merged_stack(grid, w, rho_mean), samples))
+        f *= minus_mask
+        return f if phase is None else _turn(phase, f)
+
     # stage 1 advects with the step's own state's velocity, which cfl_dt has
-    # usually computed already, and differentiates the merged fields
-    k1p, k1m = nl(vp, vm, t, carrier=state)
-    k2p, k2m = nl(e_half * (vp + dt / 2 * k1p), np.conj(e_half) * (vm + dt / 2 * k1m), t + dt / 2)
-    k2p, k2m = np.conj(e_half) * k2p, e_half * k2m
-    k3p, k3m = nl(e_half * (vp + dt / 2 * k2p), np.conj(e_half) * (vm + dt / 2 * k2m), t + dt / 2)
-    k3p, k3m = np.conj(e_half) * k3p, e_half * k3m
-    k4p, k4m = nl(e_full * (vp + dt * k3p), np.conj(e_full) * (vm + dt * k3m), t + dt)
-    k4p, k4m = np.conj(e_full) * k4p, e_full * k4m
-    vp1 = e_full * (vp + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-    vm1 = np.conj(e_full) * (vm + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m))
-    return SimState(*merge(vp1, vm1), t + dt, kappa)
+    # usually computed already, and differentiates the merged fields.  The
+    # pull-back by (e, conj e) is the product with (conj e, e): the reversed
+    # stack, a view
+    k1 = forcing(v, t, u=state.own_velocity() if velocity is None else None)
+    k2 = forcing(_turn(half, v + dt / 2 * k1), t + dt / 2, half[::-1])
+    k3 = forcing(_turn(half, v + dt / 2 * k2), t + dt / 2, half[::-1])
+    k4 = forcing(_turn(full, v + dt * k3), t + dt, full[::-1])
+    return done(_turn(full, v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+
+
+def _turn(phase: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phase * x, in place in x, with the phase as the left operand.
+
+    numpy's complex product (fused multiply-adds) can differ in the last bit
+    when its operands swap, and `phase * (temporary)` swaps them once the
+    temporary reaches numpy's 256 KiB elision size, so the operand order is
+    fixed here, not by the array's size."""
+    return np.multiply(phase, x, out=x)
 
 
 SCHEMES = {"rk4": _rk4_step, "ifrk4": _ifrk4_step}

@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from strat2d.grid import (
     inner_l2,
     inverse_transform,
     lp_norm,
+    phase_multiplier,
 )
+from strat2d.picard import FrozenVelocity
 from strat2d.solver import (
     SCHEMES,
     DiagnosticsRecord,
@@ -315,28 +318,29 @@ def test_cfl_dt_caps(grid):
 @pytest.mark.parametrize("scheme", ["ifrk4", "rk4"])
 def test_adaptive_step_computes_the_states_velocity_once(monkeypatch, scheme):
     # cfl_dt and the first stage share the state's Biot-Savart velocity:
-    # 1 + 3 later stages, not 1 + 4
+    # the law is applied 1 + 3 later stages times, not 1 + 4.  rk4's later
+    # stages call biot_savart; ifrk4's compute the velocity in the
+    # advection kernel, whose inverse call carries it with the gradients
     g = GridSpec(32)
     omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     state = SimState(omega, rho, 0.0, 16.0)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=True)
-    calls = []
-
-    def counting(om):
-        calls.append(om)
-        return real(om)
-
-    real = solver.biot_savart
-    monkeypatch.setattr(solver, "biot_savart", counting)
+    calls = {"biot_savart": 0, "_velocity": 0}
+    for module, name in ((solver, "biot_savart"), (grid_module, "_velocity")):
+        def counting(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
     step(state, cfl_dt(state, cfg), cfg)
-    assert len(calls) == 4
+    assert calls == {"biot_savart": {"ifrk4": 1, "rk4": 4}[scheme], "_velocity": 4}
 
 
 @pytest.mark.parametrize("scheme, adaptive", [("ifrk4", True), ("rk4", False)])
 def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
-    # per stage: the velocity's two components in one inverse call, the
-    # gradients of omega and rho in one more, their two products in one
-    # forward call; one call per transform made 24 inverse and 8 forward
+    # per stage: the gradients of omega and rho in one inverse call, their
+    # two products in one forward call, and the velocity's two components in
+    # one more inverse call -- or, in ifrk4's stages 2-4, in the gradients'
+    # call.  One call per transform made 24 inverse and 8 forward
     g = GridSpec(32)
     omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     calls = {"irfft2": 0, "rfft2": 0}
@@ -348,7 +352,149 @@ def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
     state = SimState(omega, rho, 0.0, 16.0)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
     step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)
-    assert calls == {"irfft2": 8, "rfft2": 4}
+    assert calls == {"irfft2": {"ifrk4": 5, "rk4": 8}[scheme], "rfft2": 4}
+
+
+def _reference_ifrk4_step(state, dt, velocity, nonlinear):
+    """The Lawson step on separate V+ and V- fields, with its own V+-
+    transforms, as it stood before the stacked form: the oracle for
+    `solver._ifrk4_step`."""
+    grid, kappa, rho_mean = state.grid, state.kappa, state.rho.mean
+
+    def diagonalize(omega, rho):
+        lam_rho = grid.xi_abs * rho.coeffs
+        return (SpectralField(grid, omega.coeffs + lam_rho),
+                SpectralField(grid, omega.coeffs - lam_rho))
+
+    def merge(vp_c, vm_c):
+        rho = grid.inv_xi_abs * (0.5 * (vp_c - vm_c))
+        rho[0, 0] = rho_mean
+        return SpectralField(grid, 0.5 * (vp_c + vm_c)), SpectralField(grid, rho)
+
+    vp, vm = (v.coeffs for v in diagonalize(state.omega, state.rho))
+    e_half = phase_multiplier(grid, dt / 2, kappa)
+    e_full = e_half * e_half
+
+    def nl(vp_c, vm_c, t, carrier=None):
+        if not nonlinear:
+            z = np.zeros_like(vp_c)
+            return z, z
+        omega, rho = merge(vp_c, vm_c)
+        if carrier is None:
+            carrier = SimState(omega, rho, t, kappa)
+        u = carrier.own_velocity() if velocity is None else velocity(carrier.t)
+        fp, fm = diagonalize(*advect(u, omega, rho))
+        return -fp.coeffs, -fm.coeffs
+
+    t = state.t
+    k1p, k1m = nl(vp, vm, t, carrier=state)
+    k2p, k2m = nl(e_half * (vp + dt / 2 * k1p), np.conj(e_half) * (vm + dt / 2 * k1m), t + dt / 2)
+    k2p, k2m = np.conj(e_half) * k2p, e_half * k2m
+    k3p, k3m = nl(e_half * (vp + dt / 2 * k2p), np.conj(e_half) * (vm + dt / 2 * k2m), t + dt / 2)
+    k3p, k3m = np.conj(e_half) * k3p, e_half * k3m
+    k4p, k4m = nl(e_full * (vp + dt * k3p), np.conj(e_full) * (vm + dt * k3m), t + dt)
+    k4p, k4m = np.conj(e_full) * k4p, e_full * k4m
+    vp1 = e_full * (vp + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+    vm1 = np.conj(e_full) * (vm + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m))
+    return SimState(*merge(vp1, vm1), t + dt, kappa)
+
+
+@pytest.mark.parametrize("mode", ["own", "frozen", "linear"])
+@pytest.mark.parametrize("kappa", [0.0, 16.0, 256.0])
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_ifrk4_step_matches_the_unstacked_reference(n, kappa, mode):
+    # the stacked step does the same floating-point operations, so below
+    # N=256 it matches bit for bit.  From N=256 the reference's
+    # `phase * (temporary)` runs as `temporary *= phase` (numpy elides
+    # temporaries from 256 KiB), and the swapped complex product moves last
+    # bits: 2.4e-16 of the largest coefficient at most over these cases
+    tol = 0.0 if n < 256 else 1e-15
+    g = GridSpec(n)
+    omega, rho = random_spectrum(g, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
+    velocity = None
+    if mode == "frozen":
+        draws = [random_spectrum(g, seed=s, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)[0]
+                 for s in (3, 4, 5, 6)]
+        velocity = FrozenVelocity(np.array([0.0, 0.004, 0.008, 0.012]),
+                                  [biot_savart(d) for d in draws])
+    nonlinear = mode != "linear"
+    got = want = SimState(omega, rho, 0.0, kappa)
+    for _ in range(3):
+        got = solver._ifrk4_step(got, 0.002, velocity, nonlinear)
+        want = _reference_ifrk4_step(want, 0.002, velocity, nonlinear)
+        assert got.t == want.t
+        for a, b in ((got.omega, want.omega), (got.rho, want.rho)):
+            assert np.abs(a.coeffs - b.coeffs).max() <= tol * np.abs(b.coeffs).max()
+
+
+def test_ifrk4_refuses_a_nonzero_mean_at_a_later_stage():
+    # stage 1 advects with the state's kept velocity; the merged omega of
+    # stage 2 keeps the mean, and the kernel's Biot-Savart guard refuses it
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    state = SimState(omega.with_mean(1.0), rho, 0.0, 16.0)
+    state.__dict__["_own_velocity"] = biot_savart(omega)
+    with pytest.raises(NonzeroMeanError):
+        step(state, 0.01, StepperConfig(scheme="ifrk4", dt=0.01))
+
+
+def test_lawson_multipliers_keep_one_entry_per_thread(monkeypatch, grid, bank):
+    # samples every 0.01 cut each interval's last 0.007-step, so dt changes
+    # at every sample; the memo holds the last (grid, dt, kappa) alone
+    omega, rho = random_spectrum(grid, seed=3, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.007)
+    dts, entries = [], []
+    real = solver._lawson_multipliers
+
+    def recording(g, dt, kappa):
+        dts.append(dt)
+        return real(g, dt, kappa)
+
+    def work():
+        run(omega, rho, 16.0, 0.1, cfg, n_samples=11, bank=bank, record=z_record)
+        entries.append(dict(vars(solver._LAWSON)))
+
+    monkeypatch.setattr(solver, "_lawson_multipliers", recording)
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert sum(a != b for a, b in zip(dts, dts[1:])) >= 10
+    (memo,) = entries[0].values()
+    assert memo[0] == (grid, dts[-1], 16.0)
+
+
+def test_lawson_multipliers_are_read_only():
+    for a in solver._lawson_multipliers(GridSpec(32), 0.01, 16.0):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
+def test_lawson_memo_interleaved_matches_no_memo(monkeypatch):
+    # two grids and two kappas stepped in turn on one thread replace the
+    # memo at every step, and give the states of a step without one
+    cases = [(GridSpec(32, box_scale=b), kappa) for b in (1.0, 2.0) for kappa in (16.0, 256.0)]
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+
+    def interleaved():
+        states = [SimState(*random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0),
+                           0.0, kappa) for g, kappa in cases]
+        for _ in range(3):
+            states = [step(st, cfg.dt, cfg) for st in states]
+        return states
+
+    memoized = interleaved()
+    real = solver._lawson_multipliers
+
+    def fresh(*args):
+        vars(solver._LAWSON).pop("memo", None)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_lawson_multipliers", fresh)
+    for got, want in zip(memoized, interleaved()):
+        assert np.array_equal(got.omega.coeffs, want.omega.coeffs)
+        assert np.array_equal(got.rho.coeffs, want.rho.coeffs)
 
 
 def test_cfl_dt_checks_the_velocity_is_real(grid):
