@@ -6,6 +6,12 @@ of shape (n, n//2 + 1), rows k1 in fft order, columns k2 = 0 .. n/2.  The
 physical frequency is xi = k / L0.  Normalization is chosen so a pure mode
 cos(k.x) has coefficient 1/2 at +-k.
 
+A column array holds the first w columns k2 = 0 .. w-1 of a half spectrum
+whose other columns are zero: the Lawson step works on the
+`GridSpec.dealiased_columns` of dealiased fields.  The helpers that take
+coefficient arrays read their width from the last axis, so a column array
+has no Nyquist column unless w = n//2 + 1.
+
 Each column 0 < k2 < n/2 holds one of every conjugate pair c(-k) = conj c(k),
 so any data there is a real field.  The columns k2 = 0 and k2 = n/2 hold
 both members of their pairs and must be Hermitian along k1; the forward
@@ -28,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.fft import irfft2, rfft2
+from numpy.fft import fft, ifft, irfft, irfft2, rfft, rfft2
 
 from .errors import (
     GridMismatchError,
@@ -135,6 +141,21 @@ class GridSpec:
         """|xi|^-2."""
         return _masked_quotient(np.ones_like(self.xi_sq), self.xi_sq)
 
+    # the diagonal variables' symbols (`dispersive.diagonal_stack`,
+    # `dispersive.merged_stack`), complex: numpy multiplies a complex array
+    # by a real one through a casting loop about twice as slow
+    @cached_property
+    def signed_xi_abs(self) -> np.ndarray:
+        """(|xi|, -|xi|), Lambda with the signs of V+- = omega +- Lambda rho,
+        as one (2, n, n//2 + 1) array."""
+        return np.stack([self.xi_abs, -self.xi_abs]).astype(complex)
+
+    @cached_property
+    def merge_symbol(self) -> np.ndarray:
+        """(1/2, |xi|^-1 / 2), which takes (V+ + V-, V+ - V-) to (omega, rho),
+        as one (2, n, n//2 + 1) array."""
+        return np.stack([np.full(self.shape, 0.5), 0.5 * self.inv_xi_abs]).astype(complex)
+
     @cached_property
     def xi1_over_abs(self) -> np.ndarray:
         """xi1 / |xi|, the symbol of -i R1."""
@@ -144,6 +165,24 @@ class GridSpec:
     def dealias_mask(self) -> np.ndarray:
         cut = self.dealias_fraction * self.n / 2
         return (np.abs(self.k1) <= cut) & (np.abs(self.k2) <= cut)
+
+    @cached_property
+    def dealiased_columns(self) -> int:
+        """c, the width of the column arrays of dealiased fields: the last
+        column k2 that the dealias mask touches, plus one (43 of 65 at N=128)."""
+        return int(np.flatnonzero(self.dealias_mask[0])[-1]) + 1
+
+    def columns(self, name: str, w: int) -> np.ndarray:
+        """The symbol `name` (an array attribute) on the first w columns: a
+        view, or on the dealiased columns a contiguous copy, kept in the
+        instance dict.  numpy multiplies a strided symbol into a strided
+        output about twice as slowly as a contiguous one."""
+        if w != self.dealiased_columns:
+            return getattr(self, name)[..., :w]
+        key = "_columns_" + name
+        if key not in self.__dict__:
+            self.__dict__[key] = np.ascontiguousarray(getattr(self, name)[..., :w])
+        return self.__dict__[key]
 
     @property
     def dealias_cutoff(self) -> float:
@@ -175,9 +214,12 @@ def _masked_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _plancherel_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the full spectrum of a quantity given on the half spectrum
-    (last two axes) that is even under k -> -k: the columns k2 = 0 and
-    k2 = n/2 count once, the others twice.  Plain reductions, no BLAS."""
+    """Sum over the full spectrum of a quantity given on the half spectrum,
+    or on a column array (last two axes), that is even under k -> -k: the
+    columns k2 = 0 and k2 = n/2 count once, the others twice.  Plain
+    reductions, no BLAS."""
+    if x.shape[-1] <= x.shape[-2] // 2:  # a column array: no Nyquist column
+        return 2 * np.sum(x[..., 1:], axis=(-2, -1)) + np.sum(x[..., 0], axis=-1)
     return (2 * np.sum(x[..., 1:-1], axis=(-2, -1))
             + np.sum(x[..., 0], axis=-1) + np.sum(x[..., -1], axis=-1))
 
@@ -195,8 +237,9 @@ def _partner(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _self_conjugate_columns(coeffs: np.ndarray) -> np.ndarray:
-    """View of the self-conjugate columns k2 = 0 and k2 = n/2 (first and last)."""
-    return coeffs[..., :: coeffs.shape[-1] - 1]
+    """View of the self-conjugate columns k2 = 0 and k2 = n/2 (first and last),
+    or of k2 = 0 alone in a column array."""
+    return coeffs[..., :: coeffs.shape[-2] // 2]
 
 
 @dataclass(frozen=True)
@@ -299,19 +342,21 @@ def require_same_grid(*fields) -> None:
             raise GridMismatchError("fields live on different grids")
 
 
-def has_nonzero_mean(f: SpectralField) -> bool:
+def has_nonzero_mean(f: SpectralField | np.ndarray) -> bool:
     """Whether f's mean exceeds round-off: |c_00| above MEAN_TOL times the
     coefficient norm.  No coefficient exceeds that norm, so a mean at most
     MEAN_TOL times the largest modulus on the row k1 = 0 and the column
-    k2 = 0 (O(n) entries) passes without the full norm."""
-    c = f.coeffs
+    k2 = 0 (O(n) entries) passes without the full norm.  f is a field or
+    its coefficients, a half spectrum or a column array."""
+    c = f.coeffs if isinstance(f, SpectralField) else f
     mean = abs(c[0, 0])
     if mean <= MEAN_TOL * max(np.abs(c[0]).max(), np.abs(c[:, 0]).max()):
         return False
-    return mean > MEAN_TOL * f.coefficient_norm()
+    norm = f.coefficient_norm() if isinstance(f, SpectralField) else _coefficient_norms(c)
+    return mean > MEAN_TOL * norm
 
 
-def require_mean_zero(f: SpectralField, what: str = "operator") -> None:
+def require_mean_zero(f: SpectralField | np.ndarray, what: str = "operator") -> None:
     if has_nonzero_mean(f):
         raise NonzeroMeanError(f"{what} requires a mean-zero field")
 
@@ -450,9 +495,11 @@ def phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int = +1) -> 
 
 def _velocity(grid: GridSpec, omega: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The Biot-Savart law on coefficients, unchecked: (u1, u2) as one
-    (2, n, n//2 + 1) array, the perpendicular gradient of the stream function
-    |xi|^-2 omega."""
-    return np.multiply(grid.velocity_symbol, grid.inv_xi_sq * omega, out=out)
+    (2, n, w) array for omega on the first w columns, the perpendicular
+    gradient of the stream function |xi|^-2 omega."""
+    w = omega.shape[-1]
+    return np.multiply(grid.columns("velocity_symbol", w),
+                       grid.columns("inv_xi_sq", w) * omega, out=out)
 
 
 def biot_savart(omega: SpectralField) -> VectorField:
@@ -475,30 +522,70 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return dealias(forward_transform(f.grid, inverse_transform(f) * inverse_transform(g)))
 
 
+def _column_samples(grid: GridSpec, stack: np.ndarray, w: int):
+    """`_samples` of a half-spectrum stack whose columns k2 >= w are zero.
+    Below w = n//2 + 1 it transforms in place, the DFT along k1 of the
+    first w columns only, then the real inverse along k2: bit for bit
+    irfft2, which makes the same two passes over every column."""
+    if w == grid.n // 2 + 1:
+        return _samples(grid, stack)
+    n = grid.n
+
+    def inverse(x):
+        cols = x[..., :w]
+        ifft(cols, axis=-2, norm="forward", out=cols)
+        return irfft(x, n=n, axis=-1, norm="forward")
+
+    return _by_chunks(grid, inverse, stack)
+
+
+def _column_spectra(grid: GridSpec, samples: np.ndarray, w: int):
+    """`_spectra` on the first w columns: below w = n//2 + 1, the real
+    forward transform along x2, then the DFT along x1 of the columns k2 < w
+    only, bit for bit rfft2's first w columns, which come from the same two
+    passes."""
+    if w == grid.n // 2 + 1:
+        return _spectra(grid, samples)
+
+    def forward(x):
+        half = rfft(x, axis=-1, norm="forward")
+        return _symmetrize_columns(fft(half[..., :w], axis=-2, norm="forward"))
+
+    return _by_chunks(grid, forward, samples)
+
+
 def _advection(grid: GridSpec, fields, u_samples=None):
     """The spectra of u . grad g, not yet dealiased, for each coefficient
     array g of `fields` (a list or a stack): the one advection kernel.
 
-    u is given by its grid samples (u1, u2) or, when None, is the Biot-Savart
-    velocity of fields[0], whose coefficients then go into the gradients'
-    inverse call.  All gradients (and that velocity) are one stack for
-    `_samples`, and the products one stack for `_spectra`, so below N=256
-    one inverse and one forward call do everything.  Returns what `_spectra`
-    returns: an array, or a list of slices.
+    The arrays hold the first w columns of the half spectrum, the others
+    being zero: w = n//2 + 1 for any field, or `GridSpec.dealiased_columns`
+    for dealiased ones, whose transforms then skip the zero columns' DFTs
+    along k1 (`_column_samples`, `_column_spectra`).  u is given by its grid
+    samples (u1, u2) or, when None, is the Biot-Savart velocity of
+    fields[0], whose coefficients then go into the gradients' inverse call.
+    All gradients (and that velocity) are one zero-padded half-spectrum
+    stack, and the products one stack, so below N=256 one inverse and one
+    forward call do everything.  Returns the spectra on the same w columns
+    as `_spectra` returns them: an array, or a list of slices.
     """
+    w = fields[0].shape[-1]
     own = 2 if u_samples is None else 0  # the velocity's slices, first in the stack
     stack = np.empty((own + 2 * len(fields),) + grid.shape, dtype=complex)
+    stack[..., w:] = 0.0
+    cols = stack[..., :w]
     if own:
-        require_mean_zero(SpectralField(grid, fields[0]), "Biot-Savart")
-        _velocity(grid, fields[0], out=stack[:2])
+        require_mean_zero(fields[0], "Biot-Savart")
+        _velocity(grid, fields[0], out=cols[:2])
+    grad = grid.columns("grad_symbol", w)
     for i, g in enumerate(fields):
-        np.multiply(grid.grad_symbol, g, out=stack[own + 2 * i : own + 2 * i + 2])
-    d = _samples(grid, stack)
+        np.multiply(grad, g, out=cols[own + 2 * i : own + 2 * i + 2])
+    d = _column_samples(grid, stack, w)
     u1, u2 = (d[0], d[1]) if own else u_samples
     products = np.empty((len(fields), grid.n, grid.n))
     for i, p in enumerate(products):
         np.add(np.multiply(d[own + 2 * i], u1, out=p), d[own + 2 * i + 1] * u2, out=p)
-    return _spectra(grid, products)
+    return _column_spectra(grid, products, w)
 
 
 def advect(u: VectorField, *scalars: SpectralField):

@@ -156,17 +156,20 @@ _LAWSON = threading.local()
 
 
 def _lawson_multipliers(grid: GridSpec, dt: float, kappa: float):
-    """Read-only arrays for one Lawson step on (V+, V-): the phases
-    (e, conj e) over dt/2 and over dt, each one (2, n, n//2 + 1) stack, and
-    minus the dealias mask, which takes a stage's advection spectra to its
-    forcing."""
+    """Read-only arrays on the dealiased columns for one Lawson step on
+    (V+, V-): the phases (e, conj e) over dt/2 and over dt, each one
+    (2, n, c) stack and masked by the dealias set, and the (n, c) mask
+    itself.  A masked phase takes a stage input to the dealias set, and
+    reversed it is the masked pull-back of a stage's advection spectra."""
     key = (grid, dt, kappa)
     memo = getattr(_LAWSON, "memo", None)
     if memo is None or memo[0] != key:
         _LAWSON.memo = None  # freed before its successor is made
-        e = phase_multiplier(grid, dt / 2, kappa)
+        c = grid.dealiased_columns
+        mask = np.where(grid.dealias_mask[:, :c], 1.0, 0.0)
+        e = phase_multiplier(grid, dt / 2, kappa)[:, :c] * mask
         half = np.stack([e, np.conj(e)])
-        arrays = (half, half * half, np.where(grid.dealias_mask, -1.0, 0.0))
+        arrays = (half, half * half, mask)
         for a in arrays:
             a.flags.writeable = False
         memo = _LAWSON.memo = (key, arrays)
@@ -176,39 +179,56 @@ def _lawson_multipliers(grid: GridSpec, dt: float, kappa: float):
 def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
     """Lawson (integrating-factor) RK4 on the stacked diagonal variables
     V = (V+, V-): each stage input, the RK combination and each pull-back
-    by the phase are one array operation on both."""
+    by the phase are one array operation on both.
+
+    The step works on the first `GridSpec.dealiased_columns` columns of the
+    half spectrum, the only ones the dealias mask keeps: V and every stage
+    array are (2, n, c), and (omega, rho) return in full layout, zero from
+    the column c on.  It reads only the dealiased modes of (omega, rho), so
+    a state steps as dealias(state) does, given the same advecting velocity
+    (at stage 1, the state's own: that of dealias(omega) only when omega is
+    dealiased).  `run` dealiases its data, so its states are.
+
+    A stage's forcing F is dealias(a +- Lambda b) for the spectra (a, b) of
+    u . grad (omega, rho), pulled back by the phase: one product with the
+    masked phase, or with the mask at stage 1.  dV/dt = -F, so the stage
+    inputs and the RK combination subtract it: exactly the sums that adding
+    -F makes.
+    """
     grid, kappa, t, rho_mean = state.grid, state.kappa, state.t, state.rho.mean
-    half, full, minus_mask = _lawson_multipliers(grid, dt, kappa)
-    v = diagonal_stack(grid, state.omega.coeffs, state.rho.coeffs)
+    half, full, mask = _lawson_multipliers(grid, dt, kappa)
+    c = grid.dealiased_columns
+    v = diagonal_stack(grid, state.omega.coeffs[:, :c], state.rho.coeffs[:, :c])
+    v *= mask
 
     def done(v1):
-        omega, rho = merged_stack(grid, v1, rho_mean)
-        return SimState(SpectralField(grid, omega), SpectralField(grid, rho), t + dt, kappa)
+        coeffs = np.zeros((2,) + grid.shape, dtype=complex)
+        coeffs[..., :c] = merged_stack(grid, v1, rho_mean)
+        return SimState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]),
+                        t + dt, kappa)
 
     if not nonlinear:
         return done(_turn(full, v))
 
-    def forcing(w, t, phase=None, u=None):
-        """-dealias(a +- Lambda b), pulled back by `phase`, where (a, b) are
-        the spectra of u . grad (omega, rho) for the (omega, rho) merged from
-        w; u is given, `velocity(t)`, or else omega's own, computed with the
+    def forcing(w, t, phase, u=None):
+        """F for the (omega, rho) merged from w, pulled back by `phase`; u is
+        given, `velocity(t)`, or else omega's own, computed with the
         gradients."""
         if velocity is not None:
             u = velocity(t)
         samples = None if u is None else u.samples()
-        f = diagonal_stack(grid, *_advection(grid, merged_stack(grid, w, rho_mean), samples))
-        f *= minus_mask
-        return f if phase is None else _turn(phase, f)
+        spectra = _advection(grid, merged_stack(grid, w, rho_mean), samples)
+        return _turn(phase, diagonal_stack(grid, *spectra))
 
     # stage 1 advects with the step's own state's velocity, which cfl_dt has
     # usually computed already, and differentiates the merged fields.  The
     # pull-back by (e, conj e) is the product with (conj e, e): the reversed
     # stack, a view
-    k1 = forcing(v, t, u=state.own_velocity() if velocity is None else None)
-    k2 = forcing(_turn(half, v + dt / 2 * k1), t + dt / 2, half[::-1])
-    k3 = forcing(_turn(half, v + dt / 2 * k2), t + dt / 2, half[::-1])
-    k4 = forcing(_turn(full, v + dt * k3), t + dt, full[::-1])
-    return done(_turn(full, v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+    k1 = forcing(v, t, mask, u=state.own_velocity() if velocity is None else None)
+    k2 = forcing(_turn(half, v - dt / 2 * k1), t + dt / 2, half[::-1])
+    k3 = forcing(_turn(half, v - dt / 2 * k2), t + dt / 2, half[::-1])
+    k4 = forcing(_turn(full, v - dt * k3), t + dt, full[::-1])
+    return done(_turn(full, v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
 
 
 def _turn(phase: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -143,6 +143,20 @@ def test_mean_guard_decides_as_the_full_norm(grid, monkeypatch):
     assert not has_nonzero_mean(base.with_mean(1e-17))
 
 
+@pytest.mark.parametrize("scale", [0.9999, 1.0001])
+def test_mean_guard_on_a_column_array_decides_as_on_the_field(scale):
+    # the column k2 = c - 1 of a column array is not the Nyquist column, and
+    # the fallback norm counts it twice, as the field's norm does
+    g = GridSpec(64)
+    c = g.dealiased_columns
+    coeffs = np.where(g.k2 == c - 1, 1.0, 0.01) * random_real_field(g, seed=4).coeffs
+    f = SpectralField(g, coeffs)
+    f = f.with_mean(scale * grid_module.MEAN_TOL * f.coefficient_norm())
+    assert has_nonzero_mean(f.coeffs[:, :c]) == has_nonzero_mean(f) == (scale > 1)
+    assert np.isclose(grid_module._coefficient_norms(f.coeffs[:, :c]), f.coefficient_norm(),
+                      rtol=1e-14, atol=0.0)
+
+
 def test_sample_lp_norms_at_p4_match_the_float_power(grid):
     samples = np.stack([inverse_transform(random_real_field(grid, seed=s)) for s in (10, 11)])
     cell = (2 * np.pi * grid.box_scale / grid.n) ** 2
@@ -229,6 +243,40 @@ def test_advect_transforms_a_velocity_once(grid, monkeypatch):
     assert np.array_equal(advect(u, g).coeffs, fresh[0])
     assert np.array_equal(advect(u, h).coeffs, fresh[1])
     assert transformed == [True, False, False]
+
+
+def test_advect_of_fields_outside_the_dealias_set_is_irfft2_and_rfft2(grid):
+    # advect takes the full half spectrum: with modes on every column, its
+    # numbers are those of irfft2 / rfft2, dealiased
+    rng = np.random.default_rng(3)
+    u = biot_savart(random_real_field(grid, seed=7).drop_mean())
+    g = forward_transform(grid, rng.standard_normal((grid.n, grid.n)))
+    assert g.coeffs[:, -1].any() and g.coeffs[~grid.dealias_mask].any()
+    u1, u2 = (np.fft.irfft2(c, s=(grid.n,) * 2, norm="forward") for c in (u.u1.coeffs, u.u2.coeffs))
+    d1, d2 = (np.fft.irfft2(sym * g.coeffs, s=(grid.n,) * 2, norm="forward")
+              for sym in (grid.i_xi1, grid.i_xi2))
+    spectra = grid_module._symmetrize_columns(np.fft.rfft2(d1 * u1 + d2 * u2, norm="forward"))
+    assert np.array_equal(advect(u, g).coeffs, spectra * grid.dealias_mask)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_column_transforms_match_irfft2_and_rfft2(n):
+    # on dealiased stacks; six slices, one chunk below N=256 and six
+    # one-slice chunks at N=256
+    g = GridSpec(n)
+    c = g.dealiased_columns
+    assert c == {32: 11, 64: 22, 128: 43, 256: 86}[n]
+    rng = np.random.default_rng(n)
+    coeffs = (rng.standard_normal((6,) + g.shape) + 1j * rng.standard_normal((6,) + g.shape))
+    coeffs *= g.dealias_mask
+    want = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+    got = grid_module._column_samples(g, coeffs.copy(), c)
+    assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    samples = rng.standard_normal((6, n, n))
+    want = grid_module._symmetrize_columns(np.fft.rfft2(samples, norm="forward"))[..., :c]
+    got = grid_module._column_spectra(g, samples, c)
+    assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert all(a.shape == (n, c) for a in got)
 
 
 def _counting(monkeypatch, name):

@@ -16,6 +16,7 @@ from strat2d.grid import (
     SpectralField,
     advect,
     biot_savart,
+    dealias,
     derivative,
     forward_transform,
     hminus1_norm,
@@ -340,19 +341,30 @@ def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
     # per stage: the gradients of omega and rho in one inverse call, their
     # two products in one forward call, and the velocity's two components in
     # one more inverse call -- or, in ifrk4's stages 2-4, in the gradients'
-    # call.  One call per transform made 24 inverse and 8 forward
+    # call.  One call per transform made 24 inverse and 8 forward.  rk4's
+    # calls are irfft2 / rfft2; ifrk4's stages transform the dealiased
+    # columns, an inverse call being an ifft along k1 of those columns and an
+    # irfft along k2, a forward call an rfft and an fft of those columns
     g = GridSpec(32)
     omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
-    calls = {"irfft2": 0, "rfft2": 0}
+    calls = {name: [] for name in ("irfft2", "ifft", "irfft", "rfft2", "rfft", "fft")}
     for name in calls:
         def counting(*args, real=getattr(grid_module, name), name=name, **kwargs):
-            calls[name] += 1
+            calls[name].append(args[0].shape[-1])
             return real(*args, **kwargs)
         monkeypatch.setattr(grid_module, name, counting)
     state = SimState(omega, rho, 0.0, 16.0)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
     step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)
-    assert calls == {"irfft2": {"ifrk4": 5, "rk4": 8}[scheme], "rfft2": 4}
+    counts = {name: len(widths) for name, widths in calls.items()}
+    inverse = counts["irfft2"] + counts["irfft"]
+    forward = counts["rfft2"] + counts["rfft"]
+    assert (inverse, forward) == ({"ifrk4": 5, "rk4": 8}[scheme], 4)
+    assert counts == {
+        "ifrk4": {"irfft2": 1, "ifft": 4, "irfft": 4, "rfft2": 0, "rfft": 4, "fft": 4},
+        "rk4": {"irfft2": 8, "ifft": 0, "irfft": 0, "rfft2": 4, "rfft": 0, "fft": 0},
+    }[scheme]
+    assert calls["ifft"] == calls["fft"] == [g.dealiased_columns] * counts["ifft"]
 
 
 def _reference_ifrk4_step(state, dt, velocity, nonlinear):
@@ -401,7 +413,7 @@ def _reference_ifrk4_step(state, dt, velocity, nonlinear):
 
 @pytest.mark.parametrize("mode", ["own", "frozen", "linear"])
 @pytest.mark.parametrize("kappa", [0.0, 16.0, 256.0])
-@pytest.mark.parametrize("n", [32, 64, 256])
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_ifrk4_step_matches_the_unstacked_reference(n, kappa, mode):
     # the stacked step does the same floating-point operations, so below
     # N=256 it matches bit for bit.  From N=256 the reference's
@@ -425,6 +437,31 @@ def test_ifrk4_step_matches_the_unstacked_reference(n, kappa, mode):
         assert got.t == want.t
         for a, b in ((got.omega, want.omega), (got.rho, want.rho)):
             assert np.abs(a.coeffs - b.coeffs).max() <= tol * np.abs(b.coeffs).max()
+
+
+@pytest.mark.parametrize("mode", ["own", "frozen", "linear"])
+def test_ifrk4_step_reads_only_the_dealiased_modes(mode):
+    # a state with modes outside the dealias set steps as dealias(state),
+    # and returns dealiased fields.  Given no velocity, stage 1 advects with
+    # the state's own, so there omega is dealiased and rho is not
+    g = GridSpec(64)
+    omega, rho = random_spectrum(g, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
+    rng = np.random.default_rng(5)
+    outside = ~g.dealias_mask
+    noise = [SpectralField(g, np.where(outside, rng.standard_normal(g.shape), 0.0) + 0j)
+             for _ in range(2)]
+    velocity = None
+    if mode == "frozen":
+        velocity = FrozenVelocity(np.array([0.0, 0.01]), [biot_savart(omega)] * 2)
+    noisy_omega = omega if mode == "own" else omega + noise[0]
+    noisy = SimState(noisy_omega, rho + noise[1], 0.0, 256.0)
+    clean = SimState(dealias(noisy_omega), dealias(rho + noise[1]), 0.0, 256.0)
+    assert not np.array_equal(noisy.rho.coeffs, clean.rho.coeffs)
+    got = solver._ifrk4_step(noisy, 0.002, velocity, mode != "linear")
+    want = solver._ifrk4_step(clean, 0.002, velocity, mode != "linear")
+    for a, b in ((got.omega, want.omega), (got.rho, want.rho)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert not a.coeffs[outside].any()
 
 
 def test_ifrk4_refuses_a_nonzero_mean_at_a_later_stage():
