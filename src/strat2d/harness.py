@@ -33,9 +33,7 @@ from .estimates import LEMMAS, resolution_stability
 from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
-from .solver import DiagnosticsRecord, StepperConfig, gronwall_fit, lifespan, run
-
-DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+from .solver import COLUMNS, StepperConfig, gronwall_fit, lifespan, run
 
 
 def thread_count() -> int:
@@ -253,7 +251,7 @@ def _json_default(obj):
 
 
 def diagnostics_rows(traj):
-    return [[getattr(r, c) for c in DIAGNOSTIC_COLUMNS] for r in traj.records]
+    return [[r[c] for c in COLUMNS] for r in traj.records]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     files, runs = {}, []
     for spec, traj, entry in _sweep(sweep_schedule(config), one):
         if traj is not None:
-            files[f"{spec.tag}_diagnostics.csv"] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
+            files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
             entry.update(status=traj.status, t_stop=traj.t_stop, c6=gronwall_fit(traj.records))
             if config.snapshots:
                 files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
@@ -361,7 +359,7 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
         if result is not None:
             t_life, traj = result
             curve = f"{spec.tag}_bcurve.csv"
-            files[curve] = (DIAGNOSTIC_COLUMNS, diagnostics_rows(traj))
+            files[curve] = (COLUMNS, diagnostics_rows(traj))
             entry.update(status=traj.status, t_stop=traj.t_stop)
             if t_life is not None:
                 rows.append([spec.kappa, spec.seed, t_life, curve])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
-from .solver import StepperConfig, Trajectory, run, z_norm, z_record
+from .solver import StepperConfig, Trajectory, run, z_norm
 
 
 @dataclass
@@ -207,7 +207,7 @@ def linear_solve(
     Records only (t, z): z is all the iteration reads.
     """
     return run(omega_init, rho_init, kappa, t_final, config,
-               velocity=frozen, record=z_record, **run_kwargs)
+               velocity=frozen, record=("t", "z"), **run_kwargs)
 
 
 def _difference_norm(sa, sb, bank: DyadicBank, s: float, q: float) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,35 +74,22 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {tuple(SCHEMES)}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-
-
-@dataclass
-class DiagnosticsRecord:
-    t: float
-    energy: float  # |omega|_{H^-1}^2 + |rho|_{L2}^2
-    z: float  # z_{s,q}
-    grad_u_inf: float
-    grad_rho_inf: float
-    vplus_band_norm: float  # |V+| in dotted B^0_{inf,1}
-    vminus_band_norm: float
-    m_integral: float  # int_0^t max(|V+|,|V-|) band norm
-    b_integral: float  # int_0^t (|grad rho|_inf + |grad u|_inf)
 
 
 @dataclass
 class Trajectory:
     grid: GridSpec
     kappa: float
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # dicts: column name -> value
     snapshots: list = field(default_factory=list)  # SimState at sample times
     nonlinear: bool = True  # whether the advection terms were active
     status: str = "ok"  # "ok" | "blowup"
     t_stop: float = 0.0  # t_final, the stop rule's crossing, or the blow-up time
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return np.array([r[name] for r in self.records])
 
 
 # ---------------------------------------------------------------------------
@@ -289,41 +275,36 @@ def z_norm(omega: SpectralField, rho: SpectralField, bank: DyadicBank,
 _B0INF1 = BesovSpec(s=0.0, p=np.inf, q=1.0, homogeneous=True)
 
 
-def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float,
-                prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    omega, rho = state.omega, state.rho
-    u = state.own_velocity()
-    vplus, vminus = diagonalize(omega, rho)
-    rec = DiagnosticsRecord(
-        t=state.t,
-        energy=hminus1_norm(omega) ** 2 + lp_norm(rho, 2) ** 2,
-        z=z_norm(omega, rho, bank, s, q),
-        grad_u_inf=grad_inf(u.u1, u.u2),
-        grad_rho_inf=grad_inf(rho),
-        vplus_band_norm=besov_norm(vplus, _B0INF1, bank),
-        vminus_band_norm=besov_norm(vminus, _B0INF1, bank),
-        m_integral=0.0,
-        b_integral=0.0,
-    )
-    if prev is not None:
-        h = rec.t - prev.t
-        v_now = max(rec.vplus_band_norm, rec.vminus_band_norm)
-        v_prev = max(prev.vplus_band_norm, prev.vminus_band_norm)
-        rec.m_integral = prev.m_integral + 0.5 * h * (v_now + v_prev)
-        b_now = rec.grad_rho_inf + rec.grad_u_inf
-        b_prev = prev.grad_rho_inf + prev.grad_u_inf
-        rec.b_integral = prev.b_integral + 0.5 * h * (b_now + b_prev)
+def _band_norm(i: int):
+    """|V+| (i = 0) or |V-| (i = 1) in dotted B^0_{inf,1}."""
+    return lambda st, bank, s, q: besov_norm(diagonalize(st.omega, st.rho)[i], _B0INF1, bank)
+
+
+# the functionals a record can hold: name -> value(state, bank, s, q)
+FUNCTIONALS = {
+    "energy": lambda st, bank, s, q: hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,
+    "z": lambda st, bank, s, q: z_norm(st.omega, st.rho, bank, s, q),
+    "grad_u_inf": lambda st, bank, s, q: grad_inf(st.own_velocity().u1, st.own_velocity().u2),
+    "grad_rho_inf": lambda st, bank, s, q: grad_inf(st.rho),
+    "vplus_band_norm": _band_norm(0),
+    "vminus_band_norm": _band_norm(1),
+}
+
+# the running integrals int_0^t f, which `run` adds to each record by the
+# trapezoid rule over the sample times: name -> (f's columns, f)
+INTEGRALS = {
+    "m_integral": (("vplus_band_norm", "vminus_band_norm"), max),
+    "b_integral": (("grad_rho_inf", "grad_u_inf"), lambda rho, u: rho + u),
+}
+
+COLUMNS = ("t", *FUNCTIONALS, *INTEGRALS)
+
+
+def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float, names) -> dict:
+    """The record of `state`: its time t and the FUNCTIONALS among `names`."""
+    rec = {"t": state.t}
+    rec.update((n, FUNCTIONALS[n](state, bank, s, q)) for n in names if n in FUNCTIONALS)
     return rec
-
-
-class ZRecord(NamedTuple):
-    t: float
-    z: float  # z_{s,q}
-
-
-def z_record(state: SimState, bank: DyadicBank, s: float, q: float, prev) -> ZRecord:
-    """A `run` recorder that keeps only z: all that `run`'s guard reads."""
-    return ZRecord(state.t, z_norm(state.omega, state.rho, bank, s, q))
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +325,19 @@ def run(
     velocity=None,
     nonlinear: bool = True,
     stop=None,
-    record=None,
+    record=COLUMNS,
 ) -> Trajectory:
-    """Integrate to t_final, recording diagnostics at n_samples equally
-    spaced times from 0 (the data, dealiased) to t_final.
+    """Integrate to t_final, recording diagnostics at n_samples >= 2 equally
+    spaced times from 0 (the data, dealiased) to t_final > 0.
 
     `velocity(t)` supplies the advecting field, by default the state's own
     Biot-Savart velocity; nonlinear=False drops the advection terms.
-    `record(state, bank, s, q, prev)` makes each sample's record; it must
-    carry `t` and `z`, and defaults to the full `diagnostics`.
-    `stop = (name, threshold)` ends the run at the first sample whose record
-    field `name` reaches threshold; raises ValueError when the data's record
-    already does.
+    `record` selects the COLUMNS each sample's record, a dict, keeps; the
+    INTEGRALS are added here, as trapezoids over the sample times.
+    `stop = (name, threshold)` ends the run at the first sample whose
+    column `name` reaches threshold.  A bad schedule, selection or stop
+    rule, or one the data's record already meets, raises ValueError before
+    any step.
 
     How the run ended is decided here alone, in `status` and `t_stop`:
     "ok" with t_stop = t_final, or the stop rule's crossing interpolated
@@ -363,23 +345,39 @@ def run(
     after a step, or z beyond GUARD_FACTOR z(0) at a sample) with t_stop
     the time it was seen, and whatever records were collected.
     """
+    if n_samples < 2 or not t_final > 0:
+        raise ValueError(f"need n_samples >= 2 and t_final > 0, got {n_samples}, {t_final}")
+    names = set(record)
+    needed = {"t", "z"}.union(*(INTEGRALS[n][0] for n in names & set(INTEGRALS)))
+    if not needed <= names <= set(COLUMNS):
+        raise ValueError(f"record {tuple(record)} is not a selection of {COLUMNS} that "
+                         "holds t, z and the integrands of its integrals")
+    if stop is not None and (stop[0] not in names or np.isnan(stop[1])):
+        raise ValueError(f"the stop rule {stop} reads a column not recorded, or is NaN")
     require_mean_zero(omega0, "time integration")
     grid = omega0.grid
     omega0, rho0 = dealias(omega0), dealias(rho0)
     if bank is None:
         bank = DyadicBank(grid)
-    if record is None:
-        record = diagnostics
+
+    def sample(state, prev):
+        rec = diagnostics(state, bank, s, q, record)
+        for name, (needs, f) in INTEGRALS.items():
+            if name in record:
+                f_now = f(*(rec[n] for n in needs))
+                rec[name] = 0.0 if prev is None else prev[name] + 0.5 * (
+                    rec["t"] - prev["t"]) * (f_now + f(*(prev[n] for n in needs)))
+        return rec
 
     state = SimState(omega0, rho0, 0.0, kappa)
     traj = Trajectory(grid=grid, kappa=kappa, nonlinear=nonlinear, t_stop=t_final)
-    rec = record(state, bank, s, q, None)
-    if stop is not None and getattr(rec, stop[0]) >= stop[1]:
+    rec = sample(state, None)
+    if stop is not None and rec[stop[0]] >= stop[1]:
         raise ValueError(f"the data already meets the stop rule {stop[0]} >= {stop[1]}")
     traj.records.append(rec)
     if store_snapshots:  # copies, which do not keep the velocity memo
         traj.snapshots.append(replace(state))
-    z0 = rec.z
+    z0 = rec["z"]
 
     for target in np.linspace(0.0, t_final, n_samples)[1:]:
         try:
@@ -390,18 +388,18 @@ def run(
         except BlowupSuspectedError as exc:
             traj.status, traj.t_stop = "blowup", exc.t
             break
-        prev, rec = rec, record(state, bank, s, q, rec)
+        prev, rec = rec, sample(state, rec)
         traj.records.append(rec)
         if store_snapshots:
             traj.snapshots.append(replace(state))
-        if not np.isfinite(rec.z) or (z0 > 0 and rec.z > GUARD_FACTOR * z0):
-            traj.status, traj.t_stop = "blowup", rec.t
+        if not np.isfinite(rec["z"]) or (z0 > 0 and rec["z"] > GUARD_FACTOR * z0):
+            traj.status, traj.t_stop = "blowup", rec["t"]
             break
-        if stop is not None and getattr(rec, stop[0]) >= stop[1]:
+        if stop is not None and rec[stop[0]] >= stop[1]:
             # the crossing, linear inside the last sample interval
-            before, after = getattr(prev, stop[0]), getattr(rec, stop[0])
+            before, after = prev[stop[0]], rec[stop[0]]
             frac = (stop[1] - before) / (after - before)
-            traj.t_stop = float(prev.t + frac * (rec.t - prev.t))
+            traj.t_stop = float(prev["t"] + frac * (rec["t"] - prev["t"]))
             break
     return traj
 
@@ -429,9 +427,9 @@ def gronwall_fit(records) -> float:
     """Smallest C with z(t) <= z(0) exp(C B(t)) at every sample (0 if none binds)."""
     if not records:
         raise ValueError("empty diagnostics series")
-    z0 = records[0].z
+    z0 = records[0]["z"]
     best = 0.0
     for r in records[1:]:
-        if r.b_integral > 0 and z0 > 0 and r.z > z0:
-            best = max(best, np.log(r.z / z0) / r.b_integral)
+        if r["b_integral"] > 0 and z0 > 0 and r["z"] > z0:
+            best = max(best, np.log(r["z"] / z0) / r["b_integral"])
     return float(best)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import strat2d
-from strat2d import cli, estimates, harness, picard
+from strat2d import cli, estimates, harness, picard, solver
 from strat2d.cli import SUBCOMMANDS
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError
@@ -474,6 +474,14 @@ def test_readme_names_every_config_key():
     assert not missing, f"README's config-key table lacks {missing}"
     lemma_row = next(line for line in section.splitlines() if line.startswith("| `lemma`"))
     assert all(f"`{name}`" in lemma_row for name in (*estimates.LEMMAS, "all"))
+
+
+def test_readme_names_every_recorded_column():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Recorded columns", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("| `")]
+    assert rows == [f"`{name}`" for name in solver.COLUMNS]
 
 
 def test_readme_names_every_manifest_run_key(tmp_path):

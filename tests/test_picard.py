@@ -313,9 +313,11 @@ def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data):
 
 def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("picard_run computed full diagnostics")
+        raise AssertionError("picard_run computed a functional other than z")
 
-    monkeypatch.setattr(solver, "diagnostics", refuse)
+    for name in solver.FUNCTIONALS:
+        if name != "z":
+            monkeypatch.setitem(solver.FUNCTIONALS, name, refuse)
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3, bank=bank)

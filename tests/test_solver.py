@@ -1,6 +1,5 @@
 import json
 import threading
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,14 @@ from strat2d.grid import (
     lp_norm,
     phase_multiplier,
 )
-from strat2d.picard import FrozenVelocity
+from strat2d.picard import FrozenVelocity, picard_run
 from strat2d.solver import (
+    COLUMNS,
+    FUNCTIONALS,
+    INTEGRALS,
     SCHEMES,
-    DiagnosticsRecord,
     SimState,
     StepperConfig,
-    ZRecord,
     cfl_dt,
     grad_inf,
     gronwall_fit,
@@ -41,7 +41,6 @@ from strat2d.solver import (
     run,
     step,
     z_norm,
-    z_record,
 )
 
 
@@ -62,8 +61,9 @@ def zero_field(grid):
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(scheme="euler")
-    with pytest.raises(ValueError):
-        StepperConfig(dt=0.0)
+    for dt in (0.0, -0.01, np.nan):
+        with pytest.raises(ValueError):
+            StepperConfig(dt=dt)
     assert set(SCHEMES) == {"rk4", "ifrk4"}
     for scheme in SCHEMES:
         assert StepperConfig(scheme=scheme).scheme == scheme
@@ -194,29 +194,79 @@ def test_run_zero_data(grid, bank):
     cfg = StepperConfig(scheme="rk4", dt=0.01)
     traj = run(z, z, 5.0, 0.1, cfg, n_samples=3, bank=bank)
     assert traj.status == "ok"
-    assert all(r.energy == 0.0 for r in traj.records)
-    assert all(r.z == 0.0 for r in traj.records)
+    assert all(r["energy"] == 0.0 for r in traj.records)
+    assert all(r["z"] == 0.0 for r in traj.records)
 
 
 def test_run_records_full_diagnostics_by_default(grid, bank):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traj = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
-    assert all(isinstance(r, DiagnosticsRecord) for r in traj.records)
+    assert COLUMNS == ("t", *FUNCTIONALS, *INTEGRALS)
+    assert all(tuple(r) == COLUMNS for r in traj.records)
     for r in traj.records[1:]:
-        values = [getattr(r, f.name) for f in fields(DiagnosticsRecord)]
-        assert all(np.isfinite(v) and v > 0 for v in values)
+        assert all(np.isfinite(r[c]) and r[c] > 0 for c in COLUMNS)
 
 
 def test_run_with_z_record(grid, bank):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
-    lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=z_record,
+    lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=("t", "z"),
                stop=("t", 0.01))
-    assert lean.records == [ZRecord(r.t, r.z) for r in full.records[:2]]
+    assert lean.records == [{"t": r["t"], "z": r["z"]} for r in full.records[:2]]
     assert np.array_equal(lean.column("z"), full.column("z")[:2])
     assert lean.t_stop == 0.01
+
+
+def _refuse_steps(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run stepped before refusing its arguments")
+
+    monkeypatch.setattr(solver, "step", forbidden)
+
+
+@pytest.mark.parametrize("record, stop", [
+    (("t", "z", "enstrophy"), None),  # an unknown column
+    (("t", "energy"), None),  # no z, which the guard reads
+    (("z",), None),  # no t
+    (("t", "z", "b_integral"), None),  # an integral without its integrands
+    (("t", "z", "vplus_band_norm", "m_integral"), None),
+    (("t", "z"), ("b_integral", 8.0)),  # a stop rule on a column not recorded
+    (COLUMNS, ("enstrophy", 1.0)),
+])
+def test_run_refuses_a_bad_selection_before_any_step(monkeypatch, grid, bank, record, stop):
+    omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    _refuse_steps(monkeypatch)
+    with pytest.raises(ValueError):
+        run(omega, rho, 8.0, 0.04, StepperConfig(scheme="ifrk4", dt=0.01), n_samples=3,
+            bank=bank, record=record, stop=stop)
+
+
+_DEGENERATE = {
+    "one sample": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=1, bank=bank),
+    "no samples": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=0, bank=bank),
+    "t_final 0": lambda d, cfg, bank: run(*d, 8.0, 0.0, cfg, n_samples=3, bank=bank),
+    "t_final < 0": lambda d, cfg, bank: run(*d, 8.0, -0.5, cfg, n_samples=3, bank=bank),
+    "t_final nan": lambda d, cfg, bank: run(*d, 8.0, np.nan, cfg, n_samples=3, bank=bank),
+    "stop nan": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=3, bank=bank,
+                                         stop=("b_integral", np.nan)),
+    "lifespan one sample": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, 8.0, cfg, n_samples=1,
+                                                         bank=bank),
+    "lifespan theta nan": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, np.nan, cfg, bank=bank),
+    "lifespan z only": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, 8.0, cfg, bank=bank,
+                                                     record=("t", "z")),
+    "picard one sample": lambda d, cfg, bank: picard_run(*d, 8.0, 0.04, 1, cfg, n_samples=1,
+                                                         bank=bank),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE))
+def test_run_refuses_degenerate_schedules(monkeypatch, grid, bank, case):
+    data = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    _refuse_steps(monkeypatch)
+    with pytest.raises(ValueError):
+        _DEGENERATE[case](data, StepperConfig(scheme="ifrk4", dt=0.01), bank)
 
 
 def test_run_requires_mean_zero_vorticity(grid, bank):
@@ -260,7 +310,7 @@ def test_run_to_the_end_stops_at_t_final(grid, bank):
     # ten steps of 0.01 sum to 0.09999999999999999: t_stop is t_final itself
     z = zero_field(grid)
     traj = run(z, z, 0.0, 0.1, StepperConfig(scheme="rk4", dt=0.01), n_samples=3, bank=bank)
-    assert traj.status == "ok" and traj.records[-1].t != 0.1
+    assert traj.status == "ok" and traj.records[-1]["t"] != 0.1
     assert traj.t_stop == 0.1
 
 
@@ -283,7 +333,7 @@ def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
     assert traj.t_stop == 0.5777623702972501
     b = traj.column("b_integral")
     assert b[-2] < 8.0 <= b[-1]
-    assert traj.records[-2].t < traj.t_stop <= traj.records[-1].t
+    assert traj.records[-2]["t"] < traj.t_stop <= traj.records[-1]["t"]
 
 
 @pytest.mark.parametrize("n_samples, seen_at", [
@@ -295,14 +345,15 @@ def test_blowup_sets_t_stop(grid, bank, n_samples, seen_at):
     cfg = StepperConfig(scheme="rk4", dt=0.05)
     with np.errstate(invalid="ignore", over="ignore"):
         traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=n_samples, bank=bank,
-                   record=z_record)
+                   record=("t", "z"))
     assert traj.status == "blowup"
     assert 0.0 < traj.t_stop < 2.0
     last = traj.records[-1]
     if seen_at == "guard":
-        assert traj.t_stop == last.t and last.z > solver.GUARD_FACTOR * traj.records[0].z
+        assert traj.t_stop == last["t"]
+        assert last["z"] > solver.GUARD_FACTOR * traj.records[0]["z"]
     else:
-        assert len(traj.records) == 1 and traj.t_stop > last.t
+        assert len(traj.records) == 1 and traj.t_stop > last["t"]
 
 
 def test_cfl_dt_caps(grid):
@@ -488,7 +539,7 @@ def test_lawson_multipliers_keep_one_entry_per_thread(monkeypatch, grid, bank):
         return real(g, dt, kappa)
 
     def work():
-        run(omega, rho, 16.0, 0.1, cfg, n_samples=11, bank=bank, record=z_record)
+        run(omega, rho, 16.0, 0.1, cfg, n_samples=11, bank=bank, record=("t", "z"))
         entries.append(dict(vars(solver._LAWSON)))
 
     monkeypatch.setattr(solver, "_lawson_multipliers", recording)
