@@ -12,6 +12,12 @@ whose other columns are zero: the Lawson step works on the
 coefficient arrays read their width from the last axis, so a column array
 has no Nyquist column unless w = n//2 + 1.
 
+Transforms take and return one array, a field on its last two axes, and
+make the two passes of irfft2 / rfft2 themselves, bit for bit, on the first
+w columns only: the DFT along k1, then the real inverse along k2; the real
+transform along x2, then the DFT along x1.  A batch on the leading axes goes
+in chunks of at most TRANSFORM_CALL_BYTES (`_chunks`).
+
 Each column 0 < k2 < n/2 holds one of every conjugate pair c(-k) = conj c(k),
 so any data there is a real field.  The columns k2 = 0 and k2 = n/2 hold
 both members of their pairs and must be Hermitian along k1; the forward
@@ -34,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.fft import fft, ifft, irfft, irfft2, rfft, rfft2
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .errors import (
     GridMismatchError,
@@ -62,10 +68,10 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"n_per_axis must be even and >= 8, got {self.n}")
-        if self.box_scale <= 0:
-            raise ValueError("box_scale must be positive")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 8 or self.n % 2 != 0:
+            raise ValueError(f"n_per_axis must be an even integer >= 8, got {self.n!r}")
+        if not 0 < self.box_scale < np.inf:
+            raise ValueError(f"box_scale must be positive and finite, got {self.box_scale!r}")
         if not 0 < self.dealias_fraction <= 1:
             raise ValueError("dealias_fraction must lie in (0, 1]")
 
@@ -327,7 +333,9 @@ class VectorField:
         a class-wide lock while transforming, serializing sweep threads)."""
         memo = self.__dict__.get("_samples")
         if memo is None:
-            stack = self.__dict__.get("_stack", [self.u1.coeffs, self.u2.coeffs])
+            stack = self.__dict__.get("_stack")
+            if stack is None:
+                stack = np.stack([self.u1.coeffs, self.u2.coeffs])
             memo = self.__dict__["_samples"] = tuple(_samples(self.grid, stack))
         return memo
 
@@ -367,39 +375,32 @@ def require_mean_zero(f: SpectralField | np.ndarray, what: str = "operator") -> 
 
 def _symmetrize_columns(coeffs: np.ndarray) -> np.ndarray:
     """Replace the self-conjugate columns by their Hermitian part, in place;
-    irfft2 reads only that part, so the samples do not change."""
+    the real inverse reads only that part, so the samples do not change."""
     cols = _self_conjugate_columns(coeffs)
     cols[...] = 0.5 * (cols + _partner(cols))
     return coeffs
 
 
-def _per_call(grid: GridSpec) -> int:
-    """Slices of a half-spectrum stack that one transform call takes:
-    TRANSFORM_CALL_BYTES worth, at least one."""
-    return max(1, TRANSFORM_CALL_BYTES // (16 * grid.n * (grid.n // 2 + 1)))
+def _chunks(grid: GridSpec, count: int) -> list[slice]:
+    """The chunks of a batch of `count` slices, one transform call each: at
+    most TRANSFORM_CALL_BYTES of half spectra, at least one slice.  A
+    slice's numbers are those of a call on it alone."""
+    per = max(1, TRANSFORM_CALL_BYTES // (16 * grid.n * (grid.n // 2 + 1)))
+    return [slice(start, start + per) for start in range(0, count, per)]
 
 
-def _by_chunks(grid: GridSpec, transform, stack):
-    """`transform` over an array, or over the slices of a stack (an array
-    or a list of arrays), one call per chunk of at most `_per_call(grid)`
-    slices.  The call's own result when one call takes everything, else a
-    list of the slices' results (views of each call's result).  A slice's
-    numbers are those of a call on it alone."""
-    per = _per_call(grid)
-    if isinstance(stack, np.ndarray) and (stack.ndim == 2 or len(stack) <= per):
-        return transform(stack)
-    out = []
-    for start in range(0, len(stack), per):
-        chunk = stack[start : start + per]
-        out.extend([transform(chunk[0])] if len(chunk) == 1 else transform(np.asarray(chunk)))
-    return out
-
-
-def _spectra(grid: GridSpec, samples):
-    """Half-spectrum coefficients of real grid samples (an array, or a stack
-    as `_by_chunks` takes it), the self-conjugate columns made exactly
-    Hermitian: rfft2 leaves them so only up to round-off."""
-    return _by_chunks(grid, lambda x: _symmetrize_columns(rfft2(x, norm="forward")), samples)
+def _spectra(grid: GridSpec, samples: np.ndarray, w: int | None = None) -> np.ndarray:
+    """Half-spectrum coefficients of real grid samples on the first w columns
+    (all by default), the self-conjugate columns made exactly Hermitian:
+    the forward passes leave them so only up to round-off."""
+    n = grid.n
+    w = n // 2 + 1 if w is None else w
+    batch = samples.reshape(-1, n, n)
+    out = np.empty((len(batch), n, w), dtype=complex)
+    for chunk in _chunks(grid, len(batch)):
+        fft(rfft(batch[chunk], axis=-1, norm="forward")[..., :w], axis=-2, norm="forward",
+            out=out[chunk])
+    return _symmetrize_columns(out.reshape(samples.shape[:-2] + (n, w)))
 
 
 def forward_transform(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -418,11 +419,18 @@ def require_hermitian(f: SpectralField) -> None:
         raise HermitianSymmetryError(f"coefficients not Hermitian (defect {defect:.2e})")
 
 
-def _samples(grid: GridSpec, coeffs):
-    """Grid samples of half-spectrum coefficients: an array, or a stack as
-    `_by_chunks` takes it."""
+def _samples(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Grid samples of coefficient arrays, which it leaves intact.  The real
+    inverse writes into the result (numpy 2.4's irfft2 ignores `out=`).  A
+    chunk's DFT temporary is not kept across chunks: kept, it made a 2-slice
+    call at N=512 16% slower (2-vCPU Xeon VM)."""
     n = grid.n
-    return _by_chunks(grid, lambda c: irfft2(c, s=(n, n), norm="forward"), coeffs)
+    batch = coeffs.reshape(-1, *coeffs.shape[-2:])
+    out = np.empty((len(batch), n, n))
+    for chunk in _chunks(grid, len(batch)):
+        irfft(ifft(batch[chunk], axis=-2, norm="forward"), n=n, axis=-1, norm="forward",
+              out=out[chunk])
+    return out.reshape(coeffs.shape[:-2] + (n, n))
 
 
 class SupportSynthesis:
@@ -522,54 +530,18 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return dealias(forward_transform(f.grid, inverse_transform(f) * inverse_transform(g)))
 
 
-def _column_samples(grid: GridSpec, stack: np.ndarray, w: int):
-    """`_samples` of a half-spectrum stack whose columns k2 >= w are zero.
-    Below w = n//2 + 1 it transforms in place, the DFT along k1 of the
-    first w columns only, then the real inverse along k2: bit for bit
-    irfft2, which makes the same two passes over every column."""
-    if w == grid.n // 2 + 1:
-        return _samples(grid, stack)
-    n = grid.n
-
-    def inverse(x):
-        cols = x[..., :w]
-        ifft(cols, axis=-2, norm="forward", out=cols)
-        return irfft(x, n=n, axis=-1, norm="forward")
-
-    return _by_chunks(grid, inverse, stack)
-
-
-def _column_spectra(grid: GridSpec, samples: np.ndarray, w: int):
-    """`_spectra` on the first w columns: below w = n//2 + 1, the real
-    forward transform along x2, then the DFT along x1 of the columns k2 < w
-    only, bit for bit rfft2's first w columns, which come from the same two
-    passes."""
-    if w == grid.n // 2 + 1:
-        return _spectra(grid, samples)
-
-    def forward(x):
-        half = rfft(x, axis=-1, norm="forward")
-        return _symmetrize_columns(fft(half[..., :w], axis=-2, norm="forward"))
-
-    return _by_chunks(grid, forward, samples)
-
-
-def _advection(grid: GridSpec, fields, u_samples=None):
-    """The spectra of u . grad g, not yet dealiased, for each coefficient
-    array g of `fields` (a list or a stack): the one advection kernel.
-
-    The arrays hold the first w columns of the half spectrum, the others
-    being zero: w = n//2 + 1 for any field, or `GridSpec.dealiased_columns`
-    for dealiased ones, whose transforms then skip the zero columns' DFTs
-    along k1 (`_column_samples`, `_column_spectra`).  u is given by its grid
+def _advection(grid: GridSpec, fields, u_samples=None) -> np.ndarray:
+    """The spectra of u . grad g, not yet dealiased, on the same w columns,
+    for each coefficient array g of `fields` (a list or a stack): the one
+    advection kernel.  w = n//2 + 1 for any field, or
+    `GridSpec.dealiased_columns` for dealiased ones.  u is given by its grid
     samples (u1, u2) or, when None, is the Biot-Savart velocity of
-    fields[0], whose coefficients then go into the gradients' inverse call.
-    All gradients (and that velocity) are one zero-padded half-spectrum
-    stack, and the products one stack, so below N=256 one inverse and one
-    forward call do everything.  Returns the spectra on the same w columns
-    as `_spectra` returns them: an array, or a list of slices.
+    fields[0].  All gradients (and that velocity) are one zero-tailed
+    half-spectrum stack, transformed in place, and the products one stack:
+    below N=256, one inverse and one forward call.  Returns one
+    (len(fields), n, w) array.
     """
-    w = fields[0].shape[-1]
+    n, w = grid.n, fields[0].shape[-1]
     own = 2 if u_samples is None else 0  # the velocity's slices, first in the stack
     stack = np.empty((own + 2 * len(fields),) + grid.shape, dtype=complex)
     stack[..., w:] = 0.0
@@ -580,12 +552,15 @@ def _advection(grid: GridSpec, fields, u_samples=None):
     grad = grid.columns("grad_symbol", w)
     for i, g in enumerate(fields):
         np.multiply(grad, g, out=cols[own + 2 * i : own + 2 * i + 2])
-    d = _column_samples(grid, stack, w)
+    d = np.empty((len(stack), n, n))
+    for chunk in _chunks(grid, len(stack)):
+        ifft(cols[chunk], axis=-2, norm="forward", out=cols[chunk])
+        irfft(stack[chunk], n=n, axis=-1, norm="forward", out=d[chunk])
     u1, u2 = (d[0], d[1]) if own else u_samples
-    products = np.empty((len(fields), grid.n, grid.n))
+    products = np.empty((len(fields), n, n))
     for i, p in enumerate(products):
         np.add(np.multiply(d[own + 2 * i], u1, out=p), d[own + 2 * i + 1] * u2, out=p)
-    return _column_spectra(grid, products, w)
+    return _spectra(grid, products, w)
 
 
 def advect(u: VectorField, *scalars: SpectralField):
@@ -622,7 +597,7 @@ def lp_norms_unchecked(grid: GridSpec, coeffs: np.ndarray, p: float) -> np.ndarr
         raise ValueError("p must be >= 1")
     if p == 2:
         return 2 * np.pi * grid.box_scale * _coefficient_norms(coeffs)
-    return sample_lp_norms(grid, np.asarray(_samples(grid, coeffs)), p)
+    return sample_lp_norms(grid, _samples(grid, coeffs), p)
 
 
 def sample_lp_norms(grid: GridSpec, samples: np.ndarray, p: float) -> np.ndarray:

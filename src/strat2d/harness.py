@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import DyadicBank, band_profile_rows, band_range
+from .bands import BesovSpec, DyadicBank, band_profile_rows, band_range
 from .dispersive import (
     Kappa0Inputs,
     fit_slope,
@@ -55,6 +55,11 @@ def thread_count() -> int:
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _is_number(value) -> bool:
+    """An int or a float as JSON gives them: not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -101,10 +106,9 @@ class ExperimentConfig:
         # a float key holds a real number (NaN refused), an int key a count
         for f in fields(self):
             value = getattr(self, f.name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if f.type == "float" and not (number and value == value):
+            if f.type == "float" and not (_is_number(value) and value == value):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if f.type == "int" and not (number and isinstance(value, int)):
+            if f.type == "int" and not (_is_number(value) and isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; have {tuple(KINDS)}")
@@ -112,6 +116,12 @@ class ExperimentConfig:
             raise ConfigError("kappa list must be nonempty")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        for kappa in self.kappa_list:
+            if not (_is_number(kappa) and np.isfinite(kappa)):
+                raise ConfigError(f"kappa_list entries must be finite numbers, got {kappa!r}")
+        for seed in self.seeds:
+            if not (_is_number(seed) and isinstance(seed, int)):
+                raise ConfigError(f"seeds must be integers, got {seed!r}")
         name = self.initial_data.get("name")
         if name not in PRESETS:
             raise ConfigError(f"unknown initial-data preset {name!r}")
@@ -130,6 +140,7 @@ class ExperimentConfig:
         grid = self.grid_spec()
         try:  # the objects a run builds refuse what it cannot run
             self.stepper()
+            BesovSpec(s=self.s, q=self.q)
             if self.kind == "kappa0":  # the default {} is incomplete
                 Kappa0Inputs(**self.kappa0_inputs)
             else:
@@ -160,7 +171,10 @@ class ExperimentConfig:
 
 def load_config(path, overrides=()) -> ExperimentConfig:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     for item in overrides:
         key, _, value = item.partition("=")
         if not _:

@@ -236,13 +236,18 @@ def test_advect_transforms_a_velocity_once(grid, monkeypatch):
     samples = grid_module._samples
 
     def counted(grid_, coeffs):
-        transformed.append(np.array_equal(np.asarray(coeffs), velocity))
+        transformed.append(np.array_equal(coeffs, velocity))
         return samples(grid_, coeffs)
 
     monkeypatch.setattr(grid_module, "_samples", counted)
+    calls = {name: _counting(monkeypatch, name) for name in ("ifft", "irfft", "rfft", "fft")}
     assert np.array_equal(advect(u, g).coeffs, fresh[0])
     assert np.array_equal(advect(u, h).coeffs, fresh[1])
-    assert transformed == [True, False, False]
+    # `_samples` makes the velocity's inverse, the kernel each advect's
+    # inverse of the gradients and forward of the products
+    assert transformed == [True]
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"ifft": 3, "irfft": 3, "rfft": 2, "fft": 2}
 
 
 def test_advect_of_fields_outside_the_dealias_set_is_irfft2_and_rfft2(grid):
@@ -259,24 +264,30 @@ def test_advect_of_fields_outside_the_dealias_set_is_irfft2_and_rfft2(grid):
     assert np.array_equal(advect(u, g).coeffs, spectra * grid.dealias_mask)
 
 
-@pytest.mark.parametrize("n", [32, 64, 128, 256])
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
 def test_column_transforms_match_irfft2_and_rfft2(n):
-    # on dealiased stacks; six slices, one chunk below N=256 and six
-    # one-slice chunks at N=256
+    # the advection kernel's in-place inverse and `_spectra` on the first w
+    # columns, for dealiased stacks (w = c) and any field (w = n//2 + 1).
+    # The kernel's 8-slice stack is one chunk at N <= 64, 7 + 1 at N=128 and
+    # one-slice chunks from N=256
     g = GridSpec(n)
     c = g.dealiased_columns
-    assert c == {32: 11, 64: 22, 128: 43, 256: 86}[n]
+    assert c == {32: 11, 64: 22, 128: 43, 256: 86, 512: 171}[n]
     rng = np.random.default_rng(n)
-    coeffs = (rng.standard_normal((6,) + g.shape) + 1j * rng.standard_normal((6,) + g.shape))
-    coeffs *= g.dealias_mask
-    want = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
-    got = grid_module._column_samples(g, coeffs.copy(), c)
-    assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    samples = rng.standard_normal((6, n, n))
-    want = grid_module._symmetrize_columns(np.fft.rfft2(samples, norm="forward"))[..., :c]
-    got = grid_module._column_spectra(g, samples, c)
-    assert len(got) == 6 and all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert all(a.shape == (n, c) for a in got)
+    for w in (c, n // 2 + 1):
+        fields = np.zeros((3,) + g.shape, dtype=complex)
+        fields[..., :w] = rng.standard_normal((3, n, w)) + 1j * rng.standard_normal((3, n, w))
+        fields[0, 0, 0] = 0.0  # the velocity's vorticity is mean-zero
+        u1, u2 = np.fft.irfft2(g.velocity_symbol * (g.inv_xi_sq * fields[0]), s=(n, n),
+                               norm="forward")
+        d = np.fft.irfft2(g.grad_symbol * fields[:, None], s=(n, n), norm="forward")
+        products = d[:, 0] * u1 + d[:, 1] * u2
+        want = grid_module._symmetrize_columns(np.fft.rfft2(products, norm="forward"))
+        got = grid_module._advection(g, fields[..., :w].copy())
+        assert got.shape == (3, n, w) and np.array_equal(got, want[..., :w])
+        samples = rng.standard_normal((6, n, n))
+        want = grid_module._symmetrize_columns(np.fft.rfft2(samples, norm="forward"))
+        assert np.array_equal(grid_module._spectra(g, samples, w), want[..., :w])
 
 
 def _counting(monkeypatch, name):
@@ -292,21 +303,21 @@ def _counting(monkeypatch, name):
 
 
 def test_transforms_split_a_stack_under_the_cap(grid, monkeypatch):
-    # a cap of two slices: a 5-stack, as an array or a list, takes three
-    # calls, and each slice's numbers are those of a call on it alone
+    # a cap of two slices: a 5-stack takes three calls of each pass, and
+    # each slice's numbers are those of a call on it alone
     coeffs = np.stack([random_real_field(grid, seed=s).coeffs for s in range(5)])
     samples = np.stack([inverse_transform(SpectralField(grid, c)) for c in coeffs])
     one_by_one = [grid_module._samples(grid, c) for c in coeffs]
     spectra = [grid_module._spectra(grid, x) for x in samples]
     monkeypatch.setattr(grid_module, "TRANSFORM_CALL_BYTES", 2 * coeffs[0].nbytes)
-    inverse, forward = _counting(monkeypatch, "irfft2"), _counting(monkeypatch, "rfft2")
-    for stack in (coeffs, list(coeffs)):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(grid_module._samples(grid, stack), one_by_one, strict=True))
-    for stack in (samples, list(samples)):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(grid_module._spectra(grid, stack), spectra, strict=True))
-    assert inverse == forward == [(2,), (2,), ()] * 2
+    inverse, forward = _counting(monkeypatch, "irfft"), _counting(monkeypatch, "rfft")
+    kept = coeffs.copy()
+    assert all(np.array_equal(a, b) for a, b in
+               zip(grid_module._samples(grid, coeffs), one_by_one, strict=True))
+    assert np.array_equal(coeffs, kept)  # the inverse leaves its input intact
+    assert all(np.array_equal(a, b) for a, b in
+               zip(grid_module._spectra(grid, samples), spectra, strict=True))
+    assert inverse == forward == [(2,), (2,), (1,)]
 
 
 @pytest.mark.parametrize("slices", [1, 2, 4, 7])

@@ -403,6 +403,19 @@ def test_cli_override(tmp_path):
     {"kind": "picard", "n_max": 1.5},
     {"kind": "verify-estimates", "trials": 10.5},
     {"kind": "verify-estimates", "trials": "10"},
+    # q < 1, which BesovSpec refuses in every member
+    {"kind": "simulate", "q": 0.5},
+    # sweep entries: a kappa that is not a finite number, a seed not an integer
+    {"kind": "lifespan-sweep", "kappa_list": ["a"]},
+    {"kind": "lifespan-sweep", "kappa_list": [float("nan")]},
+    {"kind": "simulate", "kappa_list": [float("inf")]},
+    {"kind": "lifespan-sweep", "seeds": ["x"]},
+    {"kind": "lifespan-sweep", "seeds": [1.5]},
+    {"kind": "simulate", "seeds": [True]},
+    # GridSpec inputs: n not an integer, box_scale not finite
+    {"grid": {"n": 64.0}},
+    {"grid": {"n": 64, "box_scale": float("nan")}},
+    {"grid": {"n": 64, "box_scale": float("inf")}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -410,6 +423,14 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, change):
                          "output_dir": str(tmp_path / "out"), **change})
     command = {kind: verb for verb, kind in SUBCOMMANDS.items()}[change.get("kind", "bands")]
     assert cli_main([command, "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_truncated_config_exits_2(tmp_path, capsys):
+    text = json.dumps({"kind": "bands", "output_dir": str(tmp_path / "out"), "grid": {"n": 64}})
+    (tmp_path / "cfg.json").write_text(text[:-3])
+    assert cli_main(["bands", "--config", str(tmp_path / "cfg.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
 

@@ -392,13 +392,13 @@ def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
     # per stage: the gradients of omega and rho in one inverse call, their
     # two products in one forward call, and the velocity's two components in
     # one more inverse call -- or, in ifrk4's stages 2-4, in the gradients'
-    # call.  One call per transform made 24 inverse and 8 forward.  rk4's
-    # calls are irfft2 / rfft2; ifrk4's stages transform the dealiased
-    # columns, an inverse call being an ifft along k1 of those columns and an
-    # irfft along k2, a forward call an rfft and an fft of those columns
+    # call.  One call per transform made 24 inverse and 8 forward.  An
+    # inverse call is an ifft along k1 and an irfft along k2, a forward call
+    # an rfft and an fft; rk4 transforms every column, ifrk4's stages the
+    # dealiased ones, its adaptive step's velocity every column
     g = GridSpec(32)
     omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
-    calls = {name: [] for name in ("irfft2", "ifft", "irfft", "rfft2", "rfft", "fft")}
+    calls = {name: [] for name in ("ifft", "irfft", "rfft", "fft")}
     for name in calls:
         def counting(*args, real=getattr(grid_module, name), name=name, **kwargs):
             calls[name].append(args[0].shape[-1])
@@ -408,14 +408,14 @@ def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
     step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)
     counts = {name: len(widths) for name, widths in calls.items()}
-    inverse = counts["irfft2"] + counts["irfft"]
-    forward = counts["rfft2"] + counts["rfft"]
-    assert (inverse, forward) == ({"ifrk4": 5, "rk4": 8}[scheme], 4)
+    assert (counts["irfft"], counts["rfft"]) == ({"ifrk4": 5, "rk4": 8}[scheme], 4)
     assert counts == {
-        "ifrk4": {"irfft2": 1, "ifft": 4, "irfft": 4, "rfft2": 0, "rfft": 4, "fft": 4},
-        "rk4": {"irfft2": 8, "ifft": 0, "irfft": 0, "rfft2": 4, "rfft": 0, "fft": 0},
+        "ifrk4": {"ifft": 5, "irfft": 5, "rfft": 4, "fft": 4},
+        "rk4": {"ifft": 8, "irfft": 8, "rfft": 4, "fft": 4},
     }[scheme]
-    assert calls["ifft"] == calls["fft"] == [g.dealiased_columns] * counts["ifft"]
+    full, c = g.shape[1], g.dealiased_columns
+    assert calls["ifft"] == {"ifrk4": [full] + [c] * 4, "rk4": [full] * 8}[scheme]
+    assert calls["fft"] == {"ifrk4": [c] * 4, "rk4": [full] * 4}[scheme]
 
 
 def _reference_ifrk4_step(state, dt, velocity, nonlinear):
