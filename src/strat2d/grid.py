@@ -178,6 +178,14 @@ class GridSpec:
         column k2 that the dealias mask touches, plus one (43 of 65 at N=128)."""
         return int(np.flatnonzero(self.dealias_mask[0])[-1]) + 1
 
+    @cached_property
+    def dealias_weight(self) -> np.ndarray:
+        """The dealias mask as 1.0 / 0.0 on the dealiased columns, (n, c),
+        read-only: the factor that dealiases a column array."""
+        weight = np.where(self.dealias_mask[:, : self.dealiased_columns], 1.0, 0.0)
+        weight.flags.writeable = False
+        return weight
+
     def columns(self, name: str, w: int) -> np.ndarray:
         """The symbol `name` (an array attribute) on the first w columns: a
         view, or on the dealiased columns a contiguous copy, kept in the

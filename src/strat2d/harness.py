@@ -57,6 +57,10 @@ def thread_count() -> int:
 # configuration
 
 
+# the annotations of ExperimentConfig's keys that isinstance checks
+_TYPES = {"bool": bool, "str": str, "list": list, "dict": dict}
+
+
 def _is_number(value) -> bool:
     """An int or a float as JSON gives them: not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -103,13 +107,17 @@ class ExperimentConfig:
             raise ConfigError(f"r must be a number or \"inf\", got {self.r!r}") from exc
 
     def validate(self) -> None:
-        # a float key holds a real number (NaN refused), an int key a count
+        # every key holds its annotated type: a float key a real number (NaN
+        # refused), an int key a count, and a bool, str, list or dict key one
+        # of those, so that "false" is not read as true nor 5 iterated
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not (_is_number(value) and value == value):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if f.type == "int" and not (_is_number(value) and isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in _TYPES and not isinstance(value, _TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; have {tuple(KINDS)}")
         if not self.kappa_list:
@@ -338,6 +346,13 @@ def _nondecreasing_per_seed(lifespans) -> bool:
     return all(b >= 0.95 * a for lives in by_seed.values() for a, b in zip(lives, lives[1:]))
 
 
+def _trajectory_entry(traj) -> dict:
+    """What a trajectory member's manifest entry copies from its run: how it
+    ended and its steps (no timing, so reruns stay byte-identical)."""
+    return {"status": traj.status, "t_stop": traj.t_stop, "steps": traj.steps,
+            "rejected": traj.rejected, "dt_min": traj.dt_min, "dt_max": traj.dt_max}
+
+
 # Each driver returns (files, flags, runs): files maps an output name to its
 # content, written by run_experiment: (header, rows) for .csv, a payload for
 # .json, a SpectralField for .npz.
@@ -354,7 +369,7 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     for spec, traj, entry in _sweep(sweep_schedule(config), one):
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
-            entry.update(status=traj.status, t_stop=traj.t_stop, c6=gronwall_fit(traj.records))
+            entry.update(_trajectory_entry(traj), c6=gronwall_fit(traj.records))
             if config.snapshots:
                 files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
         runs.append(entry)
@@ -374,7 +389,7 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
             t_life, traj = result
             curve = f"{spec.tag}_bcurve.csv"
             files[curve] = (COLUMNS, diagnostics_rows(traj))
-            entry.update(status=traj.status, t_stop=traj.t_stop)
+            entry.update(_trajectory_entry(traj))
             if t_life is not None:
                 rows.append([spec.kappa, spec.seed, t_life, curve])
         runs.append(entry)

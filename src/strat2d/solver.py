@@ -25,12 +25,13 @@ from .grid import (
     SpectralField,
     VectorField,
     _advection,
+    _plancherel_sum,
+    _samples,
     advect,
     biot_savart,
     dealias,
     derivative,
     hminus1_norm,
-    inverse_transform,
     lp_norm,
     phase_multiplier,
     require_hermitian,
@@ -38,13 +39,18 @@ from .grid import (
 )
 
 GUARD_FACTOR = 1e6  # run stops as "blowup" once z exceeds this multiple of z(0)
-CFL_ADVECT = 0.5  # c0 in dt <= c0 dx / |u|_inf
+CFL_ADVECT = 0.5  # c0 in dt <= c0 dx / |u|_inf, a cap on the adaptive step
 CFL_COUPLING = 0.5  # c1 in dt <= c1 / (1 + |kappa|); rk4 only
+STEP_RTOL = 3e-6  # an adaptive step's local error, relative to |V|, is at most this
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Instantaneous solver state: spectral (omega, rho) at time t."""
+    """Instantaneous solver state: spectral (omega, rho) at time t.
+
+    A state keeps what the steps and records compute from it in its
+    instance dict, as `VectorField.samples` keeps its samples; copies
+    (`dataclasses.replace`, the stored snapshots) do not carry them."""
 
     omega: SpectralField
     rho: SpectralField
@@ -55,21 +61,30 @@ class SimState:
     def grid(self) -> GridSpec:
         return self.omega.grid
 
+    def _kept(self, name: str, make, key: tuple | None = None):
+        """make(), computed on first use and kept under `name`; with a key,
+        kept as (key, value) and made again for a key that does not match
+        the kept one by identity."""
+        memo = self.__dict__.get(name)
+        if key is None:
+            if memo is None:
+                memo = self.__dict__[name] = make()
+            return memo
+        if memo is None or any(a is not b for a, b in zip(memo[0], key)):
+            memo = self.__dict__[name] = (key, make())
+        return memo[1]
+
     def own_velocity(self) -> VectorField:
-        """omega's Biot-Savart velocity, computed on first use and kept in the
-        instance dict, as `VectorField.samples` keeps its samples: `cfl_dt`,
-        the first stage of the next step and `diagnostics` share it."""
-        memo = self.__dict__.get("_own_velocity")
-        if memo is None:
-            memo = self.__dict__["_own_velocity"] = biot_savart(self.omega)
-        return memo
+        """omega's Biot-Savart velocity, kept: `cfl_dt`, the first stage of
+        the next step and `diagnostics` share it."""
+        return self._kept("_own_velocity", lambda: biot_savart(self.omega))
 
 
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str = "rk4"  # a key of SCHEMES
-    dt: float = 1e-2  # the step, or its upper bound when adaptive
-    adaptive: bool = False
+    dt: float = 1e-2  # the step, or the first step tried when adaptive
+    adaptive: bool = False  # steps set by the local error (STEP_RTOL) under the CFL cap
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -87,9 +102,20 @@ class Trajectory:
     nonlinear: bool = True  # whether the advection terms were active
     status: str = "ok"  # "ok" | "blowup"
     t_stop: float = 0.0  # t_final, the stop rule's crossing, or the blow-up time
+    steps: int = 0  # steps taken
+    rejected: int = 0  # adaptive steps whose error exceeded STEP_RTOL, retried smaller
+    dt_min: float | None = None  # smallest step taken, a step cut at a sample time included
+    dt_max: float | None = None  # largest step taken
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.records])
+
+    def took(self, dt: float) -> None:
+        """Count a step of size dt."""
+        dt = float(dt)
+        self.steps += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +145,25 @@ def rhs(state: SimState, velocity=None, nonlinear: bool = True):
 
 # ---------------------------------------------------------------------------
 # steppers: scheme(state, dt, velocity, nonlinear) -> SimState
+#
+# Both schemes use the classical RK4 tableau.  Its free third-order
+# embedding, weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, k2, k3, k4, k5) with k5
+# the first stage at the new state, differs from RK4 by dt/6 (k4 - k5): the
+# local error that `run`'s adaptive steps control.  k5 does not depend on
+# the next step's size, so it is kept on the new state and is the next
+# step's k1 (first same as last): an accepted adaptive step costs the four
+# forcings of a fixed one.  A scheme leaves on its new state, under
+# "_error", a function of that state giving dt/6 (k4 - k5) as (V+, V-)
+# coefficients; `_error_ratio` calls it, and `step` drops it for a fixed
+# config, which never computes k5.
+
+
+def _first_stage(state: SimState, forcing, velocity, nonlinear: bool):
+    """forcing(state, velocity, nonlinear), a scheme's first stage, kept on
+    the state for the same forcing, velocity and nonlinear: a retried step
+    and the step after an adaptive one start from it."""
+    return state._kept("_first_stage", lambda: forcing(state, velocity, nonlinear),
+                       (forcing, velocity, nonlinear))
 
 
 def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
@@ -126,40 +171,77 @@ def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState
         return rhs(SimState(om, rh, t, state.kappa), velocity, nonlinear)
 
     om, rh, t = state.omega, state.rho, state.t
-    k1o, k1r = rhs(state, velocity, nonlinear)  # on the state itself: its velocity memo
+    k1o, k1r = _first_stage(state, rhs, velocity, nonlinear)
     k2o, k2r = f(om + (dt / 2) * k1o, rh + (dt / 2) * k1r, t + dt / 2)
     k3o, k3r = f(om + (dt / 2) * k2o, rh + (dt / 2) * k2r, t + dt / 2)
     k4o, k4r = f(om + dt * k3o, rh + dt * k3r, t + dt)
     om1 = om + (dt / 6) * (k1o + 2 * k2o + 2 * k3o + k4o)
     rh1 = rh + (dt / 6) * (k1r + 2 * k2r + 2 * k3r + k4r)
-    return SimState(om1, rh1, t + dt, state.kappa)
+    new = SimState(om1, rh1, t + dt, state.kappa)
+
+    def error(new):  # in (omega, rho), diagonalized to be measured as V is
+        k5o, k5r = _first_stage(new, rhs, velocity, nonlinear)
+        return diagonal_stack(new.grid, dt / 6 * (k4o.coeffs - k5o.coeffs),
+                              dt / 6 * (k4r.coeffs - k5r.coeffs))
+
+    new.__dict__["_error"] = error
+    return new
 
 
-# the last (grid, dt, kappa)'s Lawson multipliers, one entry per thread: the
-# adaptive step sits at its cap on almost every step, and a sample boundary
-# that cuts a step replaces the entry instead of adding one
+# the last (grid, dt, kappa)'s Lawson phases, one entry per thread: a step
+# cut short at a sample time, and each new adaptive step size, replaces the
+# entry instead of adding one
 _LAWSON = threading.local()
 
 
 def _lawson_multipliers(grid: GridSpec, dt: float, kappa: float):
     """Read-only arrays on the dealiased columns for one Lawson step on
     (V+, V-): the phases (e, conj e) over dt/2 and over dt, each one
-    (2, n, c) stack and masked by the dealias set, and the (n, c) mask
-    itself.  A masked phase takes a stage input to the dealias set, and
-    reversed it is the masked pull-back of a stage's advection spectra."""
+    (2, n, c) stack and masked by the dealias set
+    (`GridSpec.dealias_weight`).  A masked phase takes a stage input to the
+    dealias set, and reversed it is the masked pull-back of a stage's
+    advection spectra."""
     key = (grid, dt, kappa)
     memo = getattr(_LAWSON, "memo", None)
     if memo is None or memo[0] != key:
         _LAWSON.memo = None  # freed before its successor is made
         c = grid.dealiased_columns
-        mask = np.where(grid.dealias_mask[:, :c], 1.0, 0.0)
-        e = phase_multiplier(grid, dt / 2, kappa)[:, :c] * mask
+        e = phase_multiplier(grid, dt / 2, kappa)[:, :c] * grid.dealias_weight
         half = np.stack([e, np.conj(e)])
-        arrays = (half, half * half, mask)
+        arrays = (half, half * half)
         for a in arrays:
             a.flags.writeable = False
         memo = _LAWSON.memo = (key, arrays)
     return memo[1]
+
+
+def _lawson_frame(state: SimState) -> np.ndarray:
+    """V = (V+, V-) of the state on the dealiased columns, masked."""
+    grid, c = state.grid, state.grid.dealiased_columns
+    v = diagonal_stack(grid, state.omega.coeffs[:, :c], state.rho.coeffs[:, :c])
+    v *= grid.dealias_weight
+    return v
+
+
+def _lawson_forcing(grid: GridSpec, w: np.ndarray, rho_mean: float, u) -> np.ndarray:
+    """F, not yet pulled back, for the (omega, rho) merged from w on the
+    dealiased columns: the diagonal variables of the spectra of
+    u . grad (omega, rho), with u the given VectorField or, when None,
+    omega's own velocity, computed with the gradients."""
+    samples = None if u is None else u.samples()
+    return diagonal_stack(grid, *_advection(grid, merged_stack(grid, w, rho_mean), samples))
+
+
+def _lawson_first_stage(state: SimState, velocity, nonlinear: bool) -> np.ndarray:
+    """The state's F, masked (the pull-back at stage 1), read-only: it
+    advects with velocity(t) or the state's own velocity, whose samples
+    `cfl_dt` has usually made already, and differentiates the merged
+    fields."""
+    f = _lawson_forcing(state.grid, _lawson_frame(state), state.rho.mean,
+                        _advecting(velocity, state))
+    f = _turn(state.grid.dealias_weight, f)
+    f.flags.writeable = False
+    return f
 
 
 def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
@@ -179,42 +261,44 @@ def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimSta
     u . grad (omega, rho), pulled back by the phase: one product with the
     masked phase, or with the mask at stage 1.  dV/dt = -F, so the stage
     inputs and the RK combination subtract it: exactly the sums that adding
-    -F makes.
+    -F makes.  The error dt/6 (k4 - k5) is taken in the Lawson frame of the
+    step's start, where k5 is the new state's first stage pulled back by
+    the full step's phase: the masked phases are unimodular on the dealias
+    set, so its norm is that of the new state's frame.
     """
     grid, kappa, t, rho_mean = state.grid, state.kappa, state.t, state.rho.mean
-    half, full, mask = _lawson_multipliers(grid, dt, kappa)
+    half, full = _lawson_multipliers(grid, dt, kappa)
     c = grid.dealiased_columns
-    v = diagonal_stack(grid, state.omega.coeffs[:, :c], state.rho.coeffs[:, :c])
-    v *= mask
+    v = _lawson_frame(state)
 
-    def done(v1):
+    def done(v1, k4=None):
         coeffs = np.zeros((2,) + grid.shape, dtype=complex)
         coeffs[..., :c] = merged_stack(grid, v1, rho_mean)
-        return SimState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]),
-                        t + dt, kappa)
+        new = SimState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]),
+                       t + dt, kappa)
+
+        def error(new):  # None: the linear step is exact
+            if k4 is None:
+                return None
+            e = np.multiply(full[::-1], _first_stage(new, _lawson_first_stage, velocity, nonlinear))
+            return dt / 6 * np.subtract(k4, e, out=e)
+
+        new.__dict__["_error"] = error
+        return new
 
     if not nonlinear:
         return done(_turn(full, v))
 
-    def forcing(w, t, phase, u=None):
-        """F for the (omega, rho) merged from w, pulled back by `phase`; u is
-        given, `velocity(t)`, or else omega's own, computed with the
-        gradients."""
-        if velocity is not None:
-            u = velocity(t)
-        samples = None if u is None else u.samples()
-        spectra = _advection(grid, merged_stack(grid, w, rho_mean), samples)
-        return _turn(phase, diagonal_stack(grid, *spectra))
+    def forcing(w, t):
+        return _lawson_forcing(grid, w, rho_mean, None if velocity is None else velocity(t))
 
-    # stage 1 advects with the step's own state's velocity, which cfl_dt has
-    # usually computed already, and differentiates the merged fields.  The
-    # pull-back by (e, conj e) is the product with (conj e, e): the reversed
-    # stack, a view
-    k1 = forcing(v, t, mask, u=state.own_velocity() if velocity is None else None)
-    k2 = forcing(_turn(half, v - dt / 2 * k1), t + dt / 2, half[::-1])
-    k3 = forcing(_turn(half, v - dt / 2 * k2), t + dt / 2, half[::-1])
-    k4 = forcing(_turn(full, v - dt * k3), t + dt, full[::-1])
-    return done(_turn(full, v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)))
+    # the pull-back by (e, conj e) is the product with (conj e, e): the
+    # reversed stack, a view
+    k1 = _first_stage(state, _lawson_first_stage, velocity, nonlinear)
+    k2 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k1), t + dt / 2))
+    k3 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k2), t + dt / 2))
+    k4 = _turn(full[::-1], forcing(_turn(full, v - dt * k3), t + dt))
+    return done(_turn(full, v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)), k4)
 
 
 def _turn(phase: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -233,20 +317,68 @@ SCHEMES = {"rk4": _rk4_step, "ifrk4": _ifrk4_step}
 def step(state: SimState, dt: float, config: StepperConfig, velocity=None,
          nonlinear: bool = True) -> SimState:
     new = SCHEMES[config.scheme](state, dt, velocity, nonlinear)
+    if not config.adaptive:  # no error estimate: its stage arrays are freed
+        del new.__dict__["_error"]
     if not (np.isfinite(new.omega.coeffs).all() and np.isfinite(new.rho.coeffs).all()):
         raise BlowupSuspectedError("non-finite coefficients after step", t=new.t)
     return new
 
 
+def _weighted_norm(grid: GridSpec, v: np.ndarray) -> float:
+    """The |xi|^2-weighted Plancherel norm of a (V+, V-) stack on its first
+    w columns, sqrt(sum |xi|^2 (|V+|^2 + |V-|^2)) over the full spectrum."""
+    weight = grid.columns("xi_sq", v.shape[-1])
+    return float(np.sqrt(_plancherel_sum(weight * (v.real**2 + v.imag**2)).sum()))
+
+
+def _error_ratio(new: SimState) -> float:
+    """The local error of the step that made `new`, |dt/6 (k4 - k5)| over
+    STEP_RTOL |V| at `new`, both in the |xi|^2-weighted norm: the step is
+    accepted at <= 1.  Computes k5, which the new state keeps."""
+    error = new.__dict__.pop("_error")(new)
+    if error is None:
+        return 0.0
+    size = _weighted_norm(new.grid, diagonal_stack(new.grid, new.omega.coeffs, new.rho.coeffs))
+    err = _weighted_norm(new.grid, error)
+    return 0.0 if err == 0 else err / (STEP_RTOL * size)
+
+
+def _adaptive_step(state: SimState, dt: float, target: float, config: StepperConfig,
+                   velocity, nonlinear: bool, traj: Trajectory):
+    """One accepted step from `state` toward `target`: tried at dt, under
+    the `cfl_dt` cap and cut at the target, and retried from the same state
+    at the controller's smaller step while its error ratio exceeds 1.
+    Returns the new state and the next step to try,
+    h clip(0.9 ratio^(-1/4), 0.5, 2), or dt again after a step cut short at
+    the target."""
+    cap = cfl_dt(state, config, velocity)
+    while True:
+        h = min(dt, cap, target - state.t)
+        new = step(state, h, config, velocity, nonlinear=nonlinear)
+        # the state's velocity has served the cap and the kept first stage,
+        # all that a retry needs: freed, it is not alive beside the new one's
+        state.__dict__.pop("_own_velocity", None)
+        ratio = _error_ratio(new)
+        proposal = h * (2.0 if ratio == 0 else min(2.0, max(0.5, 0.9 * ratio**-0.25)))
+        if ratio <= 1.0:
+            traj.took(h)
+            return new, (dt if h < min(dt, cap) else proposal)
+        traj.rejected += 1
+        if proposal <= 1e-12 * max(1.0, state.t):
+            raise BlowupSuspectedError(f"adaptive step fell to {proposal:.2e}", t=state.t)
+        dt = proposal
+
+
 def cfl_dt(state: SimState, config: StepperConfig, velocity=None) -> float:
-    """Adaptive step size; falls back to config.dt as an upper bound."""
+    """The stability cap on an adaptive step: CFL_ADVECT dx / |u|_inf, and
+    for rk4 CFL_COUPLING / (1 + |kappa|); inf when neither binds."""
     u = _advecting(velocity, state)
     require_hermitian(u.u1)
     require_hermitian(u.u2)
     speed = max(np.abs(samples).max() for samples in u.samples())
-    dt = config.dt
+    dt = np.inf
     if speed > 0:
-        dt = min(dt, CFL_ADVECT * state.grid.dx / speed)
+        dt = CFL_ADVECT * state.grid.dx / speed
     if config.scheme == "rk4":
         dt = min(dt, CFL_COUPLING / (1.0 + abs(state.kappa)))
     return dt
@@ -256,12 +388,37 @@ def cfl_dt(state: SimState, config: StepperConfig, velocity=None) -> float:
 # diagnostics
 
 
+def _grad_infs(groups) -> list[float]:
+    """grad_inf of each group of fields: their derivative slices, made in
+    one stack and checked one by one, are transformed in one `_samples`
+    call."""
+    fields = [f for group in groups for f in group]
+    grid = fields[0].grid
+    stack = np.empty((2 * len(fields),) + grid.shape, dtype=complex)
+    for f, pair in zip(fields, stack.reshape(len(fields), 2, *grid.shape)):
+        np.multiply(grid.grad_symbol, f.coeffs, out=pair)
+        for d in pair:
+            require_hermitian(SpectralField(grid, d))
+    samples = iter(_samples(grid, stack))
+    del stack
+    return [float(np.sqrt(sum(next(samples) ** 2 for _ in range(2 * len(group)))).max())
+            for group in groups]
+
+
 def grad_inf(*fields: SpectralField) -> float:
     """max over grid points of the euclidean norm of the stacked gradients:
     |grad f| for grad_inf(f), the Frobenius norm of grad u for
     grad_inf(u.u1, u.u2)."""
-    parts = [inverse_transform(derivative(f, ax)) for f in fields for ax in (1, 2)]
-    return float(np.sqrt(sum(p**2 for p in parts)).max())
+    return _grad_infs([fields])[0]
+
+
+def _gradient_maxima(st: SimState) -> tuple[float, float]:
+    """(|grad rho|_inf, |grad u|_inf) at the state, kept: a record's two
+    gradient functionals share one inverse call of six slices."""
+    def make():
+        u = st.own_velocity()
+        return tuple(_grad_infs([(st.rho,), (u.u1, u.u2)]))
+    return st._kept("_gradient_maxima", make)
 
 
 def z_norm(omega: SpectralField, rho: SpectralField, bank: DyadicBank,
@@ -276,16 +433,21 @@ _B0INF1 = BesovSpec(s=0.0, p=np.inf, q=1.0, homogeneous=True)
 
 
 def _band_norm(i: int):
-    """|V+| (i = 0) or |V-| (i = 1) in dotted B^0_{inf,1}."""
-    return lambda st, bank, s, q: besov_norm(diagonalize(st.omega, st.rho)[i], _B0INF1, bank)
+    """|V+| (i = 0) or |V-| (i = 1) in dotted B^0_{inf,1}; both are kept
+    per bank, so the state is diagonalized once for the two."""
+    def value(st, bank, s, q):
+        norms = st._kept("_band_norms", lambda: [besov_norm(v, _B0INF1, bank)
+                                                 for v in diagonalize(st.omega, st.rho)], (bank,))
+        return norms[i]
+    return value
 
 
 # the functionals a record can hold: name -> value(state, bank, s, q)
 FUNCTIONALS = {
     "energy": lambda st, bank, s, q: hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,
     "z": lambda st, bank, s, q: z_norm(st.omega, st.rho, bank, s, q),
-    "grad_u_inf": lambda st, bank, s, q: grad_inf(st.own_velocity().u1, st.own_velocity().u2),
-    "grad_rho_inf": lambda st, bank, s, q: grad_inf(st.rho),
+    "grad_u_inf": lambda st, bank, s, q: _gradient_maxima(st)[1],
+    "grad_rho_inf": lambda st, bank, s, q: _gradient_maxima(st)[0],
     "vplus_band_norm": _band_norm(0),
     "vminus_band_norm": _band_norm(1),
 }
@@ -339,6 +501,11 @@ def run(
     rule, or one the data's record already meets, raises ValueError before
     any step.
 
+    A fixed config steps by config.dt, cut at the sample times.  An
+    adaptive one tries config.dt first and then sets each step by its local
+    error (`_adaptive_step`); the trajectory counts the steps taken and
+    rejected and the range of their sizes.
+
     How the run ended is decided here alone, in `status` and `t_stop`:
     "ok" with t_stop = t_final, or the stop rule's crossing interpolated
     linearly from the previous sample; "blowup" (non-finite coefficients
@@ -379,12 +546,17 @@ def run(
         traj.snapshots.append(replace(state))
     z0 = rec["z"]
 
+    dt = config.dt  # the next adaptive step to try
     for target in np.linspace(0.0, t_final, n_samples)[1:]:
         try:
             while state.t < target - 1e-12 * max(1.0, target):
-                dt = cfl_dt(state, config, velocity) if config.adaptive else config.dt
-                dt = min(dt, target - state.t)
-                state = step(state, dt, config, velocity, nonlinear=nonlinear)
+                if config.adaptive:
+                    state, dt = _adaptive_step(state, dt, target, config, velocity, nonlinear,
+                                               traj)
+                else:
+                    h = min(config.dt, target - state.t)
+                    state = step(state, h, config, velocity, nonlinear=nonlinear)
+                    traj.took(h)
         except BlowupSuspectedError as exc:
             traj.status, traj.t_stop = "blowup", exc.t
             break

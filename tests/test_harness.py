@@ -412,6 +412,11 @@ def test_cli_override(tmp_path):
     {"kind": "lifespan-sweep", "seeds": ["x"]},
     {"kind": "lifespan-sweep", "seeds": [1.5]},
     {"kind": "simulate", "seeds": [True]},
+    # a bool, list or dict key of the wrong type: read by truthiness or iterated
+    {"kind": "simulate", "adaptive": "false"},  # used to run adaptive
+    {"kind": "simulate", "snapshots": "no"},  # used to write .npz files
+    {"kind": "lifespan-sweep", "kappa_list": 5},  # used to exit 3 (TypeError)
+    {"kind": "simulate", "initial_data": 5},  # used to exit 3 (AttributeError)
     # GridSpec inputs: n not an integer, box_scale not finite
     {"grid": {"n": 64.0}},
     {"grid": {"n": 64, "box_scale": float("nan")}},
@@ -514,6 +519,7 @@ def test_readme_names_every_manifest_run_key(tmp_path):
                                                kappa_list=[0.0], seeds=[1]))
         carried = {key for entry in manifest.runs for key in entry}
         assert carried <= documented, f"README's runs schema lacks {carried - documented}"
+        assert {"steps", "rejected", "dt_min", "dt_max"} <= carried
 
 
 def test_readme_subcommand_table_lists_every_kind():

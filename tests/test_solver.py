@@ -7,7 +7,8 @@ import pytest
 
 from strat2d import grid as grid_module
 from strat2d import solver
-from strat2d.bands import DyadicBank
+from strat2d.bands import DyadicBank, besov_norm
+from strat2d.dispersive import diagonalize
 from strat2d.errors import BlowupSuspectedError, HermitianSymmetryError, NonzeroMeanError
 from strat2d.fields import random_spectrum, taylor_green
 from strat2d.grid import (
@@ -158,6 +159,29 @@ def test_grad_inf_euclidean_and_frobenius(grid):
     assert grad_inf(rho) == float(np.sqrt(g1**2 + g2**2).max())
     parts = grad(u.u1) + grad(u.u2)
     assert grad_inf(u.u1, u.u2) == float(np.sqrt(sum(p**2 for p in parts)).max())
+
+
+def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid, bank):
+    # a record transforms its six gradient slices in one call and
+    # diagonalizes the state once, and reads the per-field values bit for bit
+    omega, rho = random_spectrum(grid, seed=6, xi_lo=0.5, xi_hi=8.0)
+    u = biot_savart(omega)
+    rho_parts, u_parts = ([inverse_transform(derivative(f, ax)) for f in fields for ax in (1, 2)]
+                          for fields in ((rho,), (u.u1, u.u2)))
+    vplus, vminus = diagonalize(omega, rho)
+    spec = solver._B0INF1
+    calls = {"_samples": 0, "diagonalize": 0}
+    for name in calls:
+        def counting(*args, real=getattr(solver, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counting)
+    rec = solver.diagnostics(SimState(omega, rho, 0.0, 8.0), bank, 2.0, 1.0, COLUMNS)
+    assert calls == {"_samples": 1, "diagonalize": 1}
+    assert rec["grad_rho_inf"] == float(np.sqrt(sum(p**2 for p in rho_parts)).max())
+    assert rec["grad_u_inf"] == float(np.sqrt(sum(p**2 for p in u_parts)).max())
+    assert rec["vplus_band_norm"] == besov_norm(vplus, spec, bank)
+    assert rec["vminus_band_norm"] == besov_norm(vminus, spec, bank)
 
 
 def test_blowup_detection(grid):
@@ -324,10 +348,13 @@ def test_run_refuses_a_stop_rule_the_data_meets(grid, bank):
 
 def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
     # criterion 9's data and step at kappa=0; the literal is the lifespan
-    # that scanning the finished trajectory for the crossing gave
+    # that scanning the finished trajectory for the crossing gave.  It was
+    # recorded with adaptive=True when that meant a CFL step capped at dt:
+    # the CFL bound never bound (0 of 312 steps), so the run was this
+    # fixed-step one bit for bit
     omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0,
                                  xi_lo=0.5, xi_hi=4.0)
-    cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.002)
     traj = run(omega, rho, 0.0, 1.0, cfg, n_samples=41, bank=bank, stop=("b_integral", 8.0))
     assert traj.status == "ok"
     assert traj.t_stop == 0.5777623702972501
@@ -385,6 +412,82 @@ def test_adaptive_step_computes_the_states_velocity_once(monkeypatch, scheme):
         monkeypatch.setattr(module, name, counting)
     step(state, cfl_dt(state, cfg), cfg)
     assert calls == {"biot_savart": {"ifrk4": 1, "rk4": 4}[scheme], "_velocity": 4}
+
+
+def _count_forcings(monkeypatch):
+    """Count the forcings the schemes evaluate: ifrk4's advection kernel
+    calls, rk4's right-hand sides."""
+    calls = {"n": 0}
+    for name in ("_advection", "rhs"):
+        def counting(*args, real=getattr(solver, name), **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "rk4"])
+def test_accepted_adaptive_step_makes_four_forcings(monkeypatch, scheme):
+    # the error estimate's k5, the first stage at the new state, is the next
+    # step's k1 (first same as last): after the data's first stage, each
+    # attempt makes stages 2-4 and k5, whether it is accepted or not
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    calls = _count_forcings(monkeypatch)
+    cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=True)
+    traj = run(omega, rho, 16.0, 0.2, cfg, n_samples=3, record=("t", "z"))
+    assert traj.status == "ok" and traj.steps > 3
+    assert calls["n"] == 1 + 4 * (traj.steps + traj.rejected)
+
+
+def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
+    # a first try far too large is rejected; the retry starts from the same
+    # state, with a step the controller cut by a factor in [1/2, 1), and
+    # reuses that state's first stage
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    tries = []
+    real = solver.step
+
+    def recording(state, dt, *args, **kwargs):
+        tries.append((state, dt))
+        return real(state, dt, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", recording)
+    calls = _count_forcings(monkeypatch)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.2, adaptive=True)
+    traj = run(omega, rho, 16.0, 0.2, cfg, n_samples=3, record=("t", "z"))
+    retries = [(a[1], b[1]) for a, b in zip(tries, tries[1:]) if a[0] is b[0]]
+    assert traj.rejected == len(retries) >= 1
+    assert len(tries) == traj.steps + traj.rejected
+    assert all(0.5 * first <= again < first for first, again in retries)
+    assert tries[0][0].t == 0.0 and tries[1][0] is tries[0][0]
+    assert calls["n"] == 1 + 4 * len(tries)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 16.0, 64.0])
+def test_adaptive_lifespan_keeps_the_scaling_symmetry(kappa):
+    # (omega, rho, kappa, t) -> (a omega, a rho, a kappa, t / a) maps
+    # solutions to solutions and keeps B: the error controller, relative to
+    # |V| and with the CFL cap, must not break it
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, alpha=2.5, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
+    lives = []
+    for a in (1.0, 2.0):
+        cfg = StepperConfig(scheme="ifrk4", dt=0.002 / a, adaptive=True)
+        t_life, traj = lifespan(omega * a, rho * a, a * kappa, 2.0 / a, 8.0, cfg, n_samples=41)
+        assert traj.status == "ok" and t_life < 2.0 / a
+        lives.append(a * t_life)
+    assert abs(lives[1] - lives[0]) <= 1e-4
+
+
+def test_runs_count_their_steps(grid, bank):
+    # a fixed run counts its steps, the last before each sample cut short
+    omega, rho = random_spectrum(grid, seed=3, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    traj = run(omega, rho, 16.0, 0.1, StepperConfig(scheme="ifrk4", dt=0.03), n_samples=3,
+               bank=bank, record=("t", "z"))
+    assert (traj.steps, traj.rejected, traj.dt_max) == (4, 0, 0.03)
+    assert traj.dt_min == pytest.approx(0.02)
 
 
 @pytest.mark.parametrize("scheme, adaptive", [("ifrk4", True), ("rk4", False)])
@@ -665,12 +768,15 @@ with open(Path(__file__).parent / "data" / "full_layout_diagnostics.json") as fh
 
 @pytest.mark.parametrize("name", sorted(FULL_LAYOUT["runs"]))
 def test_diagnostics_match_full_layout_recording(name):
-    # the half-spectrum layout reproduces runs recorded with the full layout
+    # the half-spectrum layout reproduces runs recorded with the full layout.
+    # "ifrk4_adaptive" was recorded when adaptive meant a CFL step capped at
+    # dt; the CFL bound never bound (0 of 20 steps), so it replays as a
+    # fixed-step run, bit for bit
     rec = FULL_LAYOUT["runs"][name]
     data = dict(FULL_LAYOUT["initial_data"])
     data.pop("name")
     omega, rho = random_spectrum(GridSpec(FULL_LAYOUT["grid_n"]), **data)
-    cfg = StepperConfig(scheme=rec["scheme"], dt=rec["dt"], adaptive=rec["adaptive"])
+    cfg = StepperConfig(scheme=rec["scheme"], dt=rec["dt"])
     traj = run(omega, rho, rec["kappa"], rec["t_final"], cfg, n_samples=FULL_LAYOUT["n_samples"])
     assert traj.status == rec["status"]
     for column, expected in rec["records"].items():
