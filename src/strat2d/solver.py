@@ -144,34 +144,26 @@ def rhs(state: SimState, velocity=None, nonlinear: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# steppers: scheme(state, dt, velocity, nonlinear) -> SimState
+# steppers: SCHEMES[name] = (first_stage, scheme), with
+#   first_stage(state, velocity, nonlinear) -> k1
+#   scheme(state, dt, k1, velocity, nonlinear) -> (new, error)
 #
 # Both schemes use the classical RK4 tableau.  Its free third-order
 # embedding, weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, k2, k3, k4, k5) with k5
 # the first stage at the new state, differs from RK4 by dt/6 (k4 - k5): the
-# local error that `run`'s adaptive steps control.  k5 does not depend on
-# the next step's size, so it is kept on the new state and is the next
+# local error that `run`'s adaptive steps control.  `error(k5)` returns it
+# as a (V+, V-) stack, or None from the exact linear Lawson step.  k5 does
+# not depend on the next step's size, so `run` passes it on as the next
 # step's k1 (first same as last): an accepted adaptive step costs the four
-# forcings of a fixed one.  A scheme leaves on its new state, under
-# "_error", a function of that state giving dt/6 (k4 - k5) as (V+, V-)
-# coefficients; `_error_ratio` calls it, and `step` drops it for a fixed
-# config, which never computes k5.
+# forcings of a fixed one.  A fixed run never calls `error`.
 
 
-def _first_stage(state: SimState, forcing, velocity, nonlinear: bool):
-    """forcing(state, velocity, nonlinear), a scheme's first stage, kept on
-    the state for the same forcing, velocity and nonlinear: a retried step
-    and the step after an adaptive one start from it."""
-    return state._kept("_first_stage", lambda: forcing(state, velocity, nonlinear),
-                       (forcing, velocity, nonlinear))
-
-
-def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
+def _rk4_step(state: SimState, dt: float, k1, velocity, nonlinear: bool):
     def f(om, rh, t):
         return rhs(SimState(om, rh, t, state.kappa), velocity, nonlinear)
 
     om, rh, t = state.omega, state.rho, state.t
-    k1o, k1r = _first_stage(state, rhs, velocity, nonlinear)
+    k1o, k1r = k1
     k2o, k2r = f(om + (dt / 2) * k1o, rh + (dt / 2) * k1r, t + dt / 2)
     k3o, k3r = f(om + (dt / 2) * k2o, rh + (dt / 2) * k2r, t + dt / 2)
     k4o, k4r = f(om + dt * k3o, rh + dt * k3r, t + dt)
@@ -179,13 +171,12 @@ def _rk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState
     rh1 = rh + (dt / 6) * (k1r + 2 * k2r + 2 * k3r + k4r)
     new = SimState(om1, rh1, t + dt, state.kappa)
 
-    def error(new):  # in (omega, rho), diagonalized to be measured as V is
-        k5o, k5r = _first_stage(new, rhs, velocity, nonlinear)
+    def error(k5):  # in (omega, rho), diagonalized to be measured as V is
+        k5o, k5r = k5
         return diagonal_stack(new.grid, dt / 6 * (k4o.coeffs - k5o.coeffs),
                               dt / 6 * (k4r.coeffs - k5r.coeffs))
 
-    new.__dict__["_error"] = error
-    return new
+    return new, error
 
 
 # the last (grid, dt, kappa)'s Lawson phases, one entry per thread: a step
@@ -232,19 +223,19 @@ def _lawson_forcing(grid: GridSpec, w: np.ndarray, rho_mean: float, u) -> np.nda
     return diagonal_stack(grid, *_advection(grid, merged_stack(grid, w, rho_mean), samples))
 
 
-def _lawson_first_stage(state: SimState, velocity, nonlinear: bool) -> np.ndarray:
-    """The state's F, masked (the pull-back at stage 1), read-only: it
-    advects with velocity(t) or the state's own velocity, whose samples
-    `cfl_dt` has usually made already, and differentiates the merged
-    fields."""
+def _lawson_first_stage(state: SimState, velocity, nonlinear: bool) -> np.ndarray | None:
+    """The state's F, masked (the pull-back at stage 1), or None for the
+    linear step, which has none: it advects with velocity(t) or the state's
+    own velocity, whose samples `cfl_dt` has usually made already, and
+    differentiates the merged fields."""
+    if not nonlinear:
+        return None
     f = _lawson_forcing(state.grid, _lawson_frame(state), state.rho.mean,
                         _advecting(velocity, state))
-    f = _turn(state.grid.dealias_weight, f)
-    f.flags.writeable = False
-    return f
+    return _turn(state.grid.dealias_weight, f)
 
 
-def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimState:
+def _ifrk4_step(state: SimState, dt: float, k1, velocity, nonlinear: bool):
     """Lawson (integrating-factor) RK4 on the stacked diagonal variables
     V = (V+, V-): each stage input, the RK combination and each pull-back
     by the phase are one array operation on both.
@@ -270,35 +261,27 @@ def _ifrk4_step(state: SimState, dt: float, velocity, nonlinear: bool) -> SimSta
     half, full = _lawson_multipliers(grid, dt, kappa)
     c = grid.dealiased_columns
     v = _lawson_frame(state)
+    if nonlinear:
+        def forcing(w, t):
+            return _lawson_forcing(grid, w, rho_mean, None if velocity is None else velocity(t))
 
-    def done(v1, k4=None):
-        coeffs = np.zeros((2,) + grid.shape, dtype=complex)
-        coeffs[..., :c] = merged_stack(grid, v1, rho_mean)
-        new = SimState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]),
-                       t + dt, kappa)
+        # the pull-back by (e, conj e) is the product with (conj e, e): the
+        # reversed stack, a view
+        k2 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k1), t + dt / 2))
+        k3 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k2), t + dt / 2))
+        k4 = _turn(full[::-1], forcing(_turn(full, v - dt * k3), t + dt))
+        v = v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    coeffs = np.zeros((2,) + grid.shape, dtype=complex)
+    coeffs[..., :c] = merged_stack(grid, _turn(full, v), rho_mean)
+    new = SimState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]), t + dt, kappa)
 
-        def error(new):  # None: the linear step is exact
-            if k4 is None:
-                return None
-            e = np.multiply(full[::-1], _first_stage(new, _lawson_first_stage, velocity, nonlinear))
-            return dt / 6 * np.subtract(k4, e, out=e)
+    def error(k5):  # None: the linear step is exact
+        if not nonlinear:
+            return None
+        e = np.multiply(full[::-1], k5)
+        return dt / 6 * np.subtract(k4, e, out=e)
 
-        new.__dict__["_error"] = error
-        return new
-
-    if not nonlinear:
-        return done(_turn(full, v))
-
-    def forcing(w, t):
-        return _lawson_forcing(grid, w, rho_mean, None if velocity is None else velocity(t))
-
-    # the pull-back by (e, conj e) is the product with (conj e, e): the
-    # reversed stack, a view
-    k1 = _first_stage(state, _lawson_first_stage, velocity, nonlinear)
-    k2 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k1), t + dt / 2))
-    k3 = _turn(half[::-1], forcing(_turn(half, v - dt / 2 * k2), t + dt / 2))
-    k4 = _turn(full[::-1], forcing(_turn(full, v - dt * k3), t + dt))
-    return done(_turn(full, v - dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)), k4)
+    return new, error
 
 
 def _turn(phase: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -311,17 +294,20 @@ def _turn(phase: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply(phase, x, out=x)
 
 
-SCHEMES = {"rk4": _rk4_step, "ifrk4": _ifrk4_step}
+SCHEMES = {"rk4": (rhs, _rk4_step), "ifrk4": (_lawson_first_stage, _ifrk4_step)}
 
 
 def step(state: SimState, dt: float, config: StepperConfig, velocity=None,
-         nonlinear: bool = True) -> SimState:
-    new = SCHEMES[config.scheme](state, dt, velocity, nonlinear)
-    if not config.adaptive:  # no error estimate: its stage arrays are freed
-        del new.__dict__["_error"]
+         nonlinear: bool = True, k1=None):
+    """One step of config's scheme from `state`, its first stage k1 made
+    when None: (new, error), where error(k5) is the step's local error."""
+    first_stage, scheme = SCHEMES[config.scheme]
+    if k1 is None:
+        k1 = first_stage(state, velocity, nonlinear)
+    new, error = scheme(state, dt, k1, velocity, nonlinear)
     if not (np.isfinite(new.omega.coeffs).all() and np.isfinite(new.rho.coeffs).all()):
         raise BlowupSuspectedError("non-finite coefficients after step", t=new.t)
-    return new
+    return new, error
 
 
 def _weighted_norm(grid: GridSpec, v: np.ndarray) -> float:
@@ -331,11 +317,10 @@ def _weighted_norm(grid: GridSpec, v: np.ndarray) -> float:
     return float(np.sqrt(_plancherel_sum(weight * (v.real**2 + v.imag**2)).sum()))
 
 
-def _error_ratio(new: SimState) -> float:
-    """The local error of the step that made `new`, |dt/6 (k4 - k5)| over
-    STEP_RTOL |V| at `new`, both in the |xi|^2-weighted norm: the step is
-    accepted at <= 1.  Computes k5, which the new state keeps."""
-    error = new.__dict__.pop("_error")(new)
+def _error_ratio(new: SimState, error) -> float:
+    """|error| over STEP_RTOL |V| at `new`, both in the |xi|^2-weighted
+    norm, for the local error of the step that made `new` (None: exact):
+    the step is accepted at <= 1."""
     if error is None:
         return 0.0
     size = _weighted_norm(new.grid, diagonal_stack(new.grid, new.omega.coeffs, new.rho.coeffs))
@@ -343,26 +328,36 @@ def _error_ratio(new: SimState) -> float:
     return 0.0 if err == 0 else err / (STEP_RTOL * size)
 
 
-def _adaptive_step(state: SimState, dt: float, target: float, config: StepperConfig,
-                   velocity, nonlinear: bool, traj: Trajectory):
-    """One accepted step from `state` toward `target`: tried at dt, under
-    the `cfl_dt` cap and cut at the target, and retried from the same state
-    at the controller's smaller step while its error ratio exceeds 1.
-    Returns the new state and the next step to try,
-    h clip(0.9 ratio^(-1/4), 0.5, 2), or dt again after a step cut short at
-    the target."""
-    cap = cfl_dt(state, config, velocity)
+def _advance(state: SimState, k1, dt: float, target: float, config: StepperConfig,
+             velocity, nonlinear: bool, traj: Trajectory):
+    """One accepted step from `state`, whose first stage is k1 (made when
+    None), toward `target`; returns (new, k1_next, dt_next).
+
+    A fixed config steps by dt, cut at the target, and returns k1_next None
+    and dt.  An adaptive one tries dt under the `cfl_dt` cap, cut at the
+    target, and retries from the same state and k1 at the controller's
+    smaller step while the error ratio exceeds 1.  k1_next is k5, and
+    dt_next is h clip(0.9 ratio^(-1/4), 0.5, 2), or dt again after a step
+    cut short at the target."""
+    first_stage = SCHEMES[config.scheme][0]
+    cap = cfl_dt(state, config, velocity) if config.adaptive else np.inf
+    if k1 is None:
+        k1 = first_stage(state, velocity, nonlinear)
     while True:
         h = min(dt, cap, target - state.t)
-        new = step(state, h, config, velocity, nonlinear=nonlinear)
-        # the state's velocity has served the cap and the kept first stage,
-        # all that a retry needs: freed, it is not alive beside the new one's
+        new, error = step(state, h, config, velocity, nonlinear, k1=k1)
+        # the state's velocity has served the cap and k1, all that a retry
+        # needs: freed, it is not alive beside the new one's
         state.__dict__.pop("_own_velocity", None)
-        ratio = _error_ratio(new)
+        if not config.adaptive:
+            traj.took(h)
+            return new, None, dt
+        k5 = first_stage(new, velocity, nonlinear)
+        ratio = _error_ratio(new, error(k5))
         proposal = h * (2.0 if ratio == 0 else min(2.0, max(0.5, 0.9 * ratio**-0.25)))
         if ratio <= 1.0:
             traj.took(h)
-            return new, (dt if h < min(dt, cap) else proposal)
+            return new, k5, (dt if h < min(dt, cap) else proposal)
         traj.rejected += 1
         if proposal <= 1e-12 * max(1.0, state.t):
             raise BlowupSuspectedError(f"adaptive step fell to {proposal:.2e}", t=state.t)
@@ -503,8 +498,8 @@ def run(
 
     A fixed config steps by config.dt, cut at the sample times.  An
     adaptive one tries config.dt first and then sets each step by its local
-    error (`_adaptive_step`); the trajectory counts the steps taken and
-    rejected and the range of their sizes.
+    error (`_advance`); the trajectory counts the steps taken and rejected
+    and the range of their sizes.
 
     How the run ended is decided here alone, in `status` and `t_stop`:
     "ok" with t_stop = t_final, or the stop rule's crossing interpolated
@@ -546,17 +541,11 @@ def run(
         traj.snapshots.append(replace(state))
     z0 = rec["z"]
 
-    dt = config.dt  # the next adaptive step to try
+    dt, k1 = config.dt, None  # the next step to try, and the first stage at `state`
     for target in np.linspace(0.0, t_final, n_samples)[1:]:
         try:
             while state.t < target - 1e-12 * max(1.0, target):
-                if config.adaptive:
-                    state, dt = _adaptive_step(state, dt, target, config, velocity, nonlinear,
-                                               traj)
-                else:
-                    h = min(config.dt, target - state.t)
-                    state = step(state, h, config, velocity, nonlinear=nonlinear)
-                    traj.took(h)
+                state, k1, dt = _advance(state, k1, dt, target, config, velocity, nonlinear, traj)
         except BlowupSuspectedError as exc:
             traj.status, traj.t_stop = "blowup", exc.t
             break

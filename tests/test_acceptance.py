@@ -120,7 +120,7 @@ def test_criterion_05_exact_linear_propagator(grid64):
     cfg = StepperConfig(scheme="ifrk4", dt=dt)
     state = SimState(omega0, rho0, 0.0, kappa)
     for _ in range(n_steps):
-        state = step(state, dt, cfg, nonlinear=False)
+        state = step(state, dt, cfg, nonlinear=False)[0]
     vp0, vm0 = diagonalize(omega0, rho0)
     vp1, vm1 = diagonalize(state.omega, state.rho)
     t = dt * n_steps

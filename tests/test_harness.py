@@ -199,11 +199,11 @@ faults = []
 def stepping():
     state = SimState(dealias(omega), dealias(rho), 0.0, 256.0)
     for _ in range(3):  # warm-up: plans, cached symbols, the heap itself
-        state = step(state, cfl_dt(state, cfg), cfg)
+        state = step(state, cfl_dt(state, cfg), cfg)[0]
     for _ in range(3):
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for _ in range(20):
-            state = step(state, cfl_dt(state, cfg), cfg)
+            state = step(state, cfl_dt(state, cfg), cfg)[0]
         faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
 
 thread = threading.Thread(target=stepping)

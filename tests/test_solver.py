@@ -105,7 +105,7 @@ def test_step_stationary_state(grid):
     state = SimState(zero_field(grid), rho, 0.0, 7.0)
     for scheme in ("rk4", "ifrk4"):
         cfg = StepperConfig(scheme=scheme, dt=0.01)
-        new = step(state, 0.01, cfg)
+        new = step(state, 0.01, cfg)[0]
         assert abs(new.t - 0.01) < 1e-15
         assert np.abs(new.rho.coeffs - rho.coeffs).max() < 1e-13
         assert new.omega.coefficient_norm() < 1e-13
@@ -118,7 +118,7 @@ def test_ifrk4_keeps_taylor_green_steady(grid):
     state = SimState(omega, rho, 0.0, 0.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     for _ in range(10):
-        state = step(state, cfg.dt, cfg)
+        state = step(state, cfg.dt, cfg)[0]
     assert np.abs(state.omega.coeffs - omega.coeffs).max() < 1e-13
     assert state.rho.coefficient_norm() < 1e-13
 
@@ -131,7 +131,7 @@ def test_if_scheme_norm_preserving_per_mode(grid):
     state = SimState(omega, rho, 0.0, 33.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.02)
     for _ in range(50):
-        state = step(state, cfg.dt, cfg, nonlinear=False)
+        state = step(state, cfg.dt, cfg, nonlinear=False)[0]
     vp1 = np.abs(state.omega.coeffs + lam * state.rho.coeffs)
     assert np.abs(vp1 - vp0).max() < 1e-13 * max(vp0.max(), 1.0)
 
@@ -143,7 +143,7 @@ def test_linear_step_at_kappa_zero_changes_nothing(grid, scheme, tol):
     # kappa = 0 with the advection off: d/dt (omega, rho) = 0, for every scheme
     omega, rho = random_spectrum(grid, seed=4, xi_lo=0.5, xi_hi=8.0)
     state = SimState(omega, rho, 0.0, 0.0)
-    new = step(state, 0.05, StepperConfig(scheme=scheme, dt=0.05), nonlinear=False)
+    new = step(state, 0.05, StepperConfig(scheme=scheme, dt=0.05), nonlinear=False)[0]
     for got, want in ((new.omega, omega), (new.rho, rho)):
         assert np.abs(got.coeffs - want.coeffs).max() <= tol * np.abs(want.coeffs).max()
 
@@ -190,7 +190,7 @@ def test_blowup_detection(grid):
         state = SimState(omega * np.inf, rho, 0.0, 0.0)
         cfg = StepperConfig(scheme="rk4", dt=0.01)
         with pytest.raises(BlowupSuspectedError):
-            step(state, cfg.dt, cfg)
+            step(state, cfg.dt, cfg)[0]
 
 
 def test_time_step_convergence_order(grid):
@@ -204,7 +204,7 @@ def test_time_step_convergence_order(grid):
             state = SimState(omega, rho, 0.0, 3.0)
             n = round(t_final / dt)
             for _ in range(n):
-                state = step(state, dt, cfg)
+                state = step(state, dt, cfg)[0]
             sols[dt] = state
         ref = sols[0.00125]
         e1 = np.abs(sols[0.01].omega.coeffs - ref.omega.coeffs).max()
@@ -410,7 +410,7 @@ def test_adaptive_step_computes_the_states_velocity_once(monkeypatch, scheme):
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    step(state, cfl_dt(state, cfg), cfg)
+    step(state, cfl_dt(state, cfg), cfg)[0]
     assert calls == {"biot_savart": {"ifrk4": 1, "rk4": 4}[scheme], "_velocity": 4}
 
 
@@ -423,6 +423,8 @@ def _count_forcings(monkeypatch):
             calls["n"] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(solver, name, counting)
+    # rk4's first stage is rhs, reached through its SCHEMES entry
+    monkeypatch.setitem(solver.SCHEMES, "rk4", (solver.rhs, solver._rk4_step))
     return calls
 
 
@@ -430,14 +432,28 @@ def _count_forcings(monkeypatch):
 def test_accepted_adaptive_step_makes_four_forcings(monkeypatch, scheme):
     # the error estimate's k5, the first stage at the new state, is the next
     # step's k1 (first same as last): after the data's first stage, each
-    # attempt makes stages 2-4 and k5, whether it is accepted or not
+    # attempt makes stages 2-4 and k5, whether it is accepted or not.  A
+    # fixed step makes its four stages, no k5, and no CFL cap
     g = GridSpec(32)
     omega, rho = random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     calls = _count_forcings(monkeypatch)
+    caps = []
+
+    def counting_cap(state, *args, real=solver.cfl_dt):
+        caps.append(state.t)
+        return real(state, *args)
+
+    monkeypatch.setattr(solver, "cfl_dt", counting_cap)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=True)
     traj = run(omega, rho, 16.0, 0.2, cfg, n_samples=3, record=("t", "z"))
     assert traj.status == "ok" and traj.steps > 3
     assert calls["n"] == 1 + 4 * (traj.steps + traj.rejected)
+    assert len(caps) == traj.steps
+    calls["n"], caps[:] = 0, []
+    traj = run(omega, rho, 16.0, 0.2, StepperConfig(scheme=scheme, dt=0.01), n_samples=3,
+               record=("t", "z"))
+    assert traj.status == "ok" and (traj.steps, traj.rejected) == (20, 0)
+    assert (calls["n"], caps) == (4 * traj.steps, [])
 
 
 def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
@@ -509,7 +525,7 @@ def test_step_batches_its_transforms(monkeypatch, scheme, adaptive):
         monkeypatch.setattr(grid_module, name, counting)
     state = SimState(omega, rho, 0.0, 16.0)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
-    step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)
+    step(state, cfl_dt(state, cfg) if adaptive else cfg.dt, cfg)[0]
     counts = {name: len(widths) for name, widths in calls.items()}
     assert (counts["irfft"], counts["rfft"]) == ({"ifrk4": 5, "rk4": 8}[scheme], 4)
     assert counts == {
@@ -586,7 +602,8 @@ def test_ifrk4_step_matches_the_unstacked_reference(n, kappa, mode):
     nonlinear = mode != "linear"
     got = want = SimState(omega, rho, 0.0, kappa)
     for _ in range(3):
-        got = solver._ifrk4_step(got, 0.002, velocity, nonlinear)
+        k1 = solver._lawson_first_stage(got, velocity, nonlinear)
+        got = solver._ifrk4_step(got, 0.002, k1, velocity, nonlinear)[0]
         want = _reference_ifrk4_step(want, 0.002, velocity, nonlinear)
         assert got.t == want.t
         for a, b in ((got.omega, want.omega), (got.rho, want.rho)):
@@ -611,8 +628,9 @@ def test_ifrk4_step_reads_only_the_dealiased_modes(mode):
     noisy = SimState(noisy_omega, rho + noise[1], 0.0, 256.0)
     clean = SimState(dealias(noisy_omega), dealias(rho + noise[1]), 0.0, 256.0)
     assert not np.array_equal(noisy.rho.coeffs, clean.rho.coeffs)
-    got = solver._ifrk4_step(noisy, 0.002, velocity, mode != "linear")
-    want = solver._ifrk4_step(clean, 0.002, velocity, mode != "linear")
+    nonlinear = mode != "linear"
+    got, want = (solver._ifrk4_step(st, 0.002, solver._lawson_first_stage(st, velocity, nonlinear),
+                                    velocity, nonlinear)[0] for st in (noisy, clean))
     for a, b in ((got.omega, want.omega), (got.rho, want.rho)):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not a.coeffs[outside].any()
@@ -626,7 +644,7 @@ def test_ifrk4_refuses_a_nonzero_mean_at_a_later_stage():
     state = SimState(omega.with_mean(1.0), rho, 0.0, 16.0)
     state.__dict__["_own_velocity"] = biot_savart(omega)
     with pytest.raises(NonzeroMeanError):
-        step(state, 0.01, StepperConfig(scheme="ifrk4", dt=0.01))
+        step(state, 0.01, StepperConfig(scheme="ifrk4", dt=0.01))[0]
 
 
 def test_lawson_multipliers_keep_one_entry_per_thread(monkeypatch, grid, bank):
@@ -672,7 +690,7 @@ def test_lawson_memo_interleaved_matches_no_memo(monkeypatch):
         states = [SimState(*random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0),
                            0.0, kappa) for g, kappa in cases]
         for _ in range(3):
-            states = [step(st, cfg.dt, cfg) for st in states]
+            states = [step(st, cfg.dt, cfg)[0] for st in states]
         return states
 
     memoized = interleaved()
@@ -740,7 +758,7 @@ def test_step_path_calls_no_blas_norm(monkeypatch, scheme):
         raise AssertionError("numpy.linalg.norm called on the per-step path")
 
     monkeypatch.setattr(np.linalg, "norm", forbidden)
-    new = step(state, cfl_dt(state, cfg), cfg)
+    new = step(state, cfl_dt(state, cfg), cfg)[0]
     assert new.t > 0 and np.isfinite(new.omega.coeffs).all()
 
 
