@@ -22,11 +22,13 @@ class HermitianSymmetryError(Strat2dError):
 
 
 class BlowupSuspectedError(Strat2dError):
-    """Time integration produced non-finite values or tripped the growth guard."""
+    """Time integration produced non-finite values or could not go on; its
+    reason is the run's stop reason ("non_finite" or "step_floor")."""
 
-    def __init__(self, message, t=None):
+    def __init__(self, message, t=None, reason="non_finite"):
         super().__init__(message)
         self.t = t
+        self.reason = reason
 
 
 class ConfigError(Strat2dError):

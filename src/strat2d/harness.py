@@ -10,6 +10,7 @@ outputs are byte-identical regardless of parallelism.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import time
@@ -130,9 +131,7 @@ class ExperimentConfig:
         for seed in self.seeds:
             if not (_is_number(seed) and isinstance(seed, int)):
                 raise ConfigError(f"seeds must be integers, got {seed!r}")
-        name = self.initial_data.get("name")
-        if name not in PRESETS:
-            raise ConfigError(f"unknown initial-data preset {name!r}")
+        self._check_initial_data()
         for key in ("t_final", "threshold", "t_max", "window"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
@@ -157,6 +156,27 @@ class ExperimentConfig:
                 require_admissible(self.gamma, self.r)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.kind} config: {exc}") from exc
+
+    def _check_initial_data(self) -> None:
+        """The preset is known, and its keywords bind to the preset's
+        signature with number values (integers for an int parameter), or
+        null where the default is None."""
+        params = dict(self.initial_data)
+        name = params.pop("name", None)
+        if name not in PRESETS:
+            raise ConfigError(f"unknown initial-data preset {name!r}")
+        signature = inspect.signature(PRESETS[name])
+        try:
+            signature.bind(None, **params)  # None stands for the grid
+        except TypeError as exc:
+            raise ConfigError(f"initial_data {self.initial_data}: {exc}") from exc
+        for key, value in params.items():
+            parameter = signature.parameters[key]
+            integer = parameter.annotation.startswith("int")
+            number = _is_number(value) and value == value and (isinstance(value, int) or not integer)
+            if not (number or value is None and parameter.default is None):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"initial_data {key} must be {kind}, got {value!r}")
 
     def grid_spec(self) -> GridSpec:
         try:
@@ -349,8 +369,12 @@ def _nondecreasing_per_seed(lifespans) -> bool:
 def _trajectory_entry(traj) -> dict:
     """What a trajectory member's manifest entry copies from its run: how it
     ended and its steps (no timing, so reruns stay byte-identical)."""
-    return {"status": traj.status, "t_stop": traj.t_stop, "steps": traj.steps,
-            "rejected": traj.rejected, "dt_min": traj.dt_min, "dt_max": traj.dt_max}
+    entry = {"status": traj.status, "stop_reason": traj.stop_reason, "t_stop": traj.t_stop,
+             "steps": traj.steps, "rejected": traj.rejected, "dt_min": traj.dt_min,
+             "dt_max": traj.dt_max}
+    if traj.error is not None:
+        entry["error"] = traj.error
+    return entry
 
 
 # Each driver returns (files, flags, runs): files maps an output name to its
@@ -437,11 +461,13 @@ def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
         if sample is not None:
             rows.append([sample.kappa, spec.seed, sample.gamma, sample.r,
                          sample.t_max, sample.nodes, sample.value])
-            by_kappa.setdefault(spec.kappa, []).append(sample.value)
+            # keyed by the |kappa| measured at; the fit's log kappa needs kappa > 0
+            by_kappa.setdefault(sample.kappa, []).append(sample.value)
         runs.append(entry)
     kappas = sorted(by_kappa)
     means = [float(np.mean(by_kappa[k])) for k in kappas]
-    slope = fit_slope(kappas, means) if len(kappas) >= 6 else None
+    fitted = [(k, m) for k, m in zip(kappas, means) if k > 0]
+    slope = fit_slope(*zip(*fitted)) if len(fitted) >= 6 else None
     target = -1.0 / config.gamma
     fit = {"kappas": kappas, "mean_values": means, "slope": slope, "target_slope": target,
            "torus_note": "windowed integral; kappa-scaling is the measured content"}

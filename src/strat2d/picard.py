@@ -253,7 +253,8 @@ def picard_run(
         )
         if traj.status != "ok":  # without a stop rule, "ok" ran all n_samples
             raise RuntimeError(f"linear solve at iteration {n} ended in {traj.status} "
-                               f"at t = {traj.t_stop}")
+                               f"({traj.stop_reason}) at t = {traj.t_stop}"
+                               + (f": {traj.error}" if traj.error else ""))
         a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve
         if prev_snapshots is None:
             a_bar = None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from .dispersive import diagonal_stack, diagonalize, merged_stack
-from .errors import BlowupSuspectedError
+from .errors import BlowupSuspectedError, Strat2dError
 from .grid import (
     GridSpec,
     SpectralField,
@@ -100,8 +100,11 @@ class Trajectory:
     records: list = field(default_factory=list)  # dicts: column name -> value
     snapshots: list = field(default_factory=list)  # SimState at sample times
     nonlinear: bool = True  # whether the advection terms were active
-    status: str = "ok"  # "ok" | "blowup"
-    t_stop: float = 0.0  # t_final, the stop rule's crossing, or the blow-up time
+    status: str = "ok"  # "ok" | "blowup" | "error"
+    # "end" | "threshold" (ok), "guard" | "non_finite" | "step_floor" (blowup), "error"
+    stop_reason: str = "end"
+    t_stop: float = 0.0  # t_final, the stop rule's crossing, or the time of the stop
+    error: str | None = None  # the message of the error that stopped the run
     steps: int = 0  # steps taken
     rejected: int = 0  # adaptive steps whose error exceeded STEP_RTOL, retried smaller
     dt_min: float | None = None  # smallest step taken, a step cut at a sample time included
@@ -360,7 +363,8 @@ def _advance(state: SimState, k1, dt: float, target: float, config: StepperConfi
             return new, k5, (dt if h < min(dt, cap) else proposal)
         traj.rejected += 1
         if proposal <= 1e-12 * max(1.0, state.t):
-            raise BlowupSuspectedError(f"adaptive step fell to {proposal:.2e}", t=state.t)
+            raise BlowupSuspectedError(f"adaptive step fell to {proposal:.2e}", t=state.t,
+                                       reason="step_floor")
         dt = proposal
 
 
@@ -501,11 +505,15 @@ def run(
     error (`_advance`); the trajectory counts the steps taken and rejected
     and the range of their sizes.
 
-    How the run ended is decided here alone, in `status` and `t_stop`:
-    "ok" with t_stop = t_final, or the stop rule's crossing interpolated
-    linearly from the previous sample; "blowup" (non-finite coefficients
-    after a step, or z beyond GUARD_FACTOR z(0) at a sample) with t_stop
-    the time it was seen, and whatever records were collected.
+    How the run ended is decided here alone, in `status`, `stop_reason` and
+    `t_stop`: "ok" at "end" (t_stop = t_final) or at "threshold" (the stop
+    rule's crossing, interpolated linearly from the previous sample);
+    "blowup" at "guard" (z beyond GUARD_FACTOR z(0) at a sample),
+    "non_finite" (non-finite coefficients after a step, or a non-finite z)
+    or "step_floor" (an adaptive step fell below 1e-12 max(1, t)), with
+    t_stop the time it was seen; "error" when a step or a later record
+    raised another Strat2dError, with t_stop the last state's time and the
+    message in `error`.  Each keeps the records collected.
     """
     if n_samples < 2 or not t_final > 0:
         raise ValueError(f"need n_samples >= 2 and t_final > 0, got {n_samples}, {t_final}")
@@ -546,20 +554,26 @@ def run(
         try:
             while state.t < target - 1e-12 * max(1.0, target):
                 state, k1, dt = _advance(state, k1, dt, target, config, velocity, nonlinear, traj)
+            prev, rec = rec, sample(state, rec)
         except BlowupSuspectedError as exc:
-            traj.status, traj.t_stop = "blowup", exc.t
+            traj.status, traj.stop_reason, traj.t_stop = "blowup", exc.reason, exc.t
             break
-        prev, rec = rec, sample(state, rec)
+        except Strat2dError as exc:
+            traj.status, traj.stop_reason, traj.t_stop = "error", "error", state.t
+            traj.error = f"{type(exc).__name__}: {exc}"
+            break
         traj.records.append(rec)
         if store_snapshots:
             traj.snapshots.append(replace(state))
         if not np.isfinite(rec["z"]) or (z0 > 0 and rec["z"] > GUARD_FACTOR * z0):
             traj.status, traj.t_stop = "blowup", rec["t"]
+            traj.stop_reason = "guard" if np.isfinite(rec["z"]) else "non_finite"
             break
         if stop is not None and rec[stop[0]] >= stop[1]:
             # the crossing, linear inside the last sample interval
             before, after = prev[stop[0]], rec[stop[0]]
             frac = (stop[1] - before) / (after - before)
+            traj.stop_reason = "threshold"
             traj.t_stop = float(prev["t"] + frac * (rec["t"] - prev["t"]))
             break
     return traj
@@ -578,7 +592,7 @@ def lifespan(
     `run` to t_max with the stop rule ("b_integral", theta).
 
     Returns (t_life, trajectory): t_life is the run's t_stop (t_max when B
-    stays below theta), or None when the run blew up.
+    stays below theta), or None when the run blew up or raised.
     """
     traj = run(omega0, rho0, kappa, t_max, config, stop=("b_integral", theta), **run_kwargs)
     return (traj.t_stop if traj.status == "ok" else None), traj

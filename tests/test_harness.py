@@ -16,7 +16,7 @@ import strat2d
 from strat2d import cli, estimates, harness, picard, solver
 from strat2d.cli import SUBCOMMANDS
 from strat2d.cli import main as cli_main
-from strat2d.errors import ConfigError
+from strat2d.errors import ConfigError, HermitianSymmetryError
 from strat2d.harness import (
     ExperimentConfig,
     _nondecreasing_per_seed,
@@ -421,6 +421,16 @@ def test_cli_override(tmp_path):
     {"grid": {"n": 64.0}},
     {"grid": {"n": 64, "box_scale": float("nan")}},
     {"grid": {"n": 64, "box_scale": float("inf")}},
+    # preset keywords the preset does not take: simulate used to exit 1 with
+    # every member errored, picard to exit 3 with a TypeError
+    {"kind": "simulate", "initial_data": {"name": "taylor-green", "foo": 1}},
+    {"kind": "picard", "initial_data": {"name": "taylor-green", "foo": 1}},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "grid": 1}},
+    # preset values that are not numbers, or null where the default is not
+    {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": "0.5"}},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "amplitude": None}},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "seed": 1.5}},
+    {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": True}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -617,11 +627,63 @@ def test_lifespan_member_that_blows_up_has_no_lifespan(tmp_path, capsys):
         manifest = json.load(fh)
     assert manifest["flags"]["all_runs_completed"]
     ok, blown = manifest["runs"]
-    assert (ok["status"], ok["t_stop"]) == ("ok", 2.0)
+    assert (ok["status"], ok["stop_reason"], ok["t_stop"]) == ("ok", "end", 2.0)
     assert blown["status"] == "blowup" and 0.0 < blown["t_stop"] < 2.0
+    assert blown["stop_reason"] in ("guard", "non_finite")
     rows = read_rows(tmp_path / "out" / "lifespan_table.csv")
     assert [(r["kappa"], r["t_life"]) for r in rows] == [("0.0", "2.0")]
     assert (tmp_path / "out" / f"{blown['tag']}_bcurve.csv").exists()
+
+
+def test_member_error_mid_run_keeps_its_rows_and_reason(tmp_path, monkeypatch):
+    # a Strat2dError raised by a step ends the member as "error": the rows
+    # recorded before it are written, and the manifest says why and when
+    real = solver.step
+
+    def failing(state, *args, **kwargs):
+        if state.t > 0.075:
+            raise HermitianSymmetryError("injected")
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", failing)
+    manifest = run_experiment(small_config("simulate", tmp_path / "out", n_samples=5,
+                                           kappa_list=[16.0]))
+    (entry,) = manifest.runs
+    assert (entry["status"], entry["stop_reason"]) == ("error", "error")
+    assert entry["error"] == "HermitianSymmetryError: injected"
+    rows = read_rows(tmp_path / "out" / f"{entry['tag']}_diagnostics.csv")
+    assert [float(r["t"]) for r in rows] == pytest.approx([0.0, 0.025, 0.05, 0.075])
+    assert entry["t_stop"] == float(rows[-1]["t"]) and entry["steps"] == 9
+    assert manifest.flags["all_runs_completed"] is False
+
+
+def test_strichartz_fit_skips_kappa_at_most_zero(tmp_path):
+    # the measure reads |kappa|, so the samples are keyed by it and the
+    # log-log fit takes kappa > 0 only: kappa = 0 leaves 5, no slope
+    manifest = run_experiment(small_config("strichartz", tmp_path / "zero", seeds=[0],
+                                           grid={"n": 32, "box_scale": 2.0},
+                                           kappa_list=[0.0, 1.0, 2.0, 4.0, 8.0, 16.0]))
+    with open(tmp_path / "zero" / "strichartz_fit.json") as fh:
+        fit = json.load(fh)
+    assert fit["kappas"] == [0.0, 1.0, 2.0, 4.0, 8.0, 16.0] and fit["slope"] is None
+    assert manifest.flags == {"all_runs_completed": True}
+    # kappa = -1 is measured as kappa = 1, and the six kappa > 0 are fitted
+    manifest = run_experiment(small_config("strichartz", tmp_path / "neg", seeds=[0],
+                                           grid={"n": 32, "box_scale": 2.0},
+                                           kappa_list=[-1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
+    with open(tmp_path / "neg" / "strichartz_fit.json") as fh:
+        fit = json.load(fh)
+    rows = read_rows(tmp_path / "neg" / "strichartz_samples.csv")
+    assert rows[0]["value"] == rows[1]["value"]
+    assert fit["kappas"] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0] and fit["slope"] is not None
+    assert set(manifest.flags) == {"all_runs_completed", "slope_within_0p08"}
+
+
+def test_config_accepts_preset_keywords(tmp_path):
+    # an int where a float is expected, infinity, and null for kmax
+    data = {"name": "random-spectrum", "seed": 3, "alpha": 2, "xi_hi": float("inf"),
+            "kmax": None}
+    small_config("simulate", tmp_path, initial_data=data).validate()
 
 
 def test_lifespan_flag_judged_within_each_seed():

@@ -497,6 +497,51 @@ def test_adaptive_lifespan_keeps_the_scaling_symmetry(kappa):
     assert abs(lives[1] - lives[0]) <= 1e-4
 
 
+@pytest.mark.parametrize("reason", ["end", "threshold", "guard", "non_finite", "step_floor",
+                                    "error"])
+def test_run_says_why_it_stopped(monkeypatch, reason):
+    # each way a run can end sets status and stop_reason, and keeps the
+    # records collected until then
+    g = GridSpec(32)
+    omega, rho = random_spectrum(g, seed=9, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
+    cfg, stop = StepperConfig(scheme="ifrk4", dt=0.01), None
+    if reason == "threshold":
+        stop = ("t", 0.03)
+    elif reason == "guard":
+        monkeypatch.setattr(solver, "GUARD_FACTOR", 0.5)
+    elif reason == "non_finite":  # a step that leaves a NaN coefficient
+        first_stage, scheme = solver.SCHEMES["ifrk4"]
+
+        def poisoned(*args):
+            new, error = scheme(*args)
+            if new.t > 0.035:
+                new.omega.coeffs[1, 1] = np.nan
+            return new, error
+
+        monkeypatch.setitem(solver.SCHEMES, "ifrk4", (first_stage, poisoned))
+    elif reason == "step_floor":  # no step can meet the tolerance
+        monkeypatch.setattr(solver, "STEP_RTOL", 1e-300)
+        cfg = StepperConfig(scheme="ifrk4", dt=0.01, adaptive=True)
+    elif reason == "error":
+        real = solver.step
+
+        def failing(state, *args, **kwargs):
+            if state.t > 0.035:
+                raise HermitianSymmetryError("injected")
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", failing)
+    traj = run(omega, rho, 16.0, 0.08, cfg, n_samples=5, record=("t", "z"), stop=stop)
+    status = {"end": "ok", "threshold": "ok", "error": "error"}.get(reason, "blowup")
+    assert (traj.status, traj.stop_reason) == (status, reason)
+    assert traj.error == ("HermitianSymmetryError: injected" if reason == "error" else None)
+    counts = {"end": 5, "threshold": 3, "guard": 2, "non_finite": 2, "step_floor": 1, "error": 3}
+    assert len(traj.records) == counts[reason]
+    last = traj.records[-1]["t"]
+    assert traj.t_stop == pytest.approx({"end": 0.08, "threshold": 0.03, "non_finite": 0.04,
+                                         "step_floor": 0.0}.get(reason, last), abs=1e-12)
+
+
 def test_runs_count_their_steps(grid, bank):
     # a fixed run counts its steps, the last before each sample cut short
     omega, rho = random_spectrum(grid, seed=3, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
