@@ -27,7 +27,7 @@ from .dispersive import (
     fit_slope,
     kappa0_estimate,
     require_admissible,
-    strichartz_measure,
+    strichartz_measures,
 )
 from .errors import ConfigError
 from .estimates import LEMMAS, resolution_stability
@@ -331,23 +331,39 @@ def _parallel_map(fn, items):
         return list(pool.map(call, items))
 
 
-def _sweep(specs, one):
-    """Map one(spec) over the member specs, isolating each member's crash.
+def _sweep(specs, one, member=None):
+    """Map one over the sweep's members, isolating each member's crash.
 
-    Returns (spec, result, entry) in the order of specs; entry is the
-    member's manifest record, and result is None when the member raised.
+    By default each spec is a member and one(spec) is its result.  With
+    member, the specs that share member(spec) form one member, and
+    one(group) returns one result per spec of the group, in its order; a
+    member that raises fails each of its specs.  Returns (spec, result,
+    entry) in the order of specs; entry is the spec's manifest record, and
+    result is None when its member raised.
     """
+    if member is None:
+        return _sweep(specs, lambda group: [one(group[0])], member=id)
+    groups = {}
+    for at, spec in enumerate(specs):
+        groups.setdefault(member(spec), []).append(at)
 
-    def member(spec: RunSpec):
-        entry = {"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
-                 "scheme": spec.scheme, "status": "ok"}
+    def run_member(group):
+        grouped = [specs[at] for at in group]
+        entries = [{"tag": spec.tag, "kappa": spec.kappa, "seed": spec.seed,
+                    "scheme": spec.scheme, "status": "ok"} for spec in grouped]
         try:
-            return spec, one(spec), entry
+            results = one(grouped)
         except Exception as exc:  # crash isolation: siblings keep running
-            entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
-            return spec, None, entry
+            for entry in entries:
+                entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            results = [None] * len(grouped)
+        return list(zip(group, zip(grouped, results, entries)))
 
-    return _parallel_map(member, specs)
+    swept = [None] * len(specs)
+    for done in _parallel_map(run_member, list(groups.values())):
+        for at, item in done:
+            swept[at] = item
+    return swept
 
 
 def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
@@ -452,12 +468,15 @@ def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
 
 
 def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
-    def one(spec: RunSpec):
-        return strichartz_measure(coherent_band_field(grid, spec.seed), spec.kappa,
-                                  config.gamma, config.r, t_max=config.window, bank=bank)
+    # one member per packet: its kappas share the time nodes of equal kappa t
+    def packet(specs):
+        return strichartz_measures(coherent_band_field(grid, specs[0].seed),
+                                   [spec.kappa for spec in specs], config.gamma, config.r,
+                                   t_max=config.window, bank=bank)
 
     rows, by_kappa, runs = [], {}, []
-    for spec, sample, entry in _sweep(sweep_schedule(config), one):
+    for spec, sample, entry in _sweep(sweep_schedule(config), packet,
+                                      member=lambda spec: spec.seed):
         if sample is not None:
             rows.append([sample.kappa, spec.seed, sample.gamma, sample.r,
                          sample.t_max, sample.nodes, sample.value])

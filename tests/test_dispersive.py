@@ -17,6 +17,7 @@ from strat2d.dispersive import (
     kappa0_estimate,
     semigroup_apply,
     strichartz_measure,
+    strichartz_measures,
     undiagonalize,
 )
 from strat2d.errors import HermitianSymmetryError, NonzeroMeanError
@@ -173,6 +174,53 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     ])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
     assert abs(sample.value - expected) < 1e-12 * expected
+
+
+@pytest.fixture(scope="module")
+def wide_grid():
+    # the benchmark's box: band 0 holds enough modes to disperse
+    return GridSpec(64, box_scale=8.0)
+
+
+LADDER = [2.0**e for e in range(4, 8)]
+
+
+@pytest.mark.parametrize("gamma, r", [(4.0, np.inf), (8.0, 4.0)])
+@pytest.mark.parametrize("kappas, t_max", [
+    (LADDER, 0.5),  # every kappa's phase arguments are j/4: all shared
+    ([10.0, 20.0, 30.0, 45.5], 0.37),  # 4 kappa T not an integer
+    ([0.0, 16.0], 0.5),  # kappa = 0: the argument 0 at every node
+    ([16.0, -16.0, 32.0, 16.0], 0.5),  # +-kappa and a repeat
+])
+def test_strichartz_measures_equal_one_kappa_measurements(wide_grid, kappas, t_max, gamma, r):
+    bank = DyadicBank(wide_grid)
+    f = coherent_band_field(wide_grid, seed=3)
+    samples = strichartz_measures(f, kappas, gamma, r, t_max, bank=bank)
+    assert samples == [strichartz_measure(f, kappa, gamma, r, t_max, bank=bank)
+                       for kappa in kappas]
+
+
+@pytest.mark.parametrize("kappas, t_max, syntheses", [
+    # the ladder's union is the largest kappa's nodes: 4 kappa_max T + 1,
+    # not the 484 of the sum over kappa
+    (LADDER, 0.5, 4 * max(LADDER) * 0.5 + 1),
+    # of 162 nodes, 35 share an argument exactly; 13 more lie within 1e-9 of
+    # another argument without being equal, and are not shared
+    ([10.0, 20.0, 30.0, 45.5], 0.37, 127),
+])
+def test_strichartz_measures_synthesize_each_phase_argument_once(wide_grid, monkeypatch,
+                                                                  kappas, t_max, syntheses):
+    synthesized = []
+
+    class Counting(grid_module.SupportSynthesis):
+        def __call__(self, coeffs):
+            synthesized.append(len(coeffs))
+            return super().__call__(coeffs)
+
+    monkeypatch.setattr(dispersive, "SupportSynthesis", Counting)
+    f = coherent_band_field(wide_grid, seed=0)
+    samples = strichartz_measures(f, kappas, 4.0, np.inf, t_max, bank=DyadicBank(wide_grid))
+    assert sum(synthesized) == syntheses < sum(sample.nodes for sample in samples)
 
 
 @pytest.mark.parametrize("r", [np.inf, 4.0])

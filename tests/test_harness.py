@@ -179,7 +179,7 @@ def test_single_worker_sweep_runs_off_the_main_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "coherent_band_field", recording)
     monkeypatch.setenv("STRAT2D_THREADS", "1")
     assert run_experiment(small_config("strichartz", tmp_path / "out")).passed
-    assert len(threads) == 4
+    assert len(threads) == 2  # one member per packet, for both its kappas
     assert threading.main_thread() not in threads
 
 
@@ -756,7 +756,7 @@ def test_picard_with_no_completed_kappa_fails_uniformity(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, members", [
-    ("simulate", 2), ("lifespan-sweep", 4), ("strichartz", 4), ("picard", 2),
+    ("simulate", 2), ("lifespan-sweep", 4), ("strichartz", 2), ("picard", 2),
 ])
 def test_members_and_writes_go_through_module_bindings(tmp_path, monkeypatch, kind, members):
     # external tooling times sweeps and writes by patching these module globals
