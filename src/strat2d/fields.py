@@ -9,6 +9,8 @@ cutoff, draws a different field on every grid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import GridSpec, SpectralField, dealias, forward_transform, lp_norm
@@ -16,17 +18,6 @@ from .grid import GridSpec, SpectralField, dealias, forward_transform, lp_norm
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
-
-
-def _half_plane_wavevectors(kmax: int):
-    """Integer k with k1 > 0, or k1 == 0 and k2 > 0; fixed deterministic order."""
-    out = []
-    for k1 in range(0, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if k1 == 0 and k2 <= 0:
-                continue
-            out.append((k1, k2))
-    return out
 
 
 def random_field(
@@ -47,19 +38,28 @@ def random_field(
     """
     if kmax is None:
         kmax = int(grid.dealias_fraction * grid.n / 2)
-    kvecs = _half_plane_wavevectors(kmax)
-    draws = _rng(seed, stream).normal(size=(len(kvecs), 2))
+    # the half plane k1 > 0, or k1 == 0 and k2 > 0, in row-major (k1, k2) order
+    k1, k2 = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    half = (k1 > 0) | (k2 > 0)
+    k1, k2 = k1[half], k2[half]
+    draws = _rng(seed, stream).normal(size=(k1.size, 2))
+    xi = np.hypot(k1, k2) / grid.box_scale
+    kept = (xi_lo < xi) & (xi <= xi_hi)
+    k1, k2, draws = k1[kept], k2[kept], draws[kept]
+    # libm's pow: numpy's vectorised power may differ from it in the last bit
+    power = np.array([math.pow(x, -alpha) for x in xi[kept]])
+    c = (draws[:, 0] + 1j * draws[:, 1]) * power
+    # the half spectrum stores whichever of k, -k has k2 >= 0 (both if k2 = 0);
+    # in draw order, value before conjugate, the last write to a cell wins (the
+    # Nyquist row k1 = n/2 is written twice)
+    writes = np.stack([k2 >= 0, k2 <= 0], axis=1)
+    rows = np.stack([k1 % grid.n, -k1 % grid.n], axis=1)[writes]
+    cols = np.stack([k2, -k2], axis=1)[writes]
+    values = np.stack([c, np.conj(c)], axis=1)[writes]
+    cells = np.ravel_multi_index((rows, cols), grid.shape)
+    last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
     coeffs = np.zeros(grid.shape, dtype=complex)
-    for (k1, k2), (a, b) in zip(kvecs, draws):
-        xi = np.hypot(k1, k2) / grid.box_scale
-        if not (xi_lo < xi <= xi_hi):
-            continue
-        c = (a + 1j * b) * xi ** (-alpha)
-        # the half spectrum stores whichever of k, -k has k2 >= 0 (both if k2 = 0)
-        if k2 >= 0:
-            coeffs[k1 % grid.n, k2] = c
-        if k2 <= 0:
-            coeffs[(-k1) % grid.n, -k2] = np.conj(c)
+    coeffs.flat[cells[last]] = values[last]
     f = dealias(SpectralField(grid, coeffs))
     norm = lp_norm(f, 2)
     if norm > 0:

@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .estimates import LEMMAS, resolution_stability
 from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
-from .solver import COLUMNS, StepperConfig, gronwall_fit, lifespan, run
+from .solver import COLUMNS, StepperConfig, gronwall_fit, run
 
 
 def thread_count() -> int:
@@ -128,6 +128,9 @@ class ExperimentConfig:
         for kappa in self.kappa_list:
             if not (_is_number(kappa) and np.isfinite(kappa)):
                 raise ConfigError(f"kappa_list entries must be finite numbers, got {kappa!r}")
+        tags = [_kappa_tag(kappa) for kappa in self.kappa_list]
+        if self.kind == "picard" and len(set(tags)) < len(tags):  # a file per kappa's tag
+            raise ConfigError(f"picard kappa_list {self.kappa_list} repeats a file tag: {tags}")
         for seed in self.seeds:
             if not (_is_number(seed) and isinstance(seed, int)):
                 raise ConfigError(f"seeds must be integers, got {seed!r}")
@@ -382,15 +385,25 @@ def _nondecreasing_per_seed(lifespans) -> bool:
     return all(b >= 0.95 * a for lives in by_seed.values() for a, b in zip(lives, lives[1:]))
 
 
-def _trajectory_entry(traj) -> dict:
-    """What a trajectory member's manifest entry copies from its run: how it
-    ended and its steps (no timing, so reruns stay byte-identical)."""
-    entry = {"status": traj.status, "stop_reason": traj.stop_reason, "t_stop": traj.t_stop,
-             "steps": traj.steps, "rejected": traj.rejected, "dt_min": traj.dt_min,
-             "dt_max": traj.dt_max}
-    if traj.error is not None:
-        entry["error"] = traj.error
-    return entry
+def _trajectories(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank, t_end: float,
+                  stop=None):
+    """`_sweep` of the schedule's members, each `run` from its data to t_end
+    under the stop rule; only simulate stores snapshots.  Each manifest
+    entry copies how its run ended and its steps (no timing, so reruns stay
+    byte-identical)."""
+    def one(spec: RunSpec):
+        return run(*_member_data(config, grid, spec), spec.kappa, t_end, config.stepper(),
+                   n_samples=config.n_samples, bank=bank, s=config.s, q=config.q,
+                   store_snapshots=config.snapshots and config.kind == "simulate", stop=stop)
+
+    swept = _sweep(sweep_schedule(config), one)
+    for _, traj, entry in swept:
+        if traj is not None:
+            entry.update((key, getattr(traj, key)) for key in (
+                "status", "stop_reason", "t_stop", "steps", "rejected", "dt_min", "dt_max"))
+            if traj.error is not None:
+                entry["error"] = traj.error
+    return swept
 
 
 # Each driver returns (files, flags, runs): files maps an output name to its
@@ -399,17 +412,11 @@ def _trajectory_entry(traj) -> dict:
 
 
 def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
-    def one(spec: RunSpec):
-        omega0, rho0 = _member_data(config, grid, spec)
-        return run(omega0, rho0, spec.kappa, config.t_final, config.stepper(),
-                   n_samples=config.n_samples, store_snapshots=config.snapshots, bank=bank,
-                   s=config.s, q=config.q)
-
     files, runs = {}, []
-    for spec, traj, entry in _sweep(sweep_schedule(config), one):
+    for spec, traj, entry in _trajectories(config, grid, bank, config.t_final):
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
-            entry.update(_trajectory_entry(traj), c6=gronwall_fit(traj.records))
+            entry["c6"] = gronwall_fit(traj.records)
             if config.snapshots:
                 files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
         runs.append(entry)
@@ -417,21 +424,15 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
 
 
 def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
-    def one(spec: RunSpec):
-        omega0, rho0 = _member_data(config, grid, spec)
-        return lifespan(omega0, rho0, spec.kappa, config.t_max, config.threshold,
-                        config.stepper(), n_samples=config.n_samples, bank=bank,
-                        s=config.s, q=config.q)
-
+    # the lifespan: B reaching the threshold, or t_max, on a run that ended ok
+    stop = ("b_integral", config.threshold)
     files, rows, runs = {}, [], []
-    for spec, result, entry in _sweep(sweep_schedule(config), one):
-        if result is not None:
-            t_life, traj = result
+    for spec, traj, entry in _trajectories(config, grid, bank, config.t_max, stop):
+        if traj is not None:
             curve = f"{spec.tag}_bcurve.csv"
             files[curve] = (COLUMNS, diagnostics_rows(traj))
-            entry.update(_trajectory_entry(traj))
-            if t_life is not None:
-                rows.append([spec.kappa, spec.seed, t_life, curve])
+            if traj.status == "ok":
+                rows.append([spec.kappa, spec.seed, traj.t_stop, curve])
         runs.append(entry)
     files["lifespan_table.csv"] = (("kappa", "seed", "t_life", "b_curve_file"), rows)
     # a member without a lifespan (blown up or raised) fails the trend
@@ -441,15 +442,12 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
 
 
 def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
-    # one data set, one member per kappa
-    omega0, rho0 = make_initial_data(grid, dict(config.initial_data))
-    stepper = config.stepper()
-    seed = config.initial_data.get("seed", 0)
-    specs = [RunSpec(index=i, kappa=float(kappa), seed=seed, scheme=config.scheme)
-             for i, kappa in enumerate(config.kappa_list)]
+    # one member per kappa, all on the data of the one seed initial_data.seed
+    specs = sweep_schedule(replace(config, seeds=[config.initial_data.get("seed", 0)]))
+    omega0, rho0 = _member_data(config, grid, specs[0])
 
     def one(spec: RunSpec):
-        return picard_run(omega0, rho0, spec.kappa, config.t_final, config.n_max, stepper,
+        return picard_run(omega0, rho0, spec.kappa, config.t_final, config.n_max, config.stepper(),
                           s=config.s, q=config.q, n_samples=config.n_samples, bank=bank)
 
     files, runs, traces_by_kappa = {}, [], {}

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
+from .errors import Strat2dError
 from .grid import GridSpec, SpectralField, VectorField, biot_savart
 from .solver import StepperConfig, Trajectory, run, z_norm
 
@@ -252,7 +253,7 @@ def picard_run(
             n_samples=n_samples, store_snapshots=True, bank=bank, s=s, q=q,
         )
         if traj.status != "ok":  # without a stop rule, "ok" ran all n_samples
-            raise RuntimeError(f"linear solve at iteration {n} ended in {traj.status} "
+            raise Strat2dError(f"linear solve at iteration {n} ended in {traj.status} "
                                f"({traj.stop_reason}) at t = {traj.t_stop}"
                                + (f": {traj.error}" if traj.error else ""))
         a = traj.column("z")  # A_n(t) = z_{s,q}, recorded by the solve

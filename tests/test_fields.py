@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from strat2d.fields import (
+    _rng,
     coherent_band_field,
     gaussian_bump,
     make_initial_data,
     random_field,
     taylor_green,
 )
-from strat2d.grid import GridSpec, advect, biot_savart, lp_norm
+from strat2d.grid import GridSpec, SpectralField, advect, biot_savart, dealias, lp_norm
 
 
 def test_random_field_deterministic():
@@ -39,6 +40,44 @@ def test_random_field_normalization_and_mean():
     assert abs(lp_norm(f, 2) - 2.5) < 1e-12
     assert f.mean == 0.0
     assert f.hermitian_defect() < 1e-14
+
+
+def _random_field_by_loop(grid, seed, alpha=2.5, xi_lo=0.0, xi_hi=np.inf, amplitude=1.0,
+                          kmax=None, stream=0):
+    """random_field written one wave vector at a time, in the draw order."""
+    if kmax is None:
+        kmax = int(grid.dealias_fraction * grid.n / 2)
+    kvecs = [(k1, k2) for k1 in range(kmax + 1) for k2 in range(-kmax, kmax + 1)
+             if k1 > 0 or k2 > 0]
+    draws = _rng(seed, stream).normal(size=(len(kvecs), 2))
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    for (k1, k2), (a, b) in zip(kvecs, draws):
+        xi = np.hypot(k1, k2) / grid.box_scale
+        if not (xi_lo < xi <= xi_hi):
+            continue
+        c = (a + 1j * b) * xi ** (-alpha)
+        if k2 >= 0:
+            coeffs[k1 % grid.n, k2] = c
+        if k2 <= 0:
+            coeffs[(-k1) % grid.n, -k2] = np.conj(c)
+    f = dealias(SpectralField(grid, coeffs))
+    norm = lp_norm(f, 2)
+    return f * (amplitude / norm) if norm > 0 else f
+
+
+@pytest.mark.parametrize("n, box_scale, fraction", [
+    (16, 1.0, 2 / 3), (32, 8.0, 2 / 3), (64, 1.0, 2 / 3), (64, 2.0, 1.0), (128, 1.0, 2 / 3),
+])
+@pytest.mark.parametrize("kwargs", [
+    {}, {"xi_lo": 0.5, "xi_hi": 4.0, "amplitude": 15.0}, {"alpha": 3, "kmax": 8},
+])
+def test_random_field_matches_the_per_mode_loop(n, box_scale, fraction, kwargs):
+    # dealias_fraction 1 keeps the Nyquist row k1 = n/2, which k and -k both write
+    grid = GridSpec(n, box_scale=box_scale, dealias_fraction=fraction)
+    for seed, stream in ((0, 0), (11, 1)):
+        want = _random_field_by_loop(grid, seed, stream=stream, **kwargs)
+        got = random_field(grid, seed, stream=stream, **kwargs)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_taylor_green_is_steady_euler():

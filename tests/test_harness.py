@@ -788,3 +788,66 @@ def test_members_and_writes_go_through_module_bindings(tmp_path, monkeypatch, ki
     assert sorted(written) == sorted(p.name for p in outdir.iterdir())
     if kind == "simulate":
         assert sum(name.endswith(".npz") for name in written) == members
+
+
+@pytest.mark.parametrize("kappas", [[16.0, 16.0000001], [16, 16]])
+def test_picard_kappas_that_share_a_file_tag_exit_2(tmp_path, capsys, kappas):
+    # picard_kappa<tag>.csv keeps 6 significant digits of kappa: the second
+    # member's file would overwrite the first's
+    path = write_config(tmp_path / "cfg.json", dict(SMALL["picard"], kappa_list=kappas,
+                                                    output_dir=str(tmp_path / "out")))
+    assert cli_main(["picard", "--config", path]) == 2
+    assert "repeats a file tag" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_picard_member_whose_iterate_blows_up_is_a_package_error(tmp_path):
+    # rk4 at kappa = 1e4 with a coarse step: the first iterate's linear solve
+    # leaves the guard, and the member's entry names the package's error
+    data = {"name": "random-spectrum", "seed": 9, "amplitude": 1.0, "xi_lo": 0.5,
+            "xi_hi": 4.0}
+    with np.errstate(invalid="ignore", over="ignore"):
+        manifest = run_experiment(small_config("picard", tmp_path / "out", scheme="rk4",
+                                               dt=0.05, kappa_list=[0.0, 1e4],
+                                               initial_data=data, t_final=1.0, n_samples=3))
+    ok, failed = manifest.runs
+    assert ok["status"] == "ok"
+    assert failed["status"] == "error"
+    assert failed["error"].startswith("Strat2dError: linear solve at iteration 0 ended in "
+                                      "blowup (guard)")
+    assert manifest.flags["all_runs_completed"] is False
+
+
+def test_lifespan_sweep_is_simulate_stopped_by_the_rule(tmp_path):
+    # one trajectory per member: with t_final = t_max, each B curve is the
+    # leading rows of the simulate member's diagnostics, byte for byte
+    cfg = small_config("lifespan-sweep", tmp_path / "life", kappa_list=[0.0, 64.0], seeds=[1],
+                       t_max=1.0, threshold=1.0, n_samples=21)
+    life = run_experiment(cfg)
+    sim = run_experiment(dataclasses.replace(cfg, kind="simulate", t_final=cfg.t_max,
+                                             output_dir=str(tmp_path / "sim")))
+    for life_run, sim_run in zip(life.runs, sim.runs, strict=True):
+        assert life_run["tag"] == sim_run["tag"]
+        curve = (tmp_path / "life" / f"{life_run['tag']}_bcurve.csv").read_text()
+        full = (tmp_path / "sim" / f"{sim_run['tag']}_diagnostics.csv").read_text()
+        assert full.startswith(curve)
+        assert curve.count("\n") < full.count("\n")  # the rule stopped the member
+        assert life_run["stop_reason"] == "threshold"
+
+
+def test_only_simulate_stores_snapshots(tmp_path, monkeypatch):
+    # `snapshots` asks simulate for .npz files; a lifespan sweep, which
+    # writes none, does not hold its states in memory either
+    trajectories = []
+
+    def recording(*args, **kwargs):
+        trajectories.append(real(*args, **kwargs))
+        return trajectories[-1]
+
+    real = harness.run
+    monkeypatch.setattr(harness, "run", recording)
+    run_experiment(small_config("lifespan-sweep", tmp_path / "life", snapshots=True))
+    assert len(trajectories) == 4 and all(not t.snapshots for t in trajectories)
+    trajectories.clear()
+    run_experiment(small_config("simulate", tmp_path / "sim", snapshots=True))
+    assert len(trajectories) == 2 and all(t.snapshots for t in trajectories)

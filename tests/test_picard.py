@@ -7,6 +7,7 @@ import pytest
 from strat2d import solver
 from strat2d.bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from strat2d.dispersive import diagonalize, semigroup_apply
+from strat2d.errors import Strat2dError
 from strat2d.fields import random_field, random_spectrum
 from strat2d.grid import (
     GridSpec,
@@ -336,3 +337,16 @@ def test_picard_keeps_hermitian_symmetry_exactly(grid, bank, smooth_data):
     parts = [f for s in snaps for f in (s.omega, s.rho)]
     parts += [f for u in velocities for f in (u.u1, u.u2)]
     assert [f.hermitian_defect() for f in parts] == [0.0] * len(parts)
+
+
+def test_picard_iterate_that_blows_up_raises_a_package_error():
+    # rk4 at kappa = 1e4 with a coarse step leaves the guard in the first
+    # iterate's linear solve: the run is refused as a Strat2dError, not a bare
+    # RuntimeError, so callers can tell it from a defect
+    grid = GridSpec(32)
+    omega0, rho0 = random_spectrum(grid, seed=9, xi_lo=0.5, xi_hi=4.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(Strat2dError, match="iteration 0 ended in blowup") as info:
+            picard_run(omega0, rho0, 1e4, 1.0, 2, StepperConfig(scheme="rk4", dt=0.05),
+                       n_samples=3)
+    assert type(info.value) is Strat2dError
