@@ -33,11 +33,14 @@ def random_field(
     """Isotropic power-law spectrum |xi|^-alpha with random phases.
 
     The spectrum is restricted to xi_lo < |xi| <= xi_hi and to |k_i| <= kmax
-    (default: the grid's dealias cutoff).  Mean-zero; L2 norm scaled to
+    (default: the grid's dealias cutoff; at most n/2).  Mean-zero; L2 norm scaled to
     `amplitude` when nonzero.
     """
     if kmax is None:
         kmax = int(grid.dealias_fraction * grid.n / 2)
+    if kmax > grid.n // 2:
+        raise ValueError(f"kmax = {kmax} exceeds n/2 for n = {grid.n}: "
+                         "its modes leave the half spectrum")
     # the half plane k1 > 0, or k1 == 0 and k2 > 0, in row-major (k1, k2) order
     k1, k2 = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
     half = (k1 > 0) | (k2 > 0)

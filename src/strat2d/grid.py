@@ -329,9 +329,16 @@ class VectorField:
 
     @classmethod
     def from_stack(cls, grid: GridSpec, coeffs: np.ndarray) -> "VectorField":
-        """The field whose components are the two slices of one (2, n, n//2 + 1)
-        coefficient array, which `samples` then transforms as it is."""
-        u = cls(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]))
+        """The field whose components are the two slices of one (2, n, w)
+        coefficient array, a half spectrum or a column array, which `samples`
+        then transforms as it is.  The components of a column array are
+        zero-padded copies; its samples are those of the padded field, since
+        the real inverse pads with zeros too."""
+        components = coeffs
+        if coeffs.shape[-1] < grid.shape[1]:
+            components = np.zeros((2,) + grid.shape, dtype=coeffs.dtype)
+            components[..., : coeffs.shape[-1]] = coeffs
+        u = cls(SpectralField(grid, components[0]), SpectralField(grid, components[1]))
         u.__dict__["_stack"] = coeffs
         return u
 

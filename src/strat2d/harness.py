@@ -148,6 +148,10 @@ class ExperimentConfig:
             if self.s <= s_floor:
                 raise ConfigError(f"lemma {self.lemma!r} needs s > {s_floor:g}, got {self.s}")
         grid = self.grid_spec()
+        kmax = self.initial_data.get("kmax")
+        if kmax is not None and kmax > grid.n // 2:
+            raise ConfigError(f"initial_data kmax = {kmax} exceeds n/2 = {grid.n // 2}: "
+                              "its modes leave the half spectrum")
         try:  # the objects a run builds refuse what it cannot run
             self.stepper()
             BesovSpec(s=self.s, q=self.q)

@@ -34,6 +34,13 @@ def test_random_field_cross_resolution():
         assert abs(ca / lp_norm(a, 2) - cb / lp_norm(b, 2)) < 1e-14
 
 
+def test_random_field_refuses_kmax_beyond_the_half_spectrum():
+    grid = GridSpec(32)
+    assert random_field(grid, seed=9, kmax=16).coefficient_norm() > 0
+    with pytest.raises(ValueError, match=r"kmax = 17 exceeds n/2 for n = 32"):
+        random_field(grid, seed=9, kmax=17)
+
+
 def test_random_field_normalization_and_mean():
     g = GridSpec(64)
     f = random_field(g, seed=1, xi_lo=0.5, xi_hi=4.0, amplitude=2.5)

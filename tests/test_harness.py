@@ -431,6 +431,8 @@ def test_cli_override(tmp_path):
     {"kind": "picard", "initial_data": {"name": "random-spectrum", "amplitude": None}},
     {"kind": "picard", "initial_data": {"name": "random-spectrum", "seed": 1.5}},
     {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": True}},
+    # a pinned kmax above n/2: every member used to end in a ValueError
+    {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": 40}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -753,6 +755,19 @@ def test_picard_with_no_completed_kappa_fails_uniformity(tmp_path, monkeypatch):
     assert manifest.flags == {"all_runs_completed": False, "kappa_uniform_spread": False}
     with open(tmp_path / "out" / "uniformity_report.json") as fh:
         assert json.load(fh)["pass"] is False
+
+
+def test_picard_with_one_completed_kappa_fails_uniformity(tmp_path):
+    # rk4 with a coarse step leaves the guard at kappa = 1e4; the spread over
+    # the one kappa left is 1 by construction, no evidence of uniformity
+    data = {"name": "random-spectrum", "seed": 9, "xi_lo": 0.5, "xi_hi": 4.0}
+    manifest = run_experiment(small_config("picard", tmp_path / "out", scheme="rk4", dt=0.05,
+                                           kappa_list=[0.0, 1e4], initial_data=data))
+    assert [r["status"] for r in manifest.runs] == ["ok", "error"]
+    assert manifest.flags == {"all_runs_completed": False, "kappa_uniform_spread": False}
+    with open(tmp_path / "out" / "uniformity_report.json") as fh:
+        report = json.load(fh)
+    assert report["spread"] == 1.0 and report["pass"] is False
 
 
 @pytest.mark.parametrize("kind, members", [

@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from strat2d.grid import (
     GridSpec,
     SpectralField,
     VectorField,
+    _samples,
     biot_savart,
     forward_transform,
     lp_norm,
@@ -298,6 +300,60 @@ def test_frozen_velocity_memo(grid):
         assert np.array_equal(got.u2.coeffs, fresh.u2.coeffs)
     with pytest.raises(ValueError):
         frozen(1.5)
+
+
+def test_frozen_velocity_on_its_support_matches_the_full_width_spline(grid):
+    # the spline runs on the columns some sample reaches; padded, its answers
+    # and their samples are the full-width spline's bit for bit
+    times = np.linspace(0.0, 0.25, 6)
+    zero = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+    undealiased = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
+    undealiased.coeffs[3, 25] = 0.5  # cos(3 x1 + 25 x2): column 25 > c = 22
+    omegas = [random_field(grid, seed=50 + i, xi_lo=0.5, xi_hi=4.0 + 3 * i) for i in range(4)]
+    velocities = [biot_savart(omega) for omega in omegas[:2] + [undealiased, zero] + omegas[2:]]
+    frozen = FrozenVelocity(times, velocities)
+    assert frozen._spline.c.shape[-1] == 26
+    full = _CubicSpline(times, np.stack([np.stack([v.u1.coeffs, v.u2.coeffs])
+                                         for v in velocities]))
+    rng = np.random.default_rng(5)
+    # the knots (the last one on the extrapolated end piece), midpoints, random times
+    for t in [*times, *(0.5 * (times[1:] + times[:-1])), *rng.uniform(0.0, 0.25, 6)]:
+        u, want = frozen(t), full(t)
+        got = np.stack([u.u1.coeffs, u.u2.coeffs])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+        assert np.array_equal(np.stack(u.samples()).view(np.uint64),
+                              _samples(grid, want).view(np.uint64)), t
+
+
+def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid, bank,
+                                                                        smooth_data):
+    # one batched Biot-Savart call on the vorticity columns, bit for bit
+    omega0, rho0 = smooth_data
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    traj = linear_solve(FrozenVelocity.constant(biot_savart(omega0)), omega0, rho0, 16.0, 0.05,
+                        cfg, n_samples=6, bank=bank, store_snapshots=True)
+    batched = FrozenVelocity.from_trajectory(traj)
+    one_by_one = FrozenVelocity([s.t for s in traj.snapshots],
+                                [biot_savart(s.omega) for s in traj.snapshots])
+    assert batched._spline.c.shape[-1] == grid.dealiased_columns
+    assert np.array_equal(batched._spline.c.view(np.uint64), one_by_one._spline.c.view(np.uint64))
+
+
+def test_picard_run_keeps_one_frozen_velocity_alive(grid, bank, smooth_data, monkeypatch):
+    # the previous iterate's spline is collected before the next one is fitted
+    splines, alive = [], []
+    fit = _CubicSpline.__init__
+
+    def tracked(self, x, y):
+        alive.append(sum(ref() is not None for ref in splines))
+        splines.append(weakref.ref(self))
+        fit(self, x, y)
+
+    monkeypatch.setattr(_CubicSpline, "__init__", tracked)
+    omega0, rho0 = smooth_data
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    picard_run(omega0, rho0, 16.0, 0.05, 3, cfg, n_samples=3, bank=bank)
+    assert len(alive) >= 2 and not any(alive)
 
 
 def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data):
