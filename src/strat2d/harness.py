@@ -2,9 +2,10 @@
 parallel execution, and CSV/JSON emission.
 
 Every experiment expands into a list of independent runs (the sweep
-schedule).  Runs may execute on a thread pool (STRAT2D_THREADS caps the
-width) but results are always collected and written in schedule order, so
-outputs are byte-identical regardless of parallelism.
+schedule).  Runs execute on a thread pool, side by side on grids of at least
+SIDE_BY_SIDE_N points a side (STRAT2D_THREADS caps the width) and one at a
+time below, but results are always collected and written in schedule order,
+so outputs are byte-identical regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ from .fields import PRESETS, coherent_band_field, make_initial_data
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
 from .solver import COLUMNS, StepperConfig, gronwall_fit, run
+
+
+# Sweep members run side by side from this grid size on, one at a time below
+# it.  A small grid's member is mostly short numpy calls, and two members'
+# threads hand the GIL to each other at every one (CPython bpo-7946): on a
+# 2-vCPU VM every sweep kind took more wall time and more CPU on two threads
+# at n = 64 (README, STRAT2D_THREADS).
+SIDE_BY_SIDE_N = 96
+
+# Philox's key, which the seeds of random data become, is a uint64
+SEED_RANGE = range(2**64)
 
 
 def thread_count() -> int:
@@ -132,8 +144,8 @@ class ExperimentConfig:
         if self.kind == "picard" and len(set(tags)) < len(tags):  # a file per kappa's tag
             raise ConfigError(f"picard kappa_list {self.kappa_list} repeats a file tag: {tags}")
         for seed in self.seeds:
-            if not (_is_number(seed) and isinstance(seed, int)):
-                raise ConfigError(f"seeds must be integers, got {seed!r}")
+            if not (_is_number(seed) and isinstance(seed, int) and seed in SEED_RANGE):
+                raise ConfigError(f"seeds must be integers in [0, 2**64), got {seed!r}")
         self._check_initial_data()
         for key in ("t_final", "threshold", "t_max", "window"):
             if getattr(self, key) <= 0:
@@ -184,6 +196,10 @@ class ExperimentConfig:
             if not (number or value is None and parameter.default is None):
                 kind = "an integer" if integer else "a number"
                 raise ConfigError(f"initial_data {key} must be {kind}, got {value!r}")
+        if "seed" in params and params["seed"] not in SEED_RANGE:
+            raise ConfigError(f"initial_data seed must be in [0, 2**64), got {params['seed']}")
+        if name == "gaussian-bump" and "width" in params and params["width"] <= 0:
+            raise ConfigError(f"initial_data width must be positive, got {params['width']}")
 
     def grid_spec(self) -> GridSpec:
         try:
@@ -315,6 +331,7 @@ class RunManifest:
     outputs: list
     flags: dict
     runs: list
+    members_at_once: int | None  # None: the kind is not a sweep
 
     @property
     def passed(self) -> bool:
@@ -338,18 +355,23 @@ def _parallel_map(fn, items):
         return list(pool.map(call, items))
 
 
-def _sweep(specs, one, member=None):
+def _sweep(specs, one, grid: GridSpec, member=None):
     """Map one over the sweep's members, isolating each member's crash.
 
     By default each spec is a member and one(spec) is its result.  With
     member, the specs that share member(spec) form one member, and
     one(group) returns one result per spec of the group, in its order; a
-    member that raises fails each of its specs.  Returns (spec, result,
-    entry) in the order of specs; entry is the spec's manifest record, and
-    result is None when its member raised.
+    member that raises fails each of its specs.  On a grid of n >=
+    SIDE_BY_SIDE_N the members go to one `_parallel_map` call, side by
+    side; below it each member has a call of its own, one at a time.
+
+    Returns (swept, members_at_once): swept holds (spec, result, entry) in
+    the order of specs, where entry is the spec's manifest record and result
+    is None when its member raised; members_at_once is how many members ran
+    at once.
     """
     if member is None:
-        return _sweep(specs, lambda group: [one(group[0])], member=id)
+        return _sweep(specs, lambda group: [one(group[0])], grid, member=id)
     groups = {}
     for at, spec in enumerate(specs):
         groups.setdefault(member(spec), []).append(at)
@@ -366,11 +388,16 @@ def _sweep(specs, one, member=None):
             results = [None] * len(grouped)
         return list(zip(group, zip(grouped, results, entries)))
 
+    members = list(groups.values())
+    if grid.n >= SIDE_BY_SIDE_N:
+        width, done = min(thread_count(), len(members)), _parallel_map(run_member, members)
+    else:
+        width, done = 1, [_parallel_map(run_member, [group])[0] for group in members]
     swept = [None] * len(specs)
-    for done in _parallel_map(run_member, list(groups.values())):
-        for at, item in done:
+    for results in done:
+        for at, item in results:
             swept[at] = item
-    return swept
+    return swept, width
 
 
 def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
@@ -394,44 +421,48 @@ def _trajectories(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank, t_
     """`_sweep` of the schedule's members, each `run` from its data to t_end
     under the stop rule; only simulate stores snapshots.  Each manifest
     entry copies how its run ended and its steps (no timing, so reruns stay
-    byte-identical)."""
+    byte-identical).  Returns what `_sweep` does."""
     def one(spec: RunSpec):
         return run(*_member_data(config, grid, spec), spec.kappa, t_end, config.stepper(),
                    n_samples=config.n_samples, bank=bank, s=config.s, q=config.q,
                    store_snapshots=config.snapshots and config.kind == "simulate", stop=stop)
 
-    swept = _sweep(sweep_schedule(config), one)
+    swept, width = _sweep(sweep_schedule(config), one, grid)
     for _, traj, entry in swept:
         if traj is not None:
             entry.update((key, getattr(traj, key)) for key in (
                 "status", "stop_reason", "t_stop", "steps", "rejected", "dt_min", "dt_max"))
             if traj.error is not None:
                 entry["error"] = traj.error
-    return swept
+    return swept, width
 
 
-# Each driver returns (files, flags, runs): files maps an output name to its
-# content, written by run_experiment: (header, rows) for .csv, a payload for
-# .json, a SpectralField for .npz.
+# Each driver returns (files, flags, runs, members_at_once): files maps an
+# output name to its content, written by run_experiment: (header, rows) for
+# .csv, a payload for .json, a SpectralField for .npz.  members_at_once is
+# `_sweep`'s for a sweep, whose runs decide all_runs_completed, and None for
+# any other kind.
 
 
 def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     files, runs = {}, []
-    for spec, traj, entry in _trajectories(config, grid, bank, config.t_final):
+    swept, width = _trajectories(config, grid, bank, config.t_final)
+    for spec, traj, entry in swept:
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
             entry["c6"] = gronwall_fit(traj.records)
             if config.snapshots:
                 files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
         runs.append(entry)
-    return files, {}, runs
+    return files, {}, runs, width
 
 
 def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     # the lifespan: B reaching the threshold, or t_max, on a run that ended ok
     stop = ("b_integral", config.threshold)
     files, rows, runs = {}, [], []
-    for spec, traj, entry in _trajectories(config, grid, bank, config.t_max, stop):
+    swept, width = _trajectories(config, grid, bank, config.t_max, stop)
+    for spec, traj, entry in swept:
         if traj is not None:
             curve = f"{spec.tag}_bcurve.csv"
             files[curve] = (COLUMNS, diagnostics_rows(traj))
@@ -442,7 +473,7 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     # a member without a lifespan (blown up or raised) fails the trend
     flags = {"lifespan_nondecreasing_5pct": len(rows) == len(runs)
              and _nondecreasing_per_seed(r[:3] for r in rows)}
-    return files, flags, runs
+    return files, flags, runs, width
 
 
 def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
@@ -455,7 +486,8 @@ def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                           s=config.s, q=config.q, n_samples=config.n_samples, bank=bank)
 
     files, runs, traces_by_kappa = {}, [], {}
-    for spec, traces, entry in _sweep(specs, one):
+    swept, width = _sweep(specs, one, grid)
+    for spec, traces, entry in swept:
         if traces is not None:
             traces_by_kappa[spec.kappa] = traces
             rows = [[tr.n, t, tr.a[i], tr.a_bar[i] if tr.a_bar is not None else ""]
@@ -466,7 +498,7 @@ def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
         runs.append(entry)
     report = uniformity_report(traces_by_kappa, spread_limit=config.spread_limit)
     files["uniformity_report.json"] = report
-    return files, {"kappa_uniform_spread": bool(report["pass"])}, runs
+    return files, {"kappa_uniform_spread": bool(report["pass"])}, runs, width
 
 
 def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
@@ -477,8 +509,8 @@ def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                                    t_max=config.window, bank=bank)
 
     rows, by_kappa, runs = [], {}, []
-    for spec, sample, entry in _sweep(sweep_schedule(config), packet,
-                                      member=lambda spec: spec.seed):
+    swept, width = _sweep(sweep_schedule(config), packet, grid, member=lambda spec: spec.seed)
+    for spec, sample, entry in swept:
         if sample is not None:
             rows.append([sample.kappa, spec.seed, sample.gamma, sample.r,
                          sample.t_max, sample.nodes, sample.value])
@@ -496,7 +528,7 @@ def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                                          "value"), rows),
              "strichartz_fit.json": fit}
     flags = {} if slope is None else {"slope_within_0p08": bool(abs(slope - target) <= 0.08)}
-    return files, flags, runs
+    return files, flags, runs, width
 
 
 def _verify_estimates(config: ExperimentConfig, grid: GridSpec):
@@ -512,14 +544,15 @@ def _verify_estimates(config: ExperimentConfig, grid: GridSpec):
         r.max_ratio > 0 and abs(r.max_ratio_doubled - r.max_ratio) <= 0.25 * r.max_ratio
         for r in reports
     )
-    return files, {"ratios_resolution_stable_25pct": stable}, [{"status": "ok", "lemmas": lemmas}]
+    return (files, {"ratios_resolution_stable_25pct": stable},
+            [{"status": "ok", "lemmas": lemmas}], None)
 
 
 def _kappa0(config: ExperimentConfig, grid: GridSpec):
     value, overflow = kappa0_estimate(Kappa0Inputs(**config.kappa0_inputs))
     files = {"kappa0.json": {"inputs": config.kappa0_inputs, "kappa0": value,
                              "overflow": overflow}}
-    return files, {"kappa0_finite": not overflow}, [{"status": "ok"}]
+    return files, {"kappa0_finite": not overflow}, [{"status": "ok"}], None
 
 
 def _bands(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
@@ -529,19 +562,18 @@ def _bands(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
         "partition.json": {"j_min": bank.j_min, "j_max": bank.j_max,
                            "partition_residual": resid},
     }
-    return files, {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}]
+    return files, {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}], None
 
 
-# kind -> (CLI verb, driver(config, grid[, bank]) -> (files, flags, runs),
-#          takes a bank, is a sweep: its runs decide all_runs_completed)
+# kind -> (CLI verb, driver(config, grid[, bank]), takes a bank)
 KINDS = {
-    "simulate": ("simulate", _simulate, True, True),
-    "picard": ("picard", _picard, True, True),
-    "strichartz": ("strichartz-sweep", _strichartz, True, True),
-    "lifespan-sweep": ("lifespan-sweep", _lifespan_sweep, True, True),
-    "verify-estimates": ("verify-estimates", _verify_estimates, False, False),
-    "kappa0": ("kappa0", _kappa0, False, False),
-    "bands": ("bands", _bands, True, False),
+    "simulate": ("simulate", _simulate, True),
+    "picard": ("picard", _picard, True),
+    "strichartz": ("strichartz-sweep", _strichartz, True),
+    "lifespan-sweep": ("lifespan-sweep", _lifespan_sweep, True),
+    "verify-estimates": ("verify-estimates", _verify_estimates, False),
+    "kappa0": ("kappa0", _kappa0, False),
+    "bands": ("bands", _bands, True),
 }
 
 
@@ -551,9 +583,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     grid = config.grid_spec()
-    _, driver, banked, sweep = KINDS[config.kind]
-    files, flags, runs = driver(config, grid, DyadicBank(grid)) if banked else driver(config, grid)
-    if sweep:
+    _, driver, banked = KINDS[config.kind]
+    files, flags, runs, width = (driver(config, grid, DyadicBank(grid)) if banked
+                                 else driver(config, grid))
+    if width is not None:
         completed = all(r["status"] in ("ok", "blowup") for r in runs)
         flags = {"all_runs_completed": completed, **flags}
     for name, content in files.items():
@@ -565,6 +598,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             save_field(content, outdir / name)
     manifest = RunManifest(config=config.as_dict(), version=__version__,
                            wall_clock=time.time() - started, outputs=sorted(files),
-                           flags=flags, runs=runs)
+                           flags=flags, runs=runs, members_at_once=width)
     write_json(outdir / "manifest.json", asdict(manifest))
     return manifest

@@ -498,7 +498,7 @@ def run(
     `stop = (name, threshold)` ends the run at the first sample whose
     column `name` reaches threshold.  A bad schedule, selection or stop
     rule, or one the data's record already meets, raises ValueError before
-    any step.
+    any step; data with a non-finite coefficient raises Strat2dError.
 
     A fixed config steps by config.dt, cut at the sample times.  An
     adaptive one tries config.dt first and then sets each step by its local
@@ -524,6 +524,8 @@ def run(
                          "holds t, z and the integrands of its integrals")
     if stop is not None and (stop[0] not in names or np.isnan(stop[1])):
         raise ValueError(f"the stop rule {stop} reads a column not recorded, or is NaN")
+    if not (np.isfinite(omega0.coeffs).all() and np.isfinite(rho0.coeffs).all()):
+        raise Strat2dError("the initial data has a non-finite coefficient")
     require_mean_zero(omega0, "time integration")
     grid = omega0.grid
     omega0, rho0 = dealias(omega0), dealias(rho0)

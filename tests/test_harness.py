@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import strat2d
-from strat2d import cli, estimates, harness, picard, solver
+from strat2d import cli, estimates, fields, harness, picard, solver
 from strat2d.cli import SUBCOMMANDS
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError, HermitianSymmetryError
+from strat2d.grid import GridSpec
 from strat2d.harness import (
     ExperimentConfig,
     _nondecreasing_per_seed,
@@ -433,6 +435,19 @@ def test_cli_override(tmp_path):
     {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": True}},
     # a pinned kmax above n/2: every member used to end in a ValueError
     {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": 40}},
+    # seeds outside Philox's key range [0, 2**64): the sweeps used to exit 1
+    # with every member in an OverflowError, picard and verify-estimates 3
+    {"kind": "simulate", "seeds": [-1]},
+    {"kind": "simulate", "seeds": [2**64]},
+    {"kind": "lifespan-sweep", "seeds": [0, -1]},
+    {"kind": "strichartz", "seeds": [2**64]},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "seed": -1}},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "seed": 2**64}},
+    {"kind": "verify-estimates", "seeds": [-1]},
+    # a Gaussian of no width: NaN vorticity, which simulate used to stop at
+    # t = 0 as a blowup and pass all_runs_completed
+    {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 0}},
+    {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": -0.5}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -866,3 +881,93 @@ def test_only_simulate_stores_snapshots(tmp_path, monkeypatch):
     trajectories.clear()
     run_experiment(small_config("simulate", tmp_path / "sim", snapshots=True))
     assert len(trajectories) == 2 and all(t.snapshots for t in trajectories)
+
+
+def test_members_run_side_by_side_from_the_named_size(monkeypatch):
+    # each member waits at the barrier for the other: both get past it only
+    # when they run at the same time (a lone member breaks it: an error entry)
+    monkeypatch.setenv("STRAT2D_THREADS", "2")
+    barrier = threading.Barrier(2, timeout=20)
+    specs = sweep_schedule(ExperimentConfig(kind="simulate", kappa_list=[0.0, 1.0]))
+    swept, width = harness._sweep(specs, lambda spec: barrier.wait(),
+                                  GridSpec(harness.SIDE_BY_SIDE_N))
+    assert width == 2
+    assert [entry["status"] for _, _, entry in swept] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("member", [None, lambda spec: spec.seed])
+def test_members_run_one_at_a_time_below_the_named_size(monkeypatch, member):
+    # every member on a pool thread, never two at once, though two workers
+    # are allowed
+    monkeypatch.setenv("STRAT2D_THREADS", "2")
+    lock, running, most, threads = threading.Lock(), [0], [0], []
+
+    def one(spec_or_group):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.append(threading.current_thread())
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+        return spec_or_group if member is None else [None] * len(spec_or_group)
+
+    specs = sweep_schedule(ExperimentConfig(kind="simulate", kappa_list=[0.0, 1.0, 2.0],
+                                            seeds=[0, 1]))
+    swept, width = harness._sweep(specs, one, GridSpec(harness.SIDE_BY_SIDE_N - 2), member)
+    assert width == 1
+    assert [entry["status"] for _, _, entry in swept] == ["ok"] * len(specs)
+    assert len(threads) == (6 if member is None else 2)
+    assert most[0] == 1
+    assert threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("kind, members", [
+    ("simulate", 2), ("lifespan-sweep", 4), ("strichartz", 2), ("picard", 2),
+])
+def test_side_by_side_members_rerun_byte_identical(tmp_path, monkeypatch, kind, members):
+    # the small configs are below SIDE_BY_SIDE_N, where members run one at a
+    # time on any worker count; with the size lowered they run side by side
+    monkeypatch.setattr(harness, "SIDE_BY_SIDE_N", 16)
+    outputs, runs, widths = {}, {}, {}
+    for label, threads in (("one", "1"), ("four", "4")):
+        monkeypatch.setenv("STRAT2D_THREADS", threads)
+        manifest = run_experiment(small_config(kind, tmp_path / label))
+        assert manifest.passed
+        outputs[label] = {name: (tmp_path / label / name).read_bytes()
+                          for name in manifest.outputs}
+        runs[label] = manifest.runs
+        on_disk = json.loads((tmp_path / label / "manifest.json").read_text())
+        widths[label] = on_disk["members_at_once"]
+    assert outputs["one"] == outputs["four"]
+    assert runs["one"] == runs["four"]
+    assert widths == {"one": 1, "four": min(4, members)}
+
+
+def test_manifest_records_members_at_once(tmp_path, monkeypatch):
+    # a sweep below the named size runs one member at a time on any worker
+    # count; a kind that is not a sweep has no members
+    monkeypatch.setenv("STRAT2D_THREADS", "4")
+    assert run_experiment(small_config("lifespan-sweep", tmp_path / "life")).members_at_once == 1
+    bands = ExperimentConfig(kind="bands", grid={"n": 32}, output_dir=str(tmp_path / "bands"))
+    assert run_experiment(bands).members_at_once is None
+    assert json.loads((tmp_path / "bands" / "manifest.json").read_text())["members_at_once"] is None
+
+
+def test_readme_names_every_manifest_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = " ".join(readme.split("`manifest.json` holds", 1)[1].split()).split("`")[1]
+    documented = {key.strip(" {}") for key in schema.split(",")}
+    assert documented == {f.name for f in dataclasses.fields(harness.RunManifest)}
+
+
+def test_member_with_non_finite_data_is_an_error(tmp_path, monkeypatch):
+    # a Gaussian of no width is NaN vorticity; validate refuses the config,
+    # and `run` refuses such data as a package error, not as a blowup at t = 0
+    monkeypatch.setattr(harness, "make_initial_data",
+                        lambda grid, data: fields.gaussian_bump(grid, width=0.0))
+    with np.errstate(all="ignore"):
+        manifest = run_experiment(small_config("simulate", tmp_path / "out"))
+    assert [r["status"] for r in manifest.runs] == ["error", "error"]
+    assert all(r["error"].startswith("Strat2dError: ") for r in manifest.runs)
+    assert manifest.flags["all_runs_completed"] is False
