@@ -105,7 +105,7 @@ def trial_spectrum_bounds(bank: DyadicBank) -> tuple[float, float, int]:
     """
     xi_lo = 5.0 / 8.0 * 2.0 ** (bank.j_min + 1)
     xi_hi = 5.0 / 8.0 * 2.0**bank.j_max
-    kmax = int(bank.grid.dealias_fraction * bank.grid.n / 2)
+    kmax = bank.grid.dealiased_columns - 1  # the dealias cutoff
     return xi_lo, xi_hi, kmax
 
 

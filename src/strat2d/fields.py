@@ -37,7 +37,7 @@ def random_field(
     `amplitude` when nonzero.
     """
     if kmax is None:
-        kmax = int(grid.dealias_fraction * grid.n / 2)
+        kmax = grid.dealiased_columns - 1  # the dealias cutoff
     if kmax > grid.n // 2:
         raise ValueError(f"kmax = {kmax} exceeds n/2 for n = {grid.n}: "
                          "its modes leave the half spectrum")
@@ -83,8 +83,7 @@ def coherent_band_field(
     already spatially equidistributed and show no dispersive spreading;
     coherent packets are the right probes for decay measurements.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    x0 = rng.uniform(0.0, 2 * np.pi * grid.box_scale, size=2)
+    x0 = _rng(seed).uniform(0.0, 2 * np.pi * grid.box_scale, size=2)
     env = np.exp(-((grid.xi_abs - xi_center) ** 2) / (2 * width**2))
     env[grid.xi_abs == 0] = 0.0
     phase = np.exp(-1j * (grid.xi1 * x0[0] + grid.xi2 * x0[1]))

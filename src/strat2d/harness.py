@@ -198,8 +198,11 @@ class ExperimentConfig:
                 raise ConfigError(f"initial_data {key} must be {kind}, got {value!r}")
         if "seed" in params and params["seed"] not in SEED_RANGE:
             raise ConfigError(f"initial_data seed must be in [0, 2**64), got {params['seed']}")
-        if name == "gaussian-bump" and "width" in params and params["width"] <= 0:
-            raise ConfigError(f"initial_data width must be positive, got {params['width']}")
+        width = params.get("width") if name == "gaussian-bump" else None
+        # 2 width^2, the Gaussian's denominator, neither underflows nor overflows
+        if width is not None and not (width > 0 and 0 < 2 * width * width < np.inf):
+            raise ConfigError(f"initial_data width must be positive, with a square that is "
+                              f"neither 0 nor inf in floating point, got {width}")
 
     def grid_spec(self) -> GridSpec:
         try:
@@ -401,9 +404,10 @@ def _sweep(specs, one, grid: GridSpec, member=None):
 
 
 def _member_data(config: ExperimentConfig, grid: GridSpec, spec: RunSpec):
-    """A sweep member's initial data: random spectra are drawn from its seed."""
+    """A sweep member's initial data: a preset with a `seed` parameter is
+    drawn from the member's seed."""
     data = dict(config.initial_data)
-    if data.get("name") == "random-spectrum":
+    if "seed" in inspect.signature(PRESETS[data["name"]]).parameters:
         data["seed"] = spec.seed
     return make_initial_data(grid, data)
 

@@ -48,9 +48,9 @@ STEP_RTOL = 3e-6  # an adaptive step's local error, relative to |V|, is at most 
 class SimState:
     """Instantaneous solver state: spectral (omega, rho) at time t.
 
-    A state keeps what the steps and records compute from it in its
-    instance dict, as `VectorField.samples` keeps its samples; copies
-    (`dataclasses.replace`, the stored snapshots) do not carry them."""
+    A state keeps one thing in its instance dict, as `VectorField.samples`
+    keeps its samples: its own velocity (`own_velocity`).  Copies
+    (`dataclasses.replace`, the stored snapshots) do not carry it."""
 
     omega: SpectralField
     rho: SpectralField
@@ -61,23 +61,13 @@ class SimState:
     def grid(self) -> GridSpec:
         return self.omega.grid
 
-    def _kept(self, name: str, make, key: tuple | None = None):
-        """make(), computed on first use and kept under `name`; with a key,
-        kept as (key, value) and made again for a key that does not match
-        the kept one by identity."""
-        memo = self.__dict__.get(name)
-        if key is None:
-            if memo is None:
-                memo = self.__dict__[name] = make()
-            return memo
-        if memo is None or any(a is not b for a, b in zip(memo[0], key)):
-            memo = self.__dict__[name] = (key, make())
-        return memo[1]
-
     def own_velocity(self) -> VectorField:
         """omega's Biot-Savart velocity, kept: `cfl_dt`, the first stage of
-        the next step and `diagnostics` share it."""
-        return self._kept("_own_velocity", lambda: biot_savart(self.omega))
+        the next step and `diagnostics` share it, and `_advance` frees it."""
+        u = self.__dict__.get("_own_velocity")
+        if u is None:
+            u = self.__dict__["_own_velocity"] = biot_savart(self.omega)
+        return u
 
 
 @dataclass(frozen=True)
@@ -411,15 +401,6 @@ def grad_inf(*fields: SpectralField) -> float:
     return _grad_infs([fields])[0]
 
 
-def _gradient_maxima(st: SimState) -> tuple[float, float]:
-    """(|grad rho|_inf, |grad u|_inf) at the state, kept: a record's two
-    gradient functionals share one inverse call of six slices."""
-    def make():
-        u = st.own_velocity()
-        return tuple(_grad_infs([(st.rho,), (u.u1, u.u2)]))
-    return st._kept("_gradient_maxima", make)
-
-
 def z_norm(omega: SpectralField, rho: SpectralField, bank: DyadicBank,
            s: float = 2.0, q: float = 1.0) -> float:
     """z_{s,q} = |omega| in (dotted B^{s-1}_{2,q} cap H^-1) + |rho| in B^s_{2,q}."""
@@ -431,24 +412,26 @@ def z_norm(omega: SpectralField, rho: SpectralField, bank: DyadicBank,
 _B0INF1 = BesovSpec(s=0.0, p=np.inf, q=1.0, homogeneous=True)
 
 
-def _band_norm(i: int):
-    """|V+| (i = 0) or |V-| (i = 1) in dotted B^0_{inf,1}; both are kept
-    per bank, so the state is diagonalized once for the two."""
-    def value(st, bank, s, q):
-        norms = st._kept("_band_norms", lambda: [besov_norm(v, _B0INF1, bank)
-                                                 for v in diagonalize(st.omega, st.rho)], (bank,))
-        return norms[i]
-    return value
+def _gradient_maxima(st: SimState, bank, s, q) -> tuple[float, float]:
+    """(|grad u|_inf, |grad rho|_inf) at the state: one inverse call of six
+    slices."""
+    u = st.own_velocity()
+    rho_inf, u_inf = _grad_infs([(st.rho,), (u.u1, u.u2)])
+    return u_inf, rho_inf
 
 
-# the functionals a record can hold: name -> value(state, bank, s, q)
+def _band_norms(st: SimState, bank, s, q) -> list[float]:
+    """(|V+|, |V-|) in dotted B^0_{inf,1}: the state diagonalized once."""
+    return [besov_norm(v, _B0INF1, bank) for v in diagonalize(st.omega, st.rho)]
+
+
+# the functionals a record can hold, one row per shared computation: the
+# columns a row fills -> values(state, bank, s, q), one value per column
 FUNCTIONALS = {
-    "energy": lambda st, bank, s, q: hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,
-    "z": lambda st, bank, s, q: z_norm(st.omega, st.rho, bank, s, q),
-    "grad_u_inf": lambda st, bank, s, q: _gradient_maxima(st)[1],
-    "grad_rho_inf": lambda st, bank, s, q: _gradient_maxima(st)[0],
-    "vplus_band_norm": _band_norm(0),
-    "vminus_band_norm": _band_norm(1),
+    ("energy",): lambda st, bank, s, q: (hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,),
+    ("z",): lambda st, bank, s, q: (z_norm(st.omega, st.rho, bank, s, q),),
+    ("grad_u_inf", "grad_rho_inf"): _gradient_maxima,
+    ("vplus_band_norm", "vminus_band_norm"): _band_norms,
 }
 
 # the running integrals int_0^t f, which `run` adds to each record by the
@@ -458,13 +441,17 @@ INTEGRALS = {
     "b_integral": (("grad_rho_inf", "grad_u_inf"), lambda rho, u: rho + u),
 }
 
-COLUMNS = ("t", *FUNCTIONALS, *INTEGRALS)
+COLUMNS = ("t", *(c for columns in FUNCTIONALS for c in columns), *INTEGRALS)
 
 
 def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float, names) -> dict:
-    """The record of `state`: its time t and the FUNCTIONALS among `names`."""
-    rec = {"t": state.t}
-    rec.update((n, FUNCTIONALS[n](state, bank, s, q)) for n in names if n in FUNCTIONALS)
+    """The record of `state`: its time t and the FUNCTIONALS columns among
+    `names`, in COLUMNS order.  Each row that fills one of them is
+    evaluated once, and its columns not among `names` are dropped."""
+    names, rec = set(names), {"t": state.t}
+    for columns, values in FUNCTIONALS.items():
+        if names.intersection(columns):
+            rec.update((c, v) for c, v in zip(columns, values(state, bank, s, q)) if c in names)
     return rec
 
 

@@ -448,6 +448,10 @@ def test_cli_override(tmp_path):
     # t = 0 as a blowup and pass all_runs_completed
     {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 0}},
     {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": -0.5}},
+    # widths whose square underflows (NaN data again, every member an error)
+    # or overflows (an OverflowError in every member)
+    {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 1e-200}},
+    {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 1e200}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -626,6 +630,26 @@ def test_lifespan_sweep_draws_data_from_each_seed(tmp_path):
     curves = [(tmp_path / "out" / r["b_curve_file"]).read_text() for r in rows]
     assert curves[0] != curves[1]
     assert manifest.flags["lifespan_nondecreasing_5pct"]
+
+
+def test_a_seeded_preset_draws_each_member_from_its_seed(tmp_path, monkeypatch):
+    # the member's seed goes to any preset with a seed parameter: a preset
+    # that wraps random-spectrum gives each member random-spectrum's data
+    spectrum = {"amplitude": 4.0, "xi_lo": 0.5, "xi_hi": 4.0}
+
+    def seeded(grid, seed: "int" = 0):
+        return fields.random_spectrum(grid, seed=seed, **spectrum)
+
+    monkeypatch.setitem(fields.PRESETS, "seeded", seeded)
+    csvs = {}
+    for data in ({"name": "seeded"}, {"name": "random-spectrum", **spectrum}):
+        out = tmp_path / data["name"]
+        run_experiment(ExperimentConfig(kind="simulate", grid={"n": 32}, dt=0.01,
+                                        initial_data=data, kappa_list=[0.0], seeds=[1, 2],
+                                        t_final=0.02, n_samples=2, output_dir=str(out)))
+        csvs[data["name"]] = {p.name: p.read_text() for p in out.glob("*_diagnostics.csv")}
+    assert len(csvs["seeded"]) == 2 and len(set(csvs["seeded"].values())) == 2
+    assert csvs["seeded"] == csvs["random-spectrum"]
 
 
 def test_lifespan_member_that_blows_up_has_no_lifespan(tmp_path, capsys):

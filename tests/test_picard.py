@@ -372,9 +372,9 @@ def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("picard_run computed a functional other than z")
 
-    for name in solver.FUNCTIONALS:
-        if name != "z":
-            monkeypatch.setitem(solver.FUNCTIONALS, name, refuse)
+    for columns in solver.FUNCTIONALS:
+        if columns != ("z",):
+            monkeypatch.setitem(solver.FUNCTIONALS, columns, refuse)
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3, bank=bank)

@@ -184,6 +184,13 @@ def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid, bank):
     assert rec["vminus_band_norm"] == besov_norm(vminus, spec, bank)
 
 
+def test_a_record_keeps_nothing_on_the_state_but_its_velocity(grid, bank):
+    omega, rho = random_spectrum(grid, seed=6, xi_lo=0.5, xi_hi=8.0)
+    state = SimState(omega, rho, 0.0, 8.0)
+    solver.diagnostics(state, bank, 2.0, 1.0, COLUMNS)
+    assert set(vars(state)) == {"omega", "rho", "t", "kappa", "_own_velocity"}
+
+
 def test_blowup_detection(grid):
     omega, rho = random_spectrum(grid, seed=5, amplitude=1.0, xi_lo=0.5, xi_hi=8.0)
     with np.errstate(invalid="ignore"):
@@ -226,7 +233,7 @@ def test_run_records_full_diagnostics_by_default(grid, bank):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traj = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
-    assert COLUMNS == ("t", *FUNCTIONALS, *INTEGRALS)
+    assert COLUMNS == ("t", *(c for columns in FUNCTIONALS for c in columns), *INTEGRALS)
     assert all(tuple(r) == COLUMNS for r in traj.records)
     for r in traj.records[1:]:
         assert all(np.isfinite(r[c]) and r[c] > 0 for c in COLUMNS)
@@ -241,6 +248,19 @@ def test_run_with_z_record(grid, bank):
     assert lean.records == [{"t": r["t"], "z": r["z"]} for r in full.records[:2]]
     assert np.array_equal(lean.column("z"), full.column("z")[:2])
     assert lean.t_stop == 0.01
+
+
+def test_run_records_part_of_a_row(grid, bank):
+    # grad_u_inf shares its row with grad_rho_inf: selected alone, it is
+    # recorded alone, bit for bit the full run's
+    omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
+    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
+    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
+    record = ("t", "z", "grad_u_inf")
+    part = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=record)
+    assert [tuple(r) for r in part.records] == [record] * 3
+    for name in record:
+        assert np.array_equal(part.column(name), full.column(name))
 
 
 def _refuse_steps(monkeypatch):
