@@ -15,6 +15,7 @@ import inspect
 import json
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -72,6 +73,15 @@ def thread_count() -> int:
 
 # the annotations of ExperimentConfig's keys that isinstance checks
 _TYPES = {"bool": bool, "str": str, "list": list, "dict": dict}
+
+
+def _names_int(annotation) -> bool:
+    """Whether a preset parameter's annotation names int (`int`,
+    `int | None`), written as a string or as a real type; an unannotated
+    parameter takes any number."""
+    if isinstance(annotation, str):
+        return annotation.startswith("int")
+    return annotation is int or int in typing.get_args(annotation)
 
 
 def _is_number(value) -> bool:
@@ -191,13 +201,15 @@ class ExperimentConfig:
             raise ConfigError(f"initial_data {self.initial_data}: {exc}") from exc
         for key, value in params.items():
             parameter = signature.parameters[key]
-            integer = parameter.annotation.startswith("int")
+            integer = _names_int(parameter.annotation)
             number = _is_number(value) and value == value and (isinstance(value, int) or not integer)
             if not (number or value is None and parameter.default is None):
                 kind = "an integer" if integer else "a number"
                 raise ConfigError(f"initial_data {key} must be {kind}, got {value!r}")
-        if "seed" in params and params["seed"] not in SEED_RANGE:
-            raise ConfigError(f"initial_data seed must be in [0, 2**64), got {params['seed']}")
+        seed = params.get("seed")
+        # an int first: `in` searches a range item by item for anything else
+        if seed is not None and not (isinstance(seed, int) and seed in SEED_RANGE):
+            raise ConfigError(f"initial_data seed must be an integer in [0, 2**64), got {seed!r}")
         width = params.get("width") if name == "gaussian-bump" else None
         # 2 width^2, the Gaussian's denominator, neither underflows nor overflows
         if width is not None and not (width > 0 and 0 < 2 * width * width < np.inf):

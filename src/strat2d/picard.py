@@ -22,7 +22,7 @@ import numpy as np
 
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
 from .errors import Strat2dError
-from .grid import GridSpec, SpectralField, VectorField, _velocity, biot_savart, require_mean_zero
+from .grid import GridSpec, SpectralField, VectorField, biot_savart, require_mean_zero
 from .solver import StepperConfig, Trajectory, run, z_norm
 
 
@@ -95,14 +95,23 @@ class FrozenVelocity:
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "FrozenVelocity":
         """The Biot-Savart velocities of traj's snapshots, made in one batch
-        on the columns that their vorticities reach."""
+        on the columns that their vorticities reach: `grid._velocity`'s
+        products in its operand order, in place in one (m, 2, n, w) stack
+        whose u1 slots first hold the vorticities."""
         snapshots = traj.snapshots
         for s in snapshots:
             require_mean_zero(s.omega, "Biot-Savart")
         w = max(_support(s.omega.coeffs) for s in snapshots)
-        omega = np.stack([s.omega.coeffs[:, :w] for s in snapshots])
         grid = traj.grid
-        return cls([s.t for s in snapshots], _velocity(grid, omega[:, None]), grid)
+        u = np.empty((len(snapshots), 2, grid.n, w), dtype=complex)
+        omega = u[:, 0]
+        for k, s in enumerate(snapshots):
+            omega[k] = s.omega.coeffs[:, :w]
+        np.multiply(grid.columns("inv_xi_sq", w), omega, out=omega)
+        symbol = grid.columns("velocity_symbol", w)
+        np.multiply(symbol[1], omega, out=u[:, 1])
+        np.multiply(symbol[0], omega, out=omega)
+        return cls([s.t for s in snapshots], u, grid)
 
 
 def _support(coeffs: np.ndarray) -> int:
@@ -116,12 +125,17 @@ class _CubicSpline:
     """Not-a-knot cubic spline of samples y[i] at increasing times x[i]:
     ``scipy.interpolate.CubicSpline(x, y, axis=0)`` ported to numpy.
 
-    From four samples on, the numbers are SciPy's bit for bit: the slopes
-    solve SciPy's tridiagonal system by LAPACK gtsv's elimination with
-    partial pivoting (the matrix is real, so it runs on the float view of the
-    right-hand side with scalar pivots), and `__call__` sums the terms in
-    SciPy's `PPoly` order.  Two samples give the chord, and three the
-    parabola through them (a dense 3 x 3 solve, SciPy's to round-off).
+    The spline holds its samples `y` and its slopes `s` at the knots, two
+    contiguous arrays shaped like the samples: a cubic is fixed on each
+    interval by its values and slopes at the ends (the piecewise-Hermite
+    form).  `__call__` forms the queried piece's coefficients from them with
+    SciPy's operations in SciPy's order and sums the terms in SciPy's `PPoly`
+    order, so from four samples on the answers are SciPy's bit for bit: the
+    slopes solve SciPy's tridiagonal system by LAPACK gtsv's elimination
+    with partial pivoting (the matrix is real, so it runs on the float view
+    of the right-hand side with scalar pivots).  Two samples give the chord,
+    and three the parabola through them (a dense 3 x 3 solve, SciPy's to
+    round-off).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -129,8 +143,11 @@ class _CubicSpline:
         dx = np.diff(x)
         if not np.all(dx > 0):
             raise ValueError("spline times must increase strictly")
+        # a strided view of a wider stack is copied, so as not to keep its base
+        y = np.ascontiguousarray(y)
         dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
+        slope = np.diff(y, axis=0)
+        slope /= dxr
         if m == 2:
             s = np.concatenate([slope, slope])
         elif m == 3:
@@ -146,41 +163,45 @@ class _CubicSpline:
             d0, d1 = x[2] - x[0], x[-1] - x[-3]
             b = np.empty(y.shape, dtype=y.dtype)
             b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
             b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+            # 3 (dx[1:] slope[:-1] + dx[:-1] slope[1:]), the second product
+            # made in slope, which is not read again
+            np.multiply(dxr[1:], slope[:-1], out=b[1:-1])
+            slope[1:] *= dxr[:-1]
+            b[1:-1] += slope[1:]
+            b[1:-1] *= 3
+            del slope
             lower = np.append(dx[1:], d1)
             diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
             upper = np.insert(dx[:-1], 0, d0)
             s = _gtsv(lower, diag, upper, b.reshape(m, -1).view(float))
             s = s.view(y.dtype).reshape(y.shape)
-        self.x = x
-        # c[k, i] multiplies (t - x[i])**(3 - k) on [x[i], x[i+1]]; SciPy's
-        # c = (t / dx, (slope - s_i) / dx - t, s_i, y_i) with
-        # t = (s_i + s_{i+1} - 2 slope) / dx, made in place, c[2] holding t
-        # and c[3] 2 slope until their own turn
-        c = self.c = np.empty((4,) + slope.shape, dtype=np.result_type(s, dxr))
-        np.multiply(2, slope, out=c[3])
-        t = np.add(s[:-1], s[1:], out=c[2])
-        t -= c[3]
-        t /= dxr
-        np.divide(t, dxr, out=c[0])
-        np.subtract(slope, s[:-1], out=c[1])
-        c[1] /= dxr
-        c[1] -= t
-        c[2] = s[:-1]
-        c[3] = y[:-1]
+        self.x, self.y, self.s = x, y, s
 
     def __call__(self, t: float) -> np.ndarray:
         """The spline at t, extrapolating the end pieces outside [x[0], x[-1]]."""
-        x = self.x
+        x, y, s = self.x, self.y, self.s
         i = min(max(int(np.searchsorted(x, t, side="right")) - 1, 0), len(x) - 2)
-        h = t - x[i]
-        c = self.c[:, i]
+        h, dx = t - x[i], x[i + 1] - x[i]
+        # SciPy's piece (c0, c1, c2, c3) = (t / dx, (slope - s_i) / dx - t,
+        # s_i, y_i) with t = (s_i + s_{i+1} - 2 slope) / dx, made in place,
+        # c1 holding slope and c0 t until their own turn
+        c1 = y[i + 1] - y[i]
+        c1 /= dx
+        c0 = s[i] + s[i + 1]
+        c0 -= 2 * c1
+        c0 /= dx
+        c1 -= s[i]
+        c1 /= dx
+        c1 -= c0
+        c0 /= dx
         # SciPy's PPoly order: ((c3 + c2 h) + c1 h^2) + c0 h^3
-        out = c[2] * h
-        out += c[3]
-        out += c[1] * (h * h)
-        out += c[0] * (h * h * h)
+        out = s[i] * h
+        out += y[i]
+        c1 *= h * h
+        out += c1
+        c0 *= h * h * h
+        out += c0
         return out
 
 

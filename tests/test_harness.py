@@ -652,6 +652,42 @@ def test_a_seeded_preset_draws_each_member_from_its_seed(tmp_path, monkeypatch):
     assert csvs["seeded"] == csvs["random-spectrum"]
 
 
+def _typed_preset(grid, seed: int = 0, kmax: int | None = None, amplitude: float = 1.0):
+    return fields.random_spectrum(grid, seed=seed, amplitude=amplitude, xi_lo=0.5, xi_hi=4.0)
+
+
+def _bare_preset(grid, seed=0, amplitude=1.0):
+    return fields.random_spectrum(grid, seed=seed, amplitude=amplitude, xi_lo=0.5, xi_hi=4.0)
+
+
+@pytest.mark.parametrize("data, ok", [
+    ({"name": "typed", "seed": 3, "kmax": 8, "amplitude": 2}, True),
+    ({"name": "typed", "kmax": None}, True),
+    ({"name": "typed", "kmax": 8.0}, False),
+    ({"name": "typed", "seed": 1.0}, False),
+    ({"name": "bare", "seed": 3, "amplitude": 0.5}, True),
+    ({"name": "bare", "amplitude": 2}, True),
+    ({"name": "bare", "seed": 1.5}, False),
+    ({"name": "bare", "seed": 1.0}, False),
+])
+def test_presets_with_real_or_no_annotations_validate(tmp_path, capsys, monkeypatch, data, ok):
+    # string annotations (under postponed evaluation) were the only kind read:
+    # a real annotation or none raised AttributeError in validate
+    monkeypatch.setitem(fields.PRESETS, "typed", _typed_preset)
+    monkeypatch.setitem(fields.PRESETS, "bare", _bare_preset)
+    config = ExperimentConfig(kind="simulate", grid={"n": 32}, initial_data=data)
+    if ok:
+        config.validate()
+        return
+    with pytest.raises(ConfigError):
+        config.validate()
+    path = write_config(tmp_path / "cfg.json", {"kind": "simulate", "grid": {"n": 32},
+                                                "initial_data": data,
+                                                "output_dir": str(tmp_path / "out")})
+    assert cli_main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lifespan_member_that_blows_up_has_no_lifespan(tmp_path, capsys):
     # rk4 at kappa=1e4 with a coarse step goes non-finite within a few steps:
     # the member is a blow-up, not one that lived to t_max

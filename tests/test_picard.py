@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -239,7 +240,9 @@ def test_spline_matches_scipy_bit_for_bit(m, uniform):
     interpolate = pytest.importorskip("scipy.interpolate")
     x, y = _spline_case(m, uniform, seed=m)
     ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
-    assert ours.c.view(np.uint64).tolist() == ref.c.view(np.uint64).tolist()
+    # the samples and slopes at the knots; s[-1] enters the last piece's answers
+    assert ours.y[:-1].view(np.uint64).tolist() == ref.c[3].view(np.uint64).tolist()
+    assert ours.s[:-1].view(np.uint64).tolist() == ref.c[2].view(np.uint64).tolist()
     for t in _spline_queries(x, seed=m):
         assert np.array_equal(ours(t).view(np.uint64), ref(t).view(np.uint64)), t
 
@@ -249,17 +252,48 @@ def test_two_and_three_sample_splines_match_scipy(uniform):
     interpolate = pytest.importorskip("scipy.interpolate")
     x, y = _spline_case(2, uniform, seed=2)
     ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
-    assert np.array_equal(ours.c, ref.c)  # the chord
-    assert not ours.c[:2].any()
+    assert np.array_equal(ours.y[:-1], ref.c[3]) and np.array_equal(ours.s[:-1], ref.c[2])
+    assert np.array_equal(ours.s[0], ours.s[1])  # the chord
     for t in _spline_queries(x, seed=2):
         assert np.array_equal(ours(t), ref(t))
     x, y = _spline_case(3, uniform, seed=3)
     ours, ref = _CubicSpline(x, y), interpolate.CubicSpline(x, y, axis=0)
     scale = np.abs(ref.c).max()
-    assert np.abs(ours.c - ref.c).max() <= 1e-14 * scale
+    assert np.array_equal(ours.y[:-1], ref.c[3])
+    assert np.abs(ours.s[:-1] - ref.c[2]).max() <= 1e-14 * scale
     for t in _spline_queries(x, seed=3):
         want = ref(t)
         assert np.abs(ours(t) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_spline_fit_stays_within_three_and_a_half_sample_stacks():
+    # a (26, 2, 64, 22) stack, picard-n64's: the fit peaks at 2.08 sample
+    # stacks and keeps its slopes, 1.00; the former form, four coefficients
+    # per interval, peaked at 5.9 and kept 3.85
+    rng = np.random.default_rng(26)
+    shape = (26, 2, 64, 22)
+    x = np.linspace(0.0, 0.25, shape[0])
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        spline = _CubicSpline(x, y)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * y.nbytes
+    assert kept <= 1.1 * y.nbytes
+
+
+def test_spline_copies_a_strided_view_of_its_samples():
+    # on the support columns of a wider stack it keeps no reference to it
+    x = np.linspace(0.0, 0.25, 5)
+    wide = np.random.default_rng(3).standard_normal((5, 2, 6, 8)).astype(complex)
+    spline = _CubicSpline(x, wide[..., :3])
+    assert spline.y.flags.c_contiguous and spline.y.base is None
+    assert spline.s.flags.c_contiguous and spline.s.shape == spline.y.shape
+    full = _CubicSpline(x, wide)
+    for t in [0.0, 0.07, 0.25]:
+        assert np.array_equal(spline(t), full(t)[..., :3])
 
 
 def test_spline_refuses_unordered_times():
@@ -312,7 +346,7 @@ def test_frozen_velocity_on_its_support_matches_the_full_width_spline(grid):
     omegas = [random_field(grid, seed=50 + i, xi_lo=0.5, xi_hi=4.0 + 3 * i) for i in range(4)]
     velocities = [biot_savart(omega) for omega in omegas[:2] + [undealiased, zero] + omegas[2:]]
     frozen = FrozenVelocity(times, velocities)
-    assert frozen._spline.c.shape[-1] == 26
+    assert frozen._spline.y.shape[-1] == 26
     full = _CubicSpline(times, np.stack([np.stack([v.u1.coeffs, v.u2.coeffs])
                                          for v in velocities]))
     rng = np.random.default_rng(5)
@@ -335,8 +369,10 @@ def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid, b
     batched = FrozenVelocity.from_trajectory(traj)
     one_by_one = FrozenVelocity([s.t for s in traj.snapshots],
                                 [biot_savart(s.omega) for s in traj.snapshots])
-    assert batched._spline.c.shape[-1] == grid.dealiased_columns
-    assert np.array_equal(batched._spline.c.view(np.uint64), one_by_one._spline.c.view(np.uint64))
+    assert batched._spline.y.shape[-1] == grid.dealiased_columns
+    for key in "ys":
+        assert np.array_equal(getattr(batched._spline, key).view(np.uint64),
+                              getattr(one_by_one._spline, key).view(np.uint64)), key
 
 
 def test_picard_run_keeps_one_frozen_velocity_alive(grid, bank, smooth_data, monkeypatch):
