@@ -510,7 +510,10 @@ def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
                     for tr in traces for i, t in enumerate(tr.t)]
             name = f"picard_kappa{_kappa_tag(spec.kappa)}.csv"
             files[name] = (("n", "t", "a_n", "a_bar_n"), rows)
-            entry["cauchy_ratios"] = [float(x) for x in cauchy_ratios(traces)]
+            # a ratio over a zero sup (0/0 for zero data) is not finite: null,
+            # since strict JSON has no NaN or Infinity
+            entry["cauchy_ratios"] = [float(x) if np.isfinite(x) else None
+                                      for x in cauchy_ratios(traces)]
         runs.append(entry)
     report = uniformity_report(traces_by_kappa, spread_limit=config.spread_limit)
     files["uniformity_report.json"] = report

@@ -618,6 +618,24 @@ def test_picard_a_n_is_the_linear_solves_z(tmp_path, monkeypatch):
         assert [float(r["a_n"]) for r in rows if int(r["n"]) == n] == list(z)
 
 
+def test_picard_outputs_are_strict_json_when_a_ratio_is_0_over_0(tmp_path):
+    # zero data make every A-bar_n zero, so each Cauchy ratio is 0/0; the
+    # manifest writes null for it, not the bare NaN that strict parsers refuse
+    cfg = ExperimentConfig(kind="picard", grid={"n": 32}, kappa_list=[0.0, 16.0],
+                           initial_data={"name": "taylor-green", "amplitude": 0.0},
+                           t_final=0.05, n_max=3, n_samples=3,
+                           output_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for path in (tmp_path / "out").glob("*.json"):
+        parsed = json.loads(path.read_text(), parse_constant=refuse)
+        if path.name == "manifest.json":
+            assert [run["cauchy_ratios"] for run in parsed["runs"]] == [[None, None]] * 2
+
+
 def test_lifespan_sweep_draws_data_from_each_seed(tmp_path):
     cfg = ExperimentConfig(kind="lifespan-sweep", grid={"n": 32}, dt=0.01,
                            initial_data={"name": "random-spectrum", "seed": 0,

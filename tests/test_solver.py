@@ -660,10 +660,9 @@ def test_ifrk4_step_matches_the_unstacked_reference(n, kappa, mode):
     omega, rho = random_spectrum(g, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
     velocity = None
     if mode == "frozen":
-        draws = [random_spectrum(g, seed=s, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)[0]
-                 for s in (3, 4, 5, 6)]
-        velocity = FrozenVelocity(np.array([0.0, 0.004, 0.008, 0.012]),
-                                  [biot_savart(d) for d in draws])
+        velocity = FrozenVelocity([
+            SimState(*random_spectrum(g, seed=s, amplitude=15.0, xi_lo=0.5, xi_hi=4.0), t, kappa)
+            for s, t in zip((3, 4, 5, 6), (0.0, 0.004, 0.008, 0.012))])
     nonlinear = mode != "linear"
     got = want = SimState(omega, rho, 0.0, kappa)
     for _ in range(3):
@@ -688,7 +687,7 @@ def test_ifrk4_step_reads_only_the_dealiased_modes(mode):
              for _ in range(2)]
     velocity = None
     if mode == "frozen":
-        velocity = FrozenVelocity(np.array([0.0, 0.01]), [biot_savart(omega)] * 2)
+        velocity = FrozenVelocity([SimState(omega, rho, t, 256.0) for t in (0.0, 0.01)])
     noisy_omega = omega if mode == "own" else omega + noise[0]
     noisy = SimState(noisy_omega, rho + noise[1], 0.0, 256.0)
     clean = SimState(dealias(noisy_omega), dealias(rho + noise[1]), 0.0, 256.0)
