@@ -20,9 +20,8 @@ from .grid import (
     GridSpec,
     SpectralField,
     SupportSynthesis,
+    _advection,
     _coefficient_norms,
-    advect,
-    biot_savart,
     phase_multiplier,
     require_hermitian,
     require_mean_zero,
@@ -41,7 +40,7 @@ def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) ->
     require_mean_zero(f, "stratified propagator")
     if sign not in SIGNS:
         raise ValueError("sign must be +1 or -1")
-    return SpectralField(f.grid, phase_multiplier(f.grid, t, kappa, sign) * f.coeffs)
+    return SpectralField(f.grid, phase_multiplier(f.grid, sign * kappa * t)[0] * f.coeffs)
 
 
 def diagonal_stack(grid: GridSpec, omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -50,13 +49,14 @@ def diagonal_stack(grid: GridSpec, omega: np.ndarray, rho: np.ndarray) -> np.nda
     or a column array (rho's mean is annihilated by Lambda).
 
     The one home of the diagonal variables, in the stacked form that the
-    integrating-factor stepper works in (state and nonlinear forcing);
-    `diagonalize` gives the same pair as fields to the diagnostics and
-    `duhamel_residual`.  omega's mean passes into both V+- and back; forcings
-    carry a round-off mean, so the mean-zero guards stay with the operators
-    that need them (Biot-Savart, the propagators).  One multiply by the
-    signed symbol (|xi|, -|xi|) and one add: the negation is exact, so V-
-    is omega - Lambda rho bit for bit.
+    integrating-factor stepper, picard's frozen velocity and
+    `duhamel_residual` work in (state and nonlinear forcing); `diagonalize`
+    gives the same pair as fields to the diagnostics.  omega's mean passes
+    into both V+- and back; forcings carry a round-off mean, so the
+    mean-zero guards stay with the operators that need them (Biot-Savart,
+    the propagators).  One multiply by the signed symbol (|xi|, -|xi|) and
+    one add: the negation is exact, so V- is omega - Lambda rho bit for
+    bit.
     """
     v = np.multiply(grid.columns("signed_xi_abs", rho.shape[-1]), rho)
     v += omega
@@ -289,6 +289,8 @@ def duhamel_residual(traj, kappa: float, sign: int = +1) -> np.ndarray:
     with f = dealias(u.grad omega), g = dealias(u.grad rho); trapezoid over
     the stored snapshots.
     """
+    if sign not in SIGNS:
+        raise ValueError("sign must be +1 or -1")
     snaps = traj.snapshots
     if len(snaps) < 2:
         raise ValueError("trajectory must carry at least two snapshots")
@@ -301,29 +303,23 @@ def duhamel_residual(traj, kappa: float, sign: int = +1) -> np.ndarray:
     grid = snaps[0].grid
 
     pick = 0 if sign == +1 else 1
-    vs, forcings = [], []
-    for st in snaps:
-        vs.append(diagonalize(st.omega, st.rho)[pick])
-        if traj.nonlinear:
-            # f +- Lambda g, with f = u.grad omega and g = u.grad rho
-            forcing = diagonalize(*advect(biot_savart(st.omega), st.omega, st.rho))[pick]
-        else:
-            forcing = SpectralField(grid, np.zeros(grid.shape, dtype=complex))
-        forcings.append(forcing)
+    v = np.array([diagonal_stack(grid, st.omega.coeffs, st.rho.coeffs)[pick] for st in snaps])
+    forcing = np.zeros_like(v)
+    if traj.nonlinear:
+        # f +- Lambda g, with (f, g) = dealias(u.grad (omega, rho)) and u = biot_savart(omega)
+        for out, st in zip(forcing, snaps):
+            fg = _advection(grid, [st.omega.coeffs, st.rho.coeffs]) * grid.dealias_mask
+            out[...] = diagonal_stack(grid, *fg)[pick]
 
     # group law: e(t - tau) = e(t) conj(e(tau)), so the Duhamel integral up to
     # t_i is e(t_i) times a running trapezoid of conj(e(tau_j)) * forcing_j
-    phases = [phase_multiplier(grid, t, kappa, sign) for t in times]
-    pulled = [np.conj(e) * fo.coeffs for e, fo in zip(phases, forcings)]
-    residuals = [0.0]
-    integral = np.zeros_like(vs[0].coeffs)
-    for i in range(1, len(snaps)):
-        integral = integral + 0.5 * (times[i] - times[i - 1]) * (pulled[i - 1] + pulled[i])
-        v_pred = phases[i] * (vs[0].coeffs - integral)
-        denom = _coefficient_norms(vs[i].coeffs)
-        num = _coefficient_norms(vs[i].coeffs - v_pred)
-        residuals.append(num / denom if denom > 0 else num)
-    return np.array(residuals)
+    phases = np.array([phase_multiplier(grid, kappa * t)[pick] for t in times])
+    pulled = np.conj(phases) * forcing
+    steps = 0.5 * np.diff(times)[:, None, None] * (pulled[:-1] + pulled[1:])
+    predicted = phases[1:] * (v[0] - np.cumsum(steps, axis=0))
+    denom = _coefficient_norms(v[1:])
+    num = _coefficient_norms(v[1:] - predicted)
+    return np.concatenate([[0.0], np.divide(num, denom, out=num.copy(), where=denom > 0)])
 
 
 # ---------------------------------------------------------------------------

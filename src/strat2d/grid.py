@@ -511,9 +511,15 @@ def lambda_power(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def phase_multiplier(grid: GridSpec, t: float, kappa: float, sign: int = +1) -> np.ndarray:
-    """exp(+-i kappa t xi1/|xi|), the stratified propagator's symbol on V+-."""
-    return np.exp(1j * sign * kappa * t * grid.xi1_over_abs)
+def phase_multiplier(grid: GridSpec, s: float, w: int | None = None) -> np.ndarray:
+    """(e, conj e) with e = exp(i s xi1/|xi|), the stratified propagator's
+    symbols on (V+, V-) at s = kappa t: the one home of the phase, as one
+    (2, n, w) stack on the first w columns (the half spectrum by default)."""
+    symbol = grid.xi1_over_abs if w is None else grid.columns("xi1_over_abs", w)
+    out = np.empty((2,) + symbol.shape, dtype=complex)
+    np.exp(1j * s * symbol, out=out[0])
+    np.conjugate(out[0], out=out[1])
+    return out
 
 
 def _velocity(grid: GridSpec, omega: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

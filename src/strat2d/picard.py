@@ -26,7 +26,8 @@ import numpy as np
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
 from .dispersive import diagonal_stack
 from .errors import Strat2dError
-from .grid import SpectralField, VectorField, _velocity, biot_savart, require_mean_zero
+from .grid import (SpectralField, VectorField, _velocity, biot_savart, phase_multiplier,
+                   require_mean_zero)
 from .solver import StepperConfig, Trajectory, run, z_norm
 
 
@@ -79,7 +80,7 @@ class FrozenVelocity:
         for k, s in enumerate(snapshots):
             require_mean_zero(s.omega, "Biot-Savart")
             self._w[k] = diagonal_stack(grid, s.omega.coeffs[:, :w], s.rho.coeffs[:, :w])
-            self._rephase(self._w[k], -s.t)
+            self._w[k] *= phase_multiplier(grid, -self.kappa * s.t, w)
         self._recent = []  # the last two (t, velocity) answers
 
     @classmethod
@@ -88,12 +89,6 @@ class FrozenVelocity:
         frozen = cls.__new__(cls)
         frozen._only = u
         return frozen
-
-    def _rephase(self, v: np.ndarray, t: float) -> None:
-        """(W+, W-) -> (V+, V-) at t, in place of v."""
-        phase = np.exp(1j * self.kappa * t * self.grid.columns("xi1_over_abs", v.shape[-1]))
-        v[0] *= phase
-        v[1] *= phase.conj()
 
     def __call__(self, t: float) -> VectorField:
         """The velocity at t.  The last two answers are kept: with a fixed dt
@@ -116,7 +111,7 @@ class FrozenVelocity:
         v = weights[0] * self._w[first]
         for weight, w in zip(weights[1:], self._w[first + 1:first + k]):
             v += weight * w
-        self._rephase(v, tc)
+        v *= phase_multiplier(self.grid, self.kappa * tc, v.shape[-1])  # (W+, W-) -> (V+, V-)
         omega = v[0]
         omega += v[1]
         omega *= 0.5

@@ -12,7 +12,6 @@ explicitly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -172,33 +171,6 @@ def _rk4_step(state: SimState, dt: float, k1, velocity, nonlinear: bool):
     return new, error
 
 
-# the last (grid, dt, kappa)'s Lawson phases, one entry per thread: a step
-# cut short at a sample time, and each new adaptive step size, replaces the
-# entry instead of adding one
-_LAWSON = threading.local()
-
-
-def _lawson_multipliers(grid: GridSpec, dt: float, kappa: float):
-    """Read-only arrays on the dealiased columns for one Lawson step on
-    (V+, V-): the phases (e, conj e) over dt/2 and over dt, each one
-    (2, n, c) stack and masked by the dealias set
-    (`GridSpec.dealias_weight`).  A masked phase takes a stage input to the
-    dealias set, and reversed it is the masked pull-back of a stage's
-    advection spectra."""
-    key = (grid, dt, kappa)
-    memo = getattr(_LAWSON, "memo", None)
-    if memo is None or memo[0] != key:
-        _LAWSON.memo = None  # freed before its successor is made
-        c = grid.dealiased_columns
-        e = phase_multiplier(grid, dt / 2, kappa)[:, :c] * grid.dealias_weight
-        half = np.stack([e, np.conj(e)])
-        arrays = (half, half * half)
-        for a in arrays:
-            a.flags.writeable = False
-        memo = _LAWSON.memo = (key, arrays)
-    return memo[1]
-
-
 def _lawson_frame(state: SimState) -> np.ndarray:
     """V = (V+, V-) of the state on the dealiased columns, masked."""
     grid, c = state.grid, state.grid.dealiased_columns
@@ -251,8 +223,13 @@ def _ifrk4_step(state: SimState, dt: float, k1, velocity, nonlinear: bool):
     set, so its norm is that of the new state's frame.
     """
     grid, kappa, t, rho_mean = state.grid, state.kappa, state.t, state.rho.mean
-    half, full = _lawson_multipliers(grid, dt, kappa)
     c = grid.dealiased_columns
+    # the phases (e, conj e) over dt/2 and over dt, masked by the dealias
+    # set: a masked phase takes a stage input to the dealias set, and
+    # reversed it is the masked pull-back of a stage's advection spectra
+    half = phase_multiplier(grid, kappa * dt / 2, c)
+    half *= grid.dealias_weight
+    full = half * half
     v = _lawson_frame(state)
     if nonlinear:
         def forcing(w, t):

@@ -169,7 +169,7 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     times = np.linspace(0.0, t_max, nodes)
     vals = np.array([
         lp_norms_unchecked(
-            grid, cutoff_hat * phase_multiplier(grid, kappa * t, 1.0, sign) * f.coeffs, r)
+            grid, cutoff_hat * phase_multiplier(grid, sign * kappa * t)[0] * f.coeffs, r)
         for t in times
     ])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
@@ -333,6 +333,10 @@ def test_duhamel_snapshot_spacing_guard(grid, bank):
                n_samples=5, bank=bank, store_snapshots=True)
     with pytest.raises(ValueError):
         duhamel_residual(traj, 64.0)
+    # a sign outside SIGNS is refused, also where the spacing passes
+    for sign in (0, 2):
+        with pytest.raises(ValueError, match="sign"):
+            duhamel_residual(traj, 1.0, sign)
 
 
 def test_kappa0_limits_and_monotonicity():

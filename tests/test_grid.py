@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -489,19 +492,50 @@ def full_dealias_mask(g):
 
 
 def test_phase_multiplier_unitary_with_exact_group_law(grid):
+    # the stack is (e, conj e), and on w columns it is the first w columns
+    # of the half-spectrum stack, bit for bit
+    stack = phase_multiplier(grid, 40.0 * 0.3)
+    assert stack.shape == (2,) + grid.shape
+    assert np.array_equal(stack[1], np.conj(stack[0]))
+    c = grid.dealiased_columns
+    assert np.array_equal(phase_multiplier(grid, 40.0 * 0.3, c), stack[..., :c])
     # the Nyquist rule makes the phase 1 on the k1 = -n/2 row: every entry is
-    # unimodular and e(s) e(t) = e(s + t) holds on the whole half spectrum
-    e = phase_multiplier(grid, 0.3, 40.0)
-    assert np.abs(np.abs(e) - 1.0).max() < 1e-15
-    assert np.abs(e[grid.n // 2] - 1.0).max() == 0.0
-    both = phase_multiplier(grid, 0.3, 40.0) * phase_multiplier(grid, 0.4, 40.0)
-    assert np.abs(both - phase_multiplier(grid, 0.7, 40.0)).max() < 1e-13
+    # unimodular and e(s) e(t) = e(s + t) holds on the whole half spectrum,
+    # for both slices
+    assert np.abs(np.abs(stack) - 1.0).max() < 1e-15
+    assert np.abs(stack[:, grid.n // 2] - 1.0).max() == 0.0
+    both = phase_multiplier(grid, 40.0 * 0.3) * phase_multiplier(grid, 40.0 * 0.4)
+    assert np.abs(both - phase_multiplier(grid, 40.0 * 0.7)).max() < 1e-13
     # off the Nyquist row it is the full-spectrum symbol exp(i kappa t xi1/|xi|)
     xi1, xi2 = full_wavevectors(grid)
     xi_abs = np.hypot(xi1, xi2)
     ref = np.exp(1j * 40.0 * 0.3 * np.divide(xi1, xi_abs, out=np.zeros_like(xi1), where=xi_abs > 0))
     rows = np.arange(grid.n) != grid.n // 2
-    assert np.abs(e[rows] - half(ref)[rows]).max() < 1e-14
+    assert np.abs(stack[0, rows] - half(ref)[rows]).max() < 1e-14
+
+
+def _readers(tree: ast.AST, name: str, scope: str = ""):
+    """The qualified names of the functions and classes whose code names
+    `name`: as an attribute, a variable, a string or a definition."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if name in (getattr(node, "attr", None), getattr(node, "id", None),
+                    getattr(node, "value", None), getattr(node, "name", None)):
+            yield inner
+        yield from _readers(node, name, inner)
+
+
+def test_the_stratified_phase_has_one_home():
+    # e^{+-i s xi1/|xi|} is built by phase_multiplier alone, apart from the
+    # strichartz nodes' gathered support (`dispersive._node_norms`)
+    package = Path(grid_module.__file__).parent
+    readers = {f"{path.stem}.{where}"
+               for path in package.glob("*.py")
+               for where in _readers(ast.parse(path.read_text()), "xi1_over_abs")}
+    assert readers == {"grid.GridSpec.xi1_over_abs", "grid.phase_multiplier",
+                       "dispersive._node_norms"}
 
 
 def test_coefficient_norm_matches_linalg(grid):

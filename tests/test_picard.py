@@ -292,17 +292,18 @@ def test_frozen_velocity_refuses_unordered_times(grid):
         FrozenVelocity([SimState(omega, rho, t, 16.0) for t in (0.0, 0.1, 0.1, 0.2)])
 
 
-def _counting_rephase(frozen):
-    """Record the times at which the frozen velocity turns its interpolated
-    slow variables into the lab frame: once per evaluation."""
+def _counting_rephase(monkeypatch):
+    """Record the phase arguments kappa t at which the frozen velocity turns
+    its interpolated slow variables into the lab frame: once per evaluation
+    (the fit's pull-backs come before the count starts)."""
     seen = []
-    rephase = frozen._rephase
+    real = picard.phase_multiplier
 
-    def counted(v, t):
-        seen.append(t)
-        rephase(v, t)
+    def counted(grid, s, w=None):
+        seen.append(s)
+        return real(grid, s, w)
 
-    frozen._rephase = counted
+    monkeypatch.setattr(picard, "phase_multiplier", counted)
     return seen
 
 
@@ -312,16 +313,16 @@ def _varied_states(grid, times, kappa):
             for k, t in enumerate(times)]
 
 
-def test_frozen_velocity_memo(grid):
+def test_frozen_velocity_memo(grid, monkeypatch):
     times = np.linspace(0.0, 1.0, 6)
     snaps = _varied_states(grid, times, 16.0)
     frozen = FrozenVelocity(snaps)
-    seen = _counting_rephase(frozen)
+    seen = _counting_rephase(monkeypatch)
     # the stage times of two fixed-dt RK steps, then a revisit of an older time
     h = 0.1
     queries = [0.0, h / 2, h / 2, h, h, h + h / 2, h + h / 2, 2 * h, 0.0]
     answers = [frozen(t) for t in queries]
-    assert seen == [0.0, h / 2, h, h + h / 2, 2 * h, 0.0]
+    assert seen == [16.0 * t for t in (0.0, h / 2, h, h + h / 2, 2 * h, 0.0)]
     assert answers[1] is answers[2] and answers[3] is answers[4]
     for t, got in zip(queries, answers):
         fresh = FrozenVelocity(snaps)(t)
@@ -387,10 +388,10 @@ def test_picard_run_keeps_one_frozen_velocity_alive(grid, bank, smooth_data, mon
     assert len(alive) >= 2 and not any(alive)
 
 
-def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data):
+def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data, monkeypatch):
     omega0, rho0 = smooth_data
     frozen = FrozenVelocity(_varied_states(grid, np.linspace(0.0, 0.1, 6), 8.0))
-    seen = _counting_rephase(frozen)
+    seen = _counting_rephase(monkeypatch)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     linear_solve(frozen, omega0, rho0, 8.0, 0.1, cfg, n_samples=6, bank=bank)
     # 10 steps ask for 40 stage times; 21 of them are distinct

@@ -1,5 +1,4 @@
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -619,7 +618,7 @@ def _reference_ifrk4_step(state, dt, velocity, nonlinear):
         return SpectralField(grid, 0.5 * (vp_c + vm_c)), SpectralField(grid, rho)
 
     vp, vm = (v.coeffs for v in diagonalize(state.omega, state.rho))
-    e_half = phase_multiplier(grid, dt / 2, kappa)
+    e_half = phase_multiplier(grid, kappa * dt / 2)[0]
     e_full = e_half * e_half
 
     def nl(vp_c, vm_c, t, carrier=None):
@@ -709,65 +708,6 @@ def test_ifrk4_refuses_a_nonzero_mean_at_a_later_stage():
     state.__dict__["_own_velocity"] = biot_savart(omega)
     with pytest.raises(NonzeroMeanError):
         step(state, 0.01, StepperConfig(scheme="ifrk4", dt=0.01))[0]
-
-
-def test_lawson_multipliers_keep_one_entry_per_thread(monkeypatch, grid, bank):
-    # samples every 0.01 cut each interval's last 0.007-step, so dt changes
-    # at every sample; the memo holds the last (grid, dt, kappa) alone
-    omega, rho = random_spectrum(grid, seed=3, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
-    cfg = StepperConfig(scheme="ifrk4", dt=0.007)
-    dts, entries = [], []
-    real = solver._lawson_multipliers
-
-    def recording(g, dt, kappa):
-        dts.append(dt)
-        return real(g, dt, kappa)
-
-    def work():
-        run(omega, rho, 16.0, 0.1, cfg, n_samples=11, bank=bank, record=("t", "z"))
-        entries.append(dict(vars(solver._LAWSON)))
-
-    monkeypatch.setattr(solver, "_lawson_multipliers", recording)
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    assert sum(a != b for a, b in zip(dts, dts[1:])) >= 10
-    (memo,) = entries[0].values()
-    assert memo[0] == (grid, dts[-1], 16.0)
-
-
-def test_lawson_multipliers_are_read_only():
-    for a in solver._lawson_multipliers(GridSpec(32), 0.01, 16.0):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.flat[0] = 0.0
-
-
-def test_lawson_memo_interleaved_matches_no_memo(monkeypatch):
-    # two grids and two kappas stepped in turn on one thread replace the
-    # memo at every step, and give the states of a step without one
-    cases = [(GridSpec(32, box_scale=b), kappa) for b in (1.0, 2.0) for kappa in (16.0, 256.0)]
-    cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-
-    def interleaved():
-        states = [SimState(*random_spectrum(g, seed=2, amplitude=1.0, xi_lo=0.5, xi_hi=4.0),
-                           0.0, kappa) for g, kappa in cases]
-        for _ in range(3):
-            states = [step(st, cfg.dt, cfg)[0] for st in states]
-        return states
-
-    memoized = interleaved()
-    real = solver._lawson_multipliers
-
-    def fresh(*args):
-        vars(solver._LAWSON).pop("memo", None)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_lawson_multipliers", fresh)
-    for got, want in zip(memoized, interleaved()):
-        assert np.array_equal(got.omega.coeffs, want.omega.coeffs)
-        assert np.array_equal(got.rho.coeffs, want.rho.coeffs)
 
 
 def test_cfl_dt_checks_the_velocity_is_real(grid):
