@@ -47,7 +47,7 @@ def main(argv=None) -> int:
                 f"{args.command!r} (expected {expected!r})"
             )
         manifest = run_experiment(config)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Strat2dError as exc:

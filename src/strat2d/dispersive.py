@@ -22,6 +22,7 @@ from .grid import (
     SupportSynthesis,
     _advection,
     _coefficient_norms,
+    diagonal_stack,
     phase_multiplier,
     require_hermitian,
     require_mean_zero,
@@ -43,53 +44,11 @@ def semigroup_apply(f: SpectralField, t: float, kappa: float, sign: int = +1) ->
     return SpectralField(f.grid, phase_multiplier(f.grid, sign * kappa * t)[0] * f.coeffs)
 
 
-def diagonal_stack(grid: GridSpec, omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """V+- = omega +- Lambda rho on coefficients: (V+, V-) as one
-    (2, n, w) array for (omega, rho) on the first w columns, a half spectrum
-    or a column array (rho's mean is annihilated by Lambda).
-
-    The one home of the diagonal variables, in the stacked form that the
-    integrating-factor stepper, picard's frozen velocity and
-    `duhamel_residual` work in (state and nonlinear forcing); `diagonalize`
-    gives the same pair as fields to the diagnostics.  omega's mean passes
-    into both V+- and back; forcings carry a round-off mean, so the
-    mean-zero guards stay with the operators that need them (Biot-Savart,
-    the propagators).  One multiply by the signed symbol (|xi|, -|xi|) and
-    one add: the negation is exact, so V- is omega - Lambda rho bit for
-    bit.
-    """
-    v = np.multiply(grid.columns("signed_xi_abs", rho.shape[-1]), rho)
-    v += omega
-    return v
-
-
-def merged_stack(grid: GridSpec, v: np.ndarray, rho_mean: float = 0.0) -> np.ndarray:
-    """(omega, rho) as one (2, n, w) array from v = (V+, V-) on the first w
-    columns, a stack or a pair of arrays; rho's mean, which Lambda
-    annihilates, is given.  The halving and |xi|^-1 are one multiply by
-    (1/2, |xi|^-1 / 2): a factor 1/2 is exact, so this is bit for bit the
-    halving followed by |xi|^-1."""
-    w = v[0].shape[-1]
-    out = np.empty((2, grid.n, w), dtype=complex)
-    np.add(v[0], v[1], out=out[0])
-    np.subtract(v[0], v[1], out=out[1])
-    out *= grid.columns("merge_symbol", w)
-    out[1, 0, 0] = rho_mean
-    return out
-
-
 def diagonalize(omega: SpectralField, rho: SpectralField):
     """(V+, V-) as fields: `diagonal_stack` of (omega, rho)."""
     grid = omega.grid
     v = diagonal_stack(grid, omega.coeffs, rho.coeffs)
     return SpectralField(grid, v[0]), SpectralField(grid, v[1])
-
-
-def undiagonalize(vplus: SpectralField, vminus: SpectralField, rho_mean: float = 0.0):
-    """(omega, rho) from V+- as fields: `merged_stack`."""
-    grid = vplus.grid
-    merged = merged_stack(grid, (vplus.coeffs, vminus.coeffs), rho_mean)
-    return SpectralField(grid, merged[0]), SpectralField(grid, merged[1])
 
 
 # ---------------------------------------------------------------------------

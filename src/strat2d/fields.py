@@ -20,6 +20,34 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(stream)]))
 
 
+def spectral_window(grid: GridSpec, xi_lo: float = 0.0, xi_hi: float = np.inf,
+                    kmax: int | None = None):
+    """The wave vectors of `random_field`'s draws and its window among them.
+
+    Returns (k1, k2, xi, kept): the half plane k1 > 0, or k1 == 0 and
+    k2 > 0, of |k_i| <= kmax (default: the grid's dealias cutoff) in
+    row-major (k1, k2) order, one draw each; |xi| there; and the mask of the
+    window xi_lo < |xi| <= xi_hi.  Raises ValueError for a kmax above n/2,
+    whose modes leave the half spectrum, and for a window that holds no wave
+    vector of the dealias set, whose field would be zero.
+    """
+    if kmax is None:
+        kmax = grid.dealiased_columns - 1  # the dealias cutoff
+    if kmax > grid.n // 2:
+        raise ValueError(f"kmax = {kmax} exceeds n/2 for n = {grid.n}: "
+                         "its modes leave the half spectrum")
+    k1, k2 = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    half = (k1 > 0) | (k2 > 0)
+    k1, k2 = k1[half], k2[half]
+    xi = np.hypot(k1, k2) / grid.box_scale
+    kept = (xi_lo < xi) & (xi <= xi_hi)
+    # the dealias mask is even in k2, and 0 <= k1 <= n/2 is its own row
+    if not (kept & grid.dealias_mask[k1, np.abs(k2)]).any():
+        raise ValueError(f"no wave vector with |k_i| <= {kmax} lies in the window "
+                         f"{xi_lo} < |xi| <= {xi_hi} and survives dealiasing")
+    return k1, k2, xi, kept
+
+
 def random_field(
     grid: GridSpec,
     seed: int,
@@ -33,21 +61,12 @@ def random_field(
     """Isotropic power-law spectrum |xi|^-alpha with random phases.
 
     The spectrum is restricted to xi_lo < |xi| <= xi_hi and to |k_i| <= kmax
-    (default: the grid's dealias cutoff; at most n/2).  Mean-zero; L2 norm scaled to
+    (default: the grid's dealias cutoff; at most n/2), a window that must
+    hold a wave vector of the dealias set (`spectral_window`).  Mean-zero; L2 norm scaled to
     `amplitude` when nonzero.
     """
-    if kmax is None:
-        kmax = grid.dealiased_columns - 1  # the dealias cutoff
-    if kmax > grid.n // 2:
-        raise ValueError(f"kmax = {kmax} exceeds n/2 for n = {grid.n}: "
-                         "its modes leave the half spectrum")
-    # the half plane k1 > 0, or k1 == 0 and k2 > 0, in row-major (k1, k2) order
-    k1, k2 = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
-    half = (k1 > 0) | (k2 > 0)
-    k1, k2 = k1[half], k2[half]
+    k1, k2, xi, kept = spectral_window(grid, xi_lo, xi_hi, kmax)
     draws = _rng(seed, stream).normal(size=(k1.size, 2))
-    xi = np.hypot(k1, k2) / grid.box_scale
-    kept = (xi_lo < xi) & (xi <= xi_hi)
     k1, k2, draws = k1[kept], k2[kept], draws[kept]
     # libm's pow: numpy's vectorised power may differ from it in the last bit
     power = np.array([math.pow(x, -alpha) for x in xi[kept]])

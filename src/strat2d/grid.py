@@ -147,8 +147,8 @@ class GridSpec:
         """|xi|^-2."""
         return _masked_quotient(np.ones_like(self.xi_sq), self.xi_sq)
 
-    # the diagonal variables' symbols (`dispersive.diagonal_stack`,
-    # `dispersive.merged_stack`), complex: numpy multiplies a complex array
+    # the diagonal variables' symbols (`diagonal_stack`, `merged_stack`),
+    # complex: numpy multiplies a complex array
     # by a real one through a casting loop about twice as slow
     @cached_property
     def signed_xi_abs(self) -> np.ndarray:
@@ -519,6 +519,41 @@ def phase_multiplier(grid: GridSpec, s: float, w: int | None = None) -> np.ndarr
     out = np.empty((2,) + symbol.shape, dtype=complex)
     np.exp(1j * s * symbol, out=out[0])
     np.conjugate(out[0], out=out[1])
+    return out
+
+
+def diagonal_stack(grid: GridSpec, omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """V+- = omega +- Lambda rho on coefficients: (V+, V-) as one
+    (2, n, w) array for (omega, rho) on the first w columns, a half spectrum
+    or a column array (rho's mean is annihilated by Lambda).
+
+    The one home of the diagonal variables, in the stacked form that the
+    integrating-factor stepper, picard's frozen velocity and
+    `duhamel_residual` work in (state and nonlinear forcing), and that the
+    diagnostics' band norms read as fields.  omega's mean passes
+    into both V+- and back; forcings carry a round-off mean, so the
+    mean-zero guards stay with the operators that need them (Biot-Savart,
+    the propagators).  One multiply by the signed symbol (|xi|, -|xi|) and
+    one add: the negation is exact, so V- is omega - Lambda rho bit for
+    bit.
+    """
+    v = np.multiply(grid.columns("signed_xi_abs", rho.shape[-1]), rho)
+    v += omega
+    return v
+
+
+def merged_stack(grid: GridSpec, v: np.ndarray, rho_mean: float = 0.0) -> np.ndarray:
+    """(omega, rho) as one (2, n, w) array from v = (V+, V-) on the first w
+    columns, a stack or a pair of arrays; rho's mean, which Lambda
+    annihilates, is given.  The halving and |xi|^-1 are one multiply by
+    (1/2, |xi|^-1 / 2): a factor 1/2 is exact, so this is bit for bit the
+    halving followed by |xi|^-1."""
+    w = v[0].shape[-1]
+    out = np.empty((2, grid.n, w), dtype=complex)
+    np.add(v[0], v[1], out=out[0])
+    np.subtract(v[0], v[1], out=out[1])
+    out *= grid.columns("merge_symbol", w)
+    out[1, 0, 0] = rho_mean
     return out
 
 

@@ -33,7 +33,7 @@ from .dispersive import (
 )
 from .errors import ConfigError
 from .estimates import LEMMAS, resolution_stability
-from .fields import PRESETS, coherent_band_field, make_initial_data
+from .fields import PRESETS, coherent_band_field, make_initial_data, spectral_window
 from .grid import GridSpec, save_field
 from .picard import cauchy_ratios, picard_run, uniformity_report
 from .solver import COLUMNS, StepperConfig, gronwall_fit, run
@@ -170,11 +170,10 @@ class ExperimentConfig:
             if self.s <= s_floor:
                 raise ConfigError(f"lemma {self.lemma!r} needs s > {s_floor:g}, got {self.s}")
         grid = self.grid_spec()
-        kmax = self.initial_data.get("kmax")
-        if kmax is not None and kmax > grid.n // 2:
-            raise ConfigError(f"initial_data kmax = {kmax} exceeds n/2 = {grid.n // 2}: "
-                              "its modes leave the half spectrum")
         try:  # the objects a run builds refuse what it cannot run
+            if self.initial_data["name"] == "random-spectrum":
+                spectral_window(grid, **{key: value for key, value in self.initial_data.items()
+                                         if key in ("xi_lo", "xi_hi", "kmax")})
             self.stepper()
             BesovSpec(s=self.s, q=self.q)
             if self.kind == "kappa0":  # the default {} is incomplete
@@ -236,11 +235,19 @@ class ExperimentConfig:
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    """The validated config of a JSON file, patched by `key=value`
+    overrides; a file that cannot be read, is not JSON or is not one
+    object, and an override that descends through a value that is not an
+    object, raise ConfigError."""
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} holds {raw!r}, not a JSON object")
     for item in overrides:
         key, _, value = item.partition("=")
         if not _:
@@ -253,6 +260,9 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r} descends through {p} = {node!r}, "
+                                  "not an object")
         node[parts[-1]] = parsed
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - known
@@ -435,13 +445,12 @@ def _nondecreasing_per_seed(lifespans) -> bool:
 def _trajectories(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank, t_end: float,
                   stop=None):
     """`_sweep` of the schedule's members, each `run` from its data to t_end
-    under the stop rule; only simulate stores snapshots.  Each manifest
-    entry copies how its run ended and its steps (no timing, so reruns stay
+    under the stop rule, storing no snapshots.  Each manifest entry copies
+    how its run ended and its steps (no timing, so reruns stay
     byte-identical).  Returns what `_sweep` does."""
     def one(spec: RunSpec):
         return run(*_member_data(config, grid, spec), spec.kappa, t_end, config.stepper(),
-                   n_samples=config.n_samples, bank=bank, s=config.s, q=config.q,
-                   store_snapshots=config.snapshots and config.kind == "simulate", stop=stop)
+                   n_samples=config.n_samples, bank=bank, s=config.s, q=config.q, stop=stop)
 
     swept, width = _sweep(sweep_schedule(config), one, grid)
     for _, traj, entry in swept:
@@ -468,7 +477,7 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
             files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
             entry["c6"] = gronwall_fit(traj.records)
             if config.snapshots:
-                files[f"{spec.tag}_final_omega.npz"] = traj.snapshots[-1].omega
+                files[f"{spec.tag}_final_omega.npz"] = traj.last_state.omega
         runs.append(entry)
     return files, {}, runs, width
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
-from .dispersive import diagonal_stack
 from .errors import Strat2dError
-from .grid import (SpectralField, VectorField, _velocity, biot_savart, phase_multiplier,
-                   require_mean_zero)
+from .grid import (SpectralField, VectorField, _velocity, biot_savart, diagonal_stack,
+                   phase_multiplier, require_mean_zero)
 from .solver import StepperConfig, Trajectory, run, z_norm
 
 
@@ -66,8 +65,6 @@ class FrozenVelocity:
     a column array, which `VectorField.from_stack` pads.
     """
 
-    _only = None  # the velocity of `constant`
-
     def __init__(self, snapshots):
         """snapshots: `SimState`s of one kappa at strictly increasing times."""
         self.times = np.array([s.t for s in snapshots], dtype=float)
@@ -83,19 +80,10 @@ class FrozenVelocity:
             self._w[k] *= phase_multiplier(grid, -self.kappa * s.t, w)
         self._recent = []  # the last two (t, velocity) answers
 
-    @classmethod
-    def constant(cls, u: VectorField) -> "FrozenVelocity":
-        """u at every time."""
-        frozen = cls.__new__(cls)
-        frozen._only = u
-        return frozen
-
     def __call__(self, t: float) -> VectorField:
         """The velocity at t.  The last two answers are kept: with a fixed dt
         the RK stages ask for t + dt/2 twice and the next step starts at the
         previous stage 4's time, so half the queries repeat."""
-        if self._only is not None:
-            return self._only
         for t_seen, u in self._recent:
             if t_seen == t:
                 return u
@@ -139,7 +127,7 @@ def mollify_initial(omega0: SpectralField, rho0: SpectralField, n: int,
 
 
 def linear_solve(
-    frozen: FrozenVelocity,
+    frozen,
     omega_init: SpectralField,
     rho_init: SpectralField,
     kappa: float,
@@ -147,7 +135,8 @@ def linear_solve(
     config: StepperConfig,
     **run_kwargs,
 ) -> Trajectory:
-    """Time-step the frozen-transport linear system; same schemes as `run`.
+    """Time-step the frozen-transport linear system, advected by frozen(t)
+    (a `FrozenVelocity` or any callable); same schemes as `run`.
 
     Records only (t, z): z is all the iteration reads.
     """
@@ -189,7 +178,8 @@ def picard_run(
 
     traces = []
     prev_snapshots = None
-    frozen = FrozenVelocity.constant(biot_savart(mollify_initial(omega0, rho0, 0, bank)[0]))
+    seed = biot_savart(mollify_initial(omega0, rho0, 0, bank)[0])
+    frozen = lambda t: seed  # the seed iterate's velocity, held constant in time
     for n in range(n_max + 1):
         om_init, rh_init = mollify_initial(omega0, rho0, n, bank)
         traj = linear_solve(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
-from .dispersive import diagonal_stack, diagonalize, merged_stack
 from .errors import BlowupSuspectedError, Strat2dError
 from .grid import (
     GridSpec,
@@ -30,8 +29,10 @@ from .grid import (
     biot_savart,
     dealias,
     derivative,
+    diagonal_stack,
     hminus1_norm,
     lp_norm,
+    merged_stack,
     phase_multiplier,
     require_hermitian,
     require_mean_zero,
@@ -88,6 +89,7 @@ class Trajectory:
     kappa: float
     records: list = field(default_factory=list)  # dicts: column name -> value
     snapshots: list = field(default_factory=list)  # SimState at sample times
+    last_state: SimState | None = None  # the state of the last record
     nonlinear: bool = True  # whether the advection terms were active
     status: str = "ok"  # "ok" | "blowup" | "error"
     # "end" | "threshold" (ok), "guard" | "non_finite" | "step_floor" (blowup), "error"
@@ -399,7 +401,8 @@ def _gradient_maxima(st: SimState, bank, s, q) -> tuple[float, float]:
 
 def _band_norms(st: SimState, bank, s, q) -> list[float]:
     """(|V+|, |V-|) in dotted B^0_{inf,1}: the state diagonalized once."""
-    return [besov_norm(v, _B0INF1, bank) for v in diagonalize(st.omega, st.rho)]
+    v = diagonal_stack(st.grid, st.omega.coeffs, st.rho.coeffs)
+    return [besov_norm(SpectralField(st.grid, vs), _B0INF1, bank) for vs in v]
 
 
 # the functionals a record can hold, one row per shared computation: the
@@ -477,7 +480,8 @@ def run(
     or "step_floor" (an adaptive step fell below 1e-12 max(1, t)), with
     t_stop the time it was seen; "error" when a step or a later record
     raised another Strat2dError, with t_stop the last state's time and the
-    message in `error`.  Each keeps the records collected.
+    message in `error`.  Each keeps the records collected and, in
+    `last_state`, the state of the last one.
     """
     if n_samples < 2 or not t_final > 0:
         raise ValueError(f"need n_samples >= 2 and t_final > 0, got {n_samples}, {t_final}")
@@ -511,8 +515,9 @@ def run(
     if stop is not None and rec[stop[0]] >= stop[1]:
         raise ValueError(f"the data already meets the stop rule {stop[0]} >= {stop[1]}")
     traj.records.append(rec)
-    if store_snapshots:  # copies, which do not keep the velocity memo
-        traj.snapshots.append(replace(state))
+    traj.last_state = replace(state)  # a copy, which does not keep the velocity memo
+    if store_snapshots:
+        traj.snapshots.append(traj.last_state)
     z0 = rec["z"]
 
     dt, k1 = config.dt, None  # the next step to try, and the first stage at `state`
@@ -529,8 +534,9 @@ def run(
             traj.error = f"{type(exc).__name__}: {exc}"
             break
         traj.records.append(rec)
+        traj.last_state = replace(state)
         if store_snapshots:
-            traj.snapshots.append(replace(state))
+            traj.snapshots.append(traj.last_state)
         if not np.isfinite(rec["z"]) or (z0 > 0 and rec["z"] > GUARD_FACTOR * z0):
             traj.status, traj.t_stop = "blowup", rec["t"]
             traj.stop_reason = "guard" if np.isfinite(rec["z"]) else "non_finite"

@@ -41,12 +41,26 @@ def test_random_field_refuses_kmax_beyond_the_half_spectrum():
         random_field(grid, seed=9, kmax=17)
 
 
+@pytest.mark.parametrize("window", [
+    {"kmax": 0}, {"kmax": -3}, {"xi_lo": 5.0, "xi_hi": 4.0}, {"xi_lo": 4.0, "xi_hi": 4.0},
+    {"xi_lo": 0.5, "xi_hi": 0.9},  # between the lattice radii 0 and 1
+    {"kmax": 16, "xi_lo": 15.5},  # beyond the dealias cutoff 10
+])
+def test_random_field_refuses_an_empty_window(window):
+    # the field of no wave vector would be zero, whatever the amplitude asks
+    grid = GridSpec(32)
+    with pytest.raises(ValueError, match="no wave vector"):
+        random_field(grid, seed=9, **window)
+
+
 def test_random_field_normalization_and_mean():
     g = GridSpec(64)
     f = random_field(g, seed=1, xi_lo=0.5, xi_hi=4.0, amplitude=2.5)
     assert abs(lp_norm(f, 2) - 2.5) < 1e-12
     assert f.mean == 0.0
     assert f.hermitian_defect() < 1e-14
+    # zero data asked for explicitly
+    assert random_field(g, seed=1, xi_lo=0.5, xi_hi=4.0, amplitude=0.0).coefficient_norm() == 0.0
 
 
 def _random_field_by_loop(grid, seed, alpha=2.5, xi_lo=0.0, xi_hi=np.inf, amplitude=1.0,

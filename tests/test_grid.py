@@ -538,6 +538,18 @@ def test_the_stratified_phase_has_one_home():
                        "dispersive._node_norms"}
 
 
+def test_the_diagonal_variables_have_one_home():
+    # V+- = omega +- Lambda rho and its inverse are formed from their symbols
+    # by diagonal_stack and merged_stack alone
+    package = Path(grid_module.__file__).parent
+    readers = {f"{path.stem}.{where}"
+               for path in package.glob("*.py")
+               for symbol in ("signed_xi_abs", "merge_symbol")
+               for where in _readers(ast.parse(path.read_text()), symbol)}
+    assert readers == {"grid.GridSpec.signed_xi_abs", "grid.GridSpec.merge_symbol",
+                       "grid.diagonal_stack", "grid.merged_stack"}
+
+
 def test_coefficient_norm_matches_linalg(grid):
     # the norm of the full spectrum, from the half with Plancherel weights
     c, d = random_hermitian_coeffs(grid.n, seed=3), random_hermitian_coeffs(grid.n, seed=4)

@@ -18,7 +18,7 @@ from strat2d import cli, estimates, fields, harness, picard, solver
 from strat2d.cli import SUBCOMMANDS
 from strat2d.cli import main as cli_main
 from strat2d.errors import ConfigError, HermitianSymmetryError
-from strat2d.grid import GridSpec
+from strat2d.grid import GridSpec, load_field
 from strat2d.harness import (
     ExperimentConfig,
     _nondecreasing_per_seed,
@@ -435,6 +435,18 @@ def test_cli_override(tmp_path):
     {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": True}},
     # a pinned kmax above n/2: every member used to end in a ValueError
     {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": 40}},
+    # a window that holds no wave vector: every member used to draw zero data,
+    # and a lifespan sweep to pass its flag with every t_life at t_max
+    {"kind": "lifespan-sweep", "initial_data": {"name": "random-spectrum", "kmax": 0}},
+    {"kind": "lifespan-sweep", "initial_data": {"name": "random-spectrum", "kmax": -3}},
+    {"kind": "lifespan-sweep",
+     "initial_data": {"name": "random-spectrum", "xi_lo": 5.0, "xi_hi": 4.0}},
+    {"kind": "simulate", "initial_data": {"name": "random-spectrum", "xi_lo": 4.0,
+                                          "xi_hi": 4.0}},
+    {"kind": "picard", "initial_data": {"name": "random-spectrum", "xi_lo": 0.5,
+                                        "xi_hi": 0.9}},  # between the radii 0 and 1
+    {"kind": "simulate", "initial_data": {"name": "random-spectrum", "kmax": 32,
+                                          "xi_lo": 31.0}},  # beyond the dealias cutoff
     # seeds outside Philox's key range [0, 2**64): the sweeps used to exit 1
     # with every member in an OverflowError, picard and verify-estimates 3
     {"kind": "simulate", "seeds": [-1]},
@@ -779,6 +791,37 @@ def test_config_accepts_preset_keywords(tmp_path):
     data = {"name": "random-spectrum", "seed": 3, "alpha": 2, "xi_hi": float("inf"),
             "kmax": None}
     small_config("simulate", tmp_path, initial_data=data).validate()
+    # zero data asked for explicitly
+    small_config("simulate", tmp_path, initial_data={"name": "random-spectrum",
+                                                     "amplitude": 0}).validate()
+
+
+@pytest.mark.parametrize("content, overrides", [
+    ("config", ["dt.x=1"]),  # an override that descends through a number
+    ("config", ["kappa_list.0=5"]),  # through a list
+    ("config", ["grid.n.x=5"]),
+    (b"5", []),  # a file that is not one object
+    (b"null", []),
+    (b"[]", []),
+    (b"\xff{", []),  # not UTF-8
+    (None, []),  # --config names a directory
+], ids=["number", "list", "nested-number", "top-5", "top-null", "top-list", "bytes", "dir"])
+def test_cli_config_mistakes_exit_2_without_a_traceback(tmp_path, capsys, content, overrides):
+    # each used to exit 3 with an unclassified TypeError or OSError
+    path = tmp_path / "cfg.json"
+    if content == "config":
+        write_config(path, dict(SIM_CONFIG, output_dir=str(tmp_path / "out")))
+    elif content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["simulate", "--config", str(path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lifespan_flag_judged_within_each_seed():
@@ -943,9 +986,9 @@ def test_lifespan_sweep_is_simulate_stopped_by_the_rule(tmp_path):
         assert life_run["stop_reason"] == "threshold"
 
 
-def test_only_simulate_stores_snapshots(tmp_path, monkeypatch):
-    # `snapshots` asks simulate for .npz files; a lifespan sweep, which
-    # writes none, does not hold its states in memory either
+def test_no_sweep_stores_snapshots(tmp_path, monkeypatch):
+    # `snapshots` asks simulate for .npz files of the final omega, which a
+    # trajectory keeps as its last state: no sweep holds its states in memory
     trajectories = []
 
     def recording(*args, **kwargs):
@@ -957,8 +1000,15 @@ def test_only_simulate_stores_snapshots(tmp_path, monkeypatch):
     run_experiment(small_config("lifespan-sweep", tmp_path / "life", snapshots=True))
     assert len(trajectories) == 4 and all(not t.snapshots for t in trajectories)
     trajectories.clear()
-    run_experiment(small_config("simulate", tmp_path / "sim", snapshots=True))
-    assert len(trajectories) == 2 and all(t.snapshots for t in trajectories)
+    config = small_config("simulate", tmp_path / "sim", snapshots=True)
+    run_experiment(config)
+    assert len(trajectories) == 2 and all(not t.snapshots for t in trajectories)
+    grid = config.grid_spec()
+    for spec in sweep_schedule(config):  # the omega of a run that stores them, bit for bit
+        stored = real(*harness._member_data(config, grid, spec), spec.kappa, config.t_final,
+                      config.stepper(), n_samples=config.n_samples, store_snapshots=True)
+        written = load_field(tmp_path / "sim" / f"{spec.tag}_final_omega.npz")
+        assert np.array_equal(written.coeffs, stored.snapshots[-1].omega.coeffs)
 
 
 def test_members_run_side_by_side_from_the_named_size(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from strat2d import solver
 from strat2d.bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
 from strat2d import picard
-from strat2d.dispersive import diagonalize, semigroup_apply, undiagonalize
+from strat2d.dispersive import diagonalize, semigroup_apply
 from strat2d.errors import Strat2dError
 from strat2d.fields import random_field, random_spectrum
 from strat2d.grid import (
@@ -19,6 +19,7 @@ from strat2d.grid import (
     biot_savart,
     forward_transform,
     lp_norm,
+    merged_stack,
 )
 from strat2d.picard import (
     FrozenVelocity,
@@ -97,7 +98,8 @@ def _frame_states(grid, kappa, times, slow):
     for t in times:
         wp, wm = slow(t)
         vp, vm = semigroup_apply(wp, t, kappa, +1), semigroup_apply(wm, t, kappa, -1)
-        states.append(SimState(*undiagonalize(vp, vm), t, kappa))
+        omega, rho = merged_stack(grid, (vp.coeffs, vm.coeffs))
+        states.append(SimState(SpectralField(grid, omega), SpectralField(grid, rho), t, kappa))
     return states
 
 
@@ -127,19 +129,11 @@ def test_frozen_velocity_interpolation(grid):
             frozen(0.3)
 
 
-def test_frozen_velocity_constant(grid):
-    omega = random_field(grid, seed=21, xi_lo=0.5, xi_hi=4.0)
-    u = biot_savart(omega)
-    frozen = FrozenVelocity.constant(u)
-    assert np.abs(frozen(0.3).u1.coeffs - u.u1.coeffs).max() == 0.0
-
-
 def test_linear_solve_zero_velocity_matches_semigroup(grid, bank, smooth_data):
     omega0, rho0 = smooth_data
     kappa = 24.0
-    frozen = FrozenVelocity.constant(
-        VectorField(zero_field(grid), zero_field(grid))
-    )
+    still = VectorField(zero_field(grid), zero_field(grid))
+    frozen = lambda t: still
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traj = linear_solve(frozen, omega0, rho0, kappa, 1.0, cfg,
                         n_samples=3, bank=bank, store_snapshots=True)
@@ -154,7 +148,7 @@ def test_linear_solve_steady_shear_conserves_density(grid, bank):
     # kappa = 0 with a frozen steady shear: rho is purely transported
     _, x2 = grid.meshgrid()
     shear = VectorField(forward_transform(grid, np.sin(x2)), zero_field(grid))
-    frozen = FrozenVelocity.constant(shear)
+    frozen = lambda t: shear
     rho0 = random_field(grid, seed=30, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="rk4", dt=2e-3)
     traj = linear_solve(frozen, zero_field(grid), rho0, 0.0, 0.5, cfg,
@@ -242,8 +236,9 @@ def test_frozen_velocity_follows_the_linear_flow_at_large_kappa(grid, bank, smoo
     frozen = FrozenVelocity(traj.snapshots)
     vp, vm = diagonalize(traj.snapshots[0].omega, traj.snapshots[0].rho)
     for t in [0.013, 0.07, 0.1234, 0.2, 0.2409]:
-        omega, _ = undiagonalize(semigroup_apply(vp, t, kappa, +1), semigroup_apply(vm, t, kappa, -1))
-        assert _relative_gap(frozen(t), biot_savart(omega)) < 1e-11, t
+        omega, _ = merged_stack(grid, (semigroup_apply(vp, t, kappa, +1).coeffs,
+                                       semigroup_apply(vm, t, kappa, -1).coeffs))
+        assert _relative_gap(frozen(t), biot_savart(SpectralField(grid, omega))) < 1e-11, t
 
 
 @pytest.mark.parametrize("kappa", [1024.0, 4096.0])
@@ -363,8 +358,9 @@ def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid, b
     # up to the round-off of turning it out of the lab frame and back
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    traj = linear_solve(FrozenVelocity.constant(biot_savart(omega0)), omega0, rho0, 16.0, 0.05,
-                        cfg, n_samples=6, bank=bank, store_snapshots=True)
+    u0 = biot_savart(omega0)
+    traj = linear_solve(lambda t: u0, omega0, rho0, 16.0, 0.05, cfg, n_samples=6, bank=bank,
+                        store_snapshots=True)
     frozen = FrozenVelocity(traj.snapshots)
     assert frozen._w.shape[-1] == grid.dealiased_columns
     for s in traj.snapshots:

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -169,14 +170,14 @@ def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid, bank):
                           for fields in ((rho,), (u.u1, u.u2)))
     vplus, vminus = diagonalize(omega, rho)
     spec = solver._B0INF1
-    calls = {"_samples": 0, "diagonalize": 0}
+    calls = {"_samples": 0, "diagonal_stack": 0}
     for name in calls:
         def counting(*args, real=getattr(solver, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(solver, name, counting)
     rec = solver.diagnostics(SimState(omega, rho, 0.0, 8.0), bank, 2.0, 1.0, COLUMNS)
-    assert calls == {"_samples": 1, "diagonalize": 1}
+    assert calls == {"_samples": 1, "diagonal_stack": 1}
     assert rec["grad_rho_inf"] == float(np.sqrt(sum(p**2 for p in rho_parts)).max())
     assert rec["grad_u_inf"] == float(np.sqrt(sum(p**2 for p in u_parts)).max())
     assert rec["vplus_band_norm"] == besov_norm(vplus, spec, bank)
@@ -803,3 +804,14 @@ def test_diagnostics_match_full_layout_recording(name):
     assert traj.status == rec["status"]
     for column, expected in rec["records"].items():
         assert np.allclose(traj.column(column), expected, rtol=1e-12, atol=0.0), column
+
+
+def test_the_solver_core_imports_no_measurement_module():
+    # solver and picard convert their own state with grid's diagonal_stack
+    # and merged_stack: their package imports are the core's modules alone
+    package = Path(solver.__file__).parent
+    for name in ("solver", "picard"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imported = {node.module or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+        assert imported <= {"errors", "grid", "bands", "solver"}, (name, imported)
