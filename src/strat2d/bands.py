@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .errors import GridMismatchError, NonzeroMeanError
+from .errors import NonzeroMeanError
 from .grid import (
     GridSpec,
     SpectralField,
@@ -75,7 +76,8 @@ class DyadicBank:
     """Cached dyadic multipliers on a grid, stacked as the pieces of a Besov
     norm: `psi`, psi_j for j in `bands` = j_min..j_max (homogeneous), and
     `nonhom_psi`, S_0 = chi(|xi|) then psi_j for j in `nonhom_bands` =
-    0, max(1, j_min)..j_max; bands 1..j_min-1 vanish on the grid."""
+    0, max(1, j_min)..j_max; bands 1..j_min-1 vanish on the grid.  Both
+    stacks are read-only, since `dyadic_bank` shares one bank per grid."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -84,6 +86,7 @@ class DyadicBank:
         j_lo = max(1, self.j_min)
         self.nonhom_bands = [0, *range(j_lo, self.j_max + 1)]
         self.nonhom_psi = np.concatenate((chi(grid.xi_abs)[None], self.psi[j_lo - self.j_min:]))
+        self.psi.flags.writeable = self.nonhom_psi.flags.writeable = False
 
     # -- multipliers -----------------------------------------------------
     def psi_hat(self, j: int) -> np.ndarray:
@@ -115,26 +118,31 @@ class DyadicBank:
         return float(np.abs(total[sel] - 1.0).max())
 
 
+@cache
+def dyadic_bank(grid: GridSpec) -> DyadicBank:
+    """The DyadicBank of `grid`, built once per distinct grid: the dyadic
+    partition depends on the frequency lattice alone."""
+    return DyadicBank(grid)
+
+
 # ---------------------------------------------------------------------------
 # projections
 
 
-def project_band(f: SpectralField, j: int, bank: DyadicBank) -> SpectralField:
-    if f.grid != bank.grid:
-        raise GridMismatchError("field and bank live on different grids")
-    return SpectralField(f.grid, bank.psi_hat(j) * f.coeffs)
+def project_band(f: SpectralField, j: int) -> SpectralField:
+    return SpectralField(f.grid, dyadic_bank(f.grid).psi_hat(j) * f.coeffs)
 
 
-def lowpass_hom(f: SpectralField, k: int, bank: DyadicBank) -> SpectralField:
+def lowpass_hom(f: SpectralField, k: int) -> SpectralField:
     """S-dot_k: homogeneous low pass, zero mode annihilated."""
-    c = bank.lowpass_multiplier(k) * f.coeffs
+    c = dyadic_bank(f.grid).lowpass_multiplier(k) * f.coeffs
     c[0, 0] = 0.0
     return SpectralField(f.grid, c)
 
 
-def lowpass_nonhom(f: SpectralField, k: int, bank: DyadicBank) -> SpectralField:
+def lowpass_nonhom(f: SpectralField, k: int) -> SpectralField:
     """S_k: as S-dot_k but the zero mode is retained."""
-    c = bank.lowpass_multiplier(k) * f.coeffs
+    c = dyadic_bank(f.grid).lowpass_multiplier(k) * f.coeffs
     c[0, 0] = f.coeffs[0, 0]
     return SpectralField(f.grid, c)
 
@@ -153,19 +161,18 @@ def _lq(values: np.ndarray, q: float):
     return float(out) if out.ndim == 0 else out
 
 
-def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
-    """The l^q sum of 2^{sj} |piece_j f|_{L^p} over one of the bank's stacks.
+def besov_norm(f: SpectralField, spec: BesovSpec) -> float:
+    """The l^q sum of 2^{sj} |piece_j f|_{L^p} over a stack of f's grid's bank.
 
     The pieces are formed at once; p = 2 takes one batched Plancherel sum,
     other p transform piece by piece, because a batched inverse transform
     was slower at N = 256 and no faster at N = 128.
     """
-    if f.grid != bank.grid:
-        raise GridMismatchError("field and bank live on different grids")
     # the Hermitian guard is scaled by the whole field: a band holding only
     # round-off would fail it relative to its own size
     if spec.p != 2:
         require_hermitian(f)
+    bank = dyadic_bank(f.grid)
     if spec.homogeneous:
         if spec.s <= 0 and has_nonzero_mean(f):
             raise NonzeroMeanError("homogeneous Besov norm with s <= 0 needs mean-zero data")
@@ -178,22 +185,21 @@ def besov_norm(f: SpectralField, spec: BesovSpec, bank: DyadicBank) -> float:
     return _lq(np.array([2.0 ** (spec.s * j) * v for j, v in zip(js, norms)]), spec.q)
 
 
-def intersection_norm(omega: SpectralField, s: float, q: float, bank: DyadicBank) -> float:
+def intersection_norm(omega: SpectralField, s: float, q: float) -> float:
     """|omega| in (dotted B^s_{2,q}) intersect H^-1, as the sum of both norms."""
-    return besov_norm(omega, BesovSpec(s=s, q=q, homogeneous=True), bank) + hminus1_norm(omega)
+    return besov_norm(omega, BesovSpec(s=s, q=q, homogeneous=True)) + hminus1_norm(omega)
 
 
 # ---------------------------------------------------------------------------
 # CSV dump for the `bands` CLI subcommand
 
 
-def band_profile_rows(bank: DyadicBank, n_radial: int = 400):
-    """Rows (|xi|, label, value): each psi_j profile plus the partition sum."""
-    r_max = bank.grid.xi_max
-    radii = np.linspace(0.0, r_max, n_radial)
+def band_profile_rows(grid: GridSpec, n_radial: int = 400):
+    """Rows (|xi|, label, value): each psi_j profile of the grid plus the partition sum."""
+    radii = np.linspace(0.0, grid.xi_max, n_radial)
     rows = []
     total = np.zeros_like(radii)
-    for j in bank.bands:
+    for j in dyadic_bank(grid).bands:
         prof = psi0(radii / 2.0**j)
         total += prof
         rows.extend((float(r), str(j), float(v)) for r, v in zip(radii, prof))

@@ -19,7 +19,7 @@ from .errors import ConfigError, Strat2dError
 from .harness import KINDS, load_config, run_experiment
 
 # CLI verb -> ExperimentConfig.kind
-SUBCOMMANDS = {verb: kind for kind, (verb, *_) in KINDS.items()}
+SUBCOMMANDS = {verb: kind for kind, (verb, _) in KINDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

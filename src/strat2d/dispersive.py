@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import DyadicBank, _lq
+from .bands import _lq, dyadic_bank
 from .grid import (
     GridSpec,
     SpectralField,
@@ -148,7 +148,6 @@ def strichartz_measures(
     t_max: float,
     nodes: int | None = None,
     cutoff_hat: np.ndarray | None = None,
-    bank: DyadicBank | None = None,
     sign: int = +1,
 ) -> list[StrichartzSample]:
     """`strichartz_measure` of one f at each kappa of kappas, in their order.
@@ -164,7 +163,7 @@ def strichartz_measures(
     _require_measurable(f, gamma, r, sign)
     kappas = [abs(kappa) for kappa in kappas]
     if cutoff_hat is None:
-        cutoff_hat = (bank or DyadicBank(f.grid)).psi_hat(0)
+        cutoff_hat = dyadic_bank(f.grid).psi_hat(0)
     # every kappa's nodes are checked before any node is evaluated
     times = [_time_nodes(kappa, t_max, nodes) for kappa in kappas]
     args = [kappa * t for kappa, t in zip(kappas, times)]
@@ -186,7 +185,6 @@ def strichartz_measure(
     t_max: float,
     nodes: int | None = None,
     cutoff_hat: np.ndarray | None = None,
-    bank: DyadicBank | None = None,
     sign: int = +1,
 ) -> StrichartzSample:
     """(int_0^T |cutoff exp(+-kappa t R1) f|_{L^r}^gamma dt)^{1/gamma} on the
@@ -195,7 +193,7 @@ def strichartz_measure(
     Depends on kappa only through |kappa|; the propagation direction is the
     separate `sign` argument.  The one-kappa case of `strichartz_measures`.
     """
-    return strichartz_measures(f, [kappa], gamma, r, t_max, nodes, cutoff_hat, bank, sign)[0]
+    return strichartz_measures(f, [kappa], gamma, r, t_max, nodes, cutoff_hat, sign)[0]
 
 
 def besov_strichartz_measure(
@@ -207,18 +205,16 @@ def besov_strichartz_measure(
     s: float,
     t_max: float,
     nodes: int | None = None,
-    bank: DyadicBank | None = None,
     sign: int = +1,
 ) -> StrichartzSample:
     """As strichartz_measure with X = dotted B^s_{r,q} and the full propagator:
-    at each node, the l^q sum over the bank's bands of 2^{sj} times the band's
+    at each node, the l^q sum over the grid's bands of 2^{sj} times the band's
     `_node_norms`."""
     _require_measurable(f, gamma, r, sign)
     kappa = abs(kappa)
     if not 4.0 <= gamma <= q:
         raise ValueError("need 4 <= gamma <= q")
-    if bank is None:
-        bank = DyadicBank(f.grid)
+    bank = dyadic_bank(f.grid)
     times = _time_nodes(kappa, t_max, nodes)
     phases = kappa * times
     bands = np.array([2.0 ** (s * j) * _node_norms(f, phases, bank.psi_hat(j), r, sign)

@@ -14,9 +14,9 @@ import numpy as np
 
 from .bands import (
     BesovSpec,
-    DyadicBank,
     _lq,
     besov_norm,
+    dyadic_bank,
     lowpass_hom,
     project_band,
 )
@@ -75,37 +75,38 @@ class RatioReport:
 # commutators
 
 
-def commutator_bracket(f: VectorField, g: SpectralField, j: int, bank: DyadicBank) -> SpectralField:
+def commutator_bracket(f: VectorField, g: SpectralField, j: int) -> SpectralField:
     """[f.grad, Delta_j] g = f.grad(Delta_j g) - Delta_j(f.grad g)."""
     require_same_grid(f.u1, g)
-    return advect(f, project_band(g, j, bank)) - project_band(advect(f, g), j, bank)
+    return advect(f, project_band(g, j)) - project_band(advect(f, g), j)
 
 
-def commutator_lambda(f: VectorField, g: SpectralField, j: int, bank: DyadicBank) -> SpectralField:
+def commutator_lambda(f: VectorField, g: SpectralField, j: int) -> SpectralField:
     """[f.grad, Lambda^-1 Delta_j] g; band projection makes Lambda^-1 safe."""
 
     def op(h: SpectralField) -> SpectralField:
-        return lambda_power(project_band(h, j, bank).drop_mean(), -1.0)
+        return lambda_power(project_band(h, j).drop_mean(), -1.0)
 
     return advect(f, op(g)) - op(advect(f, g))
 
 
-def commutator_smoothed(f: VectorField, g: SpectralField, j: int, bank: DyadicBank) -> SpectralField:
+def commutator_smoothed(f: VectorField, g: SpectralField, j: int) -> SpectralField:
     """(S-dot_{j-2} f . grad) Delta_j g - Delta_j (f . grad g)."""
     require_same_grid(f.u1, g)
-    f_low = VectorField(lowpass_hom(f.u1, j - 2, bank), lowpass_hom(f.u2, j - 2, bank))
-    return advect(f_low, project_band(g, j, bank)) - project_band(advect(f, g), j, bank)
+    f_low = VectorField(lowpass_hom(f.u1, j - 2), lowpass_hom(f.u2, j - 2))
+    return advect(f_low, project_band(g, j)) - project_band(advect(f, g), j)
 
 
-def trial_spectrum_bounds(bank: DyadicBank) -> tuple[float, float, int]:
-    """(xi_lo, xi_hi, kmax) keeping trial spectra inside the interior bands.
+def trial_spectrum_bounds(grid: GridSpec) -> tuple[float, float, int]:
+    """(xi_lo, xi_hi, kmax) keeping trial spectra inside the grid's interior bands.
 
     Passing one grid's bounds to another grid's trials pins the spectral
     content, which is what makes coarse-vs-fine constant comparisons honest.
     """
+    bank = dyadic_bank(grid)
     xi_lo = 5.0 / 8.0 * 2.0 ** (bank.j_min + 1)
     xi_hi = 5.0 / 8.0 * 2.0**bank.j_max
-    kmax = bank.grid.dealiased_columns - 1  # the dealias cutoff
+    kmax = grid.dealiased_columns - 1  # the dealias cutoff
     return xi_lo, xi_hi, kmax
 
 
@@ -127,34 +128,35 @@ def _commutator_terms(comm):
          + |g|_{L-inf} |f| in dotted B^{s+1}_{2,q}  (two-term form).
     """
 
-    def terms(f: VectorField, g: SpectralField, s: float, q: float, bank: DyadicBank):
-        lhs = _lq([2.0 ** (s * j) * lp_norm(comm(f, g, j, bank), 2) for j in bank.bands], q)
+    def terms(f: VectorField, g: SpectralField, s: float, q: float):
+        bands = dyadic_bank(g.grid).bands
+        lhs = _lq([2.0 ** (s * j) * lp_norm(comm(f, g, j), 2) for j in bands], q)
         grad_f_inf = max(
             np.abs(inverse_transform(derivative(comp, ax))).max()
             for comp in (f.u1, f.u2)
             for ax in (1, 2)
         )
         spec_f = BesovSpec(s=s + 1, q=q, homogeneous=True)
-        f_besov = besov_norm(f.u1, spec_f, bank) + besov_norm(f.u2, spec_f, bank)
-        rhs = (grad_f_inf * besov_norm(g, BesovSpec(s=s, q=q, homogeneous=True), bank)
+        f_besov = besov_norm(f.u1, spec_f) + besov_norm(f.u2, spec_f)
+        rhs = (grad_f_inf * besov_norm(g, BesovSpec(s=s, q=q, homogeneous=True))
                + lp_norm(g, np.inf) * f_besov)
         return lhs, rhs
 
     return terms
 
 
-def _product_terms(fvec: VectorField, g: SpectralField, s: float, q: float, bank: DyadicBank):
+def _product_terms(fvec: VectorField, g: SpectralField, s: float, q: float):
     """|fg| in dotted B^s_{2,q} vs |g|_inf |f|_{B^s_{2,q}} + |f|_inf |g|_{B^s_{2,q}}."""
     f = fvec.u1  # any mean-zero scalar with the declared spectrum
     spec = BesovSpec(s=s, q=q, homogeneous=True)
-    lhs = besov_norm(multiply(f, g).drop_mean(), spec, bank)
-    rhs = (lp_norm(g, np.inf) * besov_norm(f, spec, bank)
-           + lp_norm(f, np.inf) * besov_norm(g, spec, bank))
+    lhs = besov_norm(multiply(f, g).drop_mean(), spec)
+    rhs = (lp_norm(g, np.inf) * besov_norm(f, spec)
+           + lp_norm(f, np.inf) * besov_norm(g, spec))
     return lhs, rhs
 
 
 # the inequality battery: name -> (s_floor, terms); each inequality needs
-# s > s_floor, and terms(f, g, s, q, bank) -> (lhs, rhs) for one trial pair
+# s > s_floor, and terms(f, g, s, q) -> (lhs, rhs) for one trial pair
 LEMMAS = {
     "bracket": (0.0, _commutator_terms(commutator_bracket)),
     "lambda": (-1.0, _commutator_terms(commutator_lambda)),
@@ -171,7 +173,6 @@ def verify_lemma(
     trials: int,
     seed: int,
     alpha: float = 2.5,
-    bank: DyadicBank | None = None,
     bounds=None,
 ) -> RatioReport:
     """Max over seeded trial pairs of LHS/RHS for the inequality `which` of LEMMAS."""
@@ -180,14 +181,12 @@ def verify_lemma(
     s_floor, terms = LEMMAS[which]
     if s <= s_floor:
         raise ValueError(f"lemma {which!r} needs s > {s_floor:g}")
-    if bank is None:
-        bank = DyadicBank(grid)
     if bounds is None:
-        bounds = trial_spectrum_bounds(bank)
+        bounds = trial_spectrum_bounds(grid)
     report = RatioReport(which=which, s=s, q=q, seed=seed)
     for trial in range(trials):
         f, g = _random_pair(grid, seed, trial, alpha, bounds)
-        report.record(*terms(f, g, s, q, bank))
+        report.record(*terms(f, g, s, q))
     return report
 
 
@@ -196,21 +195,18 @@ def verify_bernstein(
     trials: int,
     seed: int,
     alpha: float = 2.5,
-    bank: DyadicBank | None = None,
 ):
     """For band-j fields: |grad f|_{L2} / |f|_{L2} must lie in the band annulus.
 
     Returns a list of (j, ratio, lo, hi) rows; the ratio is an exact weighted
     mean of |xi| over the band support, so lo = 5/8 2^j, hi = 7/4 2^j.
     """
-    if bank is None:
-        bank = DyadicBank(grid)
     rows = []
-    inner = list(bank.interior_bands())
+    inner = list(dyadic_bank(grid).interior_bands())
     for trial in range(trials):
         f = random_field(grid, seed, alpha=alpha, stream=trial)
         j = inner[trial % len(inner)]
-        fj = project_band(f, j, bank)
+        fj = project_band(f, j)
         n2 = lp_norm(fj, 2)
         if n2 == 0:
             continue
@@ -225,11 +221,11 @@ def verify_bernstein(
 # cancellation and transport orthogonality
 
 
-def cancellation_check(omega: SpectralField, rho: SpectralField, bank: DyadicBank | None = None):
+def cancellation_check(omega: SpectralField, rho: SpectralField):
     """|<d1 rho, omega>_{H^-1} + <u2, rho>_{L2}| with u = biot_savart(omega).
 
-    Returns (residual, per_band_residuals); exact cancellation pins the sign
-    convention of the Biot-Savart velocity.
+    Returns (residual, {band j: residual of the band-j pieces}); exact
+    cancellation pins the sign convention of the Biot-Savart velocity.
     """
     require_mean_zero(omega, "cancellation check")
     require_same_grid(omega, rho)
@@ -241,12 +237,9 @@ def cancellation_check(omega: SpectralField, rho: SpectralField, bank: DyadicBan
         u2 = biot_savart(om).u2
         return inner_hminus1(derivative(rh, 1), om) + inner_l2(u2, rh)
 
-    total = abs(pair(omega, rho0))
-    per_band = {}
-    if bank is not None:
-        for j in bank.bands:
-            per_band[j] = abs(pair(project_band(omega, j, bank), project_band(rho0, j, bank)))
-    return total, per_band
+    per_band = {j: abs(pair(project_band(omega, j), project_band(rho0, j)))
+                for j in dyadic_bank(omega.grid).bands}
+    return abs(pair(omega, rho0)), per_band
 
 
 def transport_check(u: VectorField, g: SpectralField) -> float:
@@ -273,9 +266,8 @@ def resolution_stability(
     constants compare the same data at two discretizations; the doubled-grid
     max ratio lands in `max_ratio_doubled`.
     """
-    bank = DyadicBank(grid)
-    bounds = trial_spectrum_bounds(bank)
-    rep = verify_lemma(grid, which, s, q, trials, seed, alpha, bank, bounds)
+    bounds = trial_spectrum_bounds(grid)
+    rep = verify_lemma(grid, which, s, q, trials, seed, alpha, bounds)
     fine = replace(grid, n=2 * grid.n)
     rep.max_ratio_doubled = verify_lemma(fine, which, s, q, trials, seed, alpha,
                                          bounds=bounds).max_ratio

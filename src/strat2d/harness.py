@@ -14,6 +14,7 @@ import csv
 import inspect
 import json
 import os
+import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import BesovSpec, DyadicBank, band_profile_rows, band_range
+from .bands import BesovSpec, band_profile_rows, band_range, dyadic_bank
 from .dispersive import (
     Kappa0Inputs,
     fit_slope,
@@ -130,13 +131,17 @@ class ExperimentConfig:
             raise ConfigError(f"r must be a number or \"inf\", got {self.r!r}") from exc
 
     def validate(self) -> None:
-        # every key holds its annotated type: a float key a real number (NaN
-        # refused), an int key a count, and a bool, str, list or dict key one
-        # of those, so that "false" is not read as true nor 5 iterated
+        # every key holds its annotated type: a float key a finite double
+        # (+inf also for an exponent), an int key a count, and a bool, str,
+        # list or dict key one of those, so that "false" is not read as true
+        # nor 5 iterated
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (_is_number(value) and value == value):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            infinite = f.name in ("q", "gamma", "r")  # exponents, whose +inf is meaningful
+            if f.type == "float" and not (_is_number(value) and (
+                    abs(value) <= sys.float_info.max or infinite and value == np.inf)):
+                kind = "a finite number or inf" if infinite else "a finite number"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
             if f.type == "int" and not (_is_number(value) and isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type in _TYPES and not isinstance(value, _TYPES[f.type]):
@@ -160,6 +165,9 @@ class ExperimentConfig:
         for key in ("t_final", "threshold", "t_max", "window"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        # the spread is a ratio max / min >= 1, so a limit <= 1 never passes
+        if self.spread_limit <= 1:
+            raise ConfigError(f"spread_limit must be > 1, got {self.spread_limit}")
         for key, least in (("n_samples", 2), ("n_max", 1), ("trials", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
@@ -182,6 +190,7 @@ class ExperimentConfig:
                 band_range(grid)
             if self.kind == "strichartz":
                 require_admissible(self.gamma, self.r)
+                dyadic_bank(grid).psi_hat(0)  # the band its packets are measured in
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.kind} config: {exc}") from exc
 
@@ -442,15 +451,14 @@ def _nondecreasing_per_seed(lifespans) -> bool:
     return all(b >= 0.95 * a for lives in by_seed.values() for a, b in zip(lives, lives[1:]))
 
 
-def _trajectories(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank, t_end: float,
-                  stop=None):
+def _trajectories(config: ExperimentConfig, grid: GridSpec, t_end: float, stop=None):
     """`_sweep` of the schedule's members, each `run` from its data to t_end
     under the stop rule, storing no snapshots.  Each manifest entry copies
     how its run ended and its steps (no timing, so reruns stay
     byte-identical).  Returns what `_sweep` does."""
     def one(spec: RunSpec):
         return run(*_member_data(config, grid, spec), spec.kappa, t_end, config.stepper(),
-                   n_samples=config.n_samples, bank=bank, s=config.s, q=config.q, stop=stop)
+                   n_samples=config.n_samples, s=config.s, q=config.q, stop=stop)
 
     swept, width = _sweep(sweep_schedule(config), one, grid)
     for _, traj, entry in swept:
@@ -469,9 +477,9 @@ def _trajectories(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank, t_
 # any other kind.
 
 
-def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+def _simulate(config: ExperimentConfig, grid: GridSpec):
     files, runs = {}, []
-    swept, width = _trajectories(config, grid, bank, config.t_final)
+    swept, width = _trajectories(config, grid, config.t_final)
     for spec, traj, entry in swept:
         if traj is not None:
             files[f"{spec.tag}_diagnostics.csv"] = (COLUMNS, diagnostics_rows(traj))
@@ -482,11 +490,11 @@ def _simulate(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     return files, {}, runs, width
 
 
-def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec):
     # the lifespan: B reaching the threshold, or t_max, on a run that ended ok
     stop = ("b_integral", config.threshold)
     files, rows, runs = {}, [], []
-    swept, width = _trajectories(config, grid, bank, config.t_max, stop)
+    swept, width = _trajectories(config, grid, config.t_max, stop)
     for spec, traj, entry in swept:
         if traj is not None:
             curve = f"{spec.tag}_bcurve.csv"
@@ -501,14 +509,14 @@ def _lifespan_sweep(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     return files, flags, runs, width
 
 
-def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+def _picard(config: ExperimentConfig, grid: GridSpec):
     # one member per kappa, all on the data of the one seed initial_data.seed
     specs = sweep_schedule(replace(config, seeds=[config.initial_data.get("seed", 0)]))
     omega0, rho0 = _member_data(config, grid, specs[0])
 
     def one(spec: RunSpec):
         return picard_run(omega0, rho0, spec.kappa, config.t_final, config.n_max, config.stepper(),
-                          s=config.s, q=config.q, n_samples=config.n_samples, bank=bank)
+                          s=config.s, q=config.q, n_samples=config.n_samples)
 
     files, runs, traces_by_kappa = {}, [], {}
     swept, width = _sweep(specs, one, grid)
@@ -529,12 +537,12 @@ def _picard(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
     return files, {"kappa_uniform_spread": bool(report["pass"])}, runs, width
 
 
-def _strichartz(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+def _strichartz(config: ExperimentConfig, grid: GridSpec):
     # one member per packet: its kappas share the time nodes of equal kappa t
     def packet(specs):
         return strichartz_measures(coherent_band_field(grid, specs[0].seed),
                                    [spec.kappa for spec in specs], config.gamma, config.r,
-                                   t_max=config.window, bank=bank)
+                                   t_max=config.window)
 
     rows, by_kappa, runs = [], {}, []
     swept, width = _sweep(sweep_schedule(config), packet, grid, member=lambda spec: spec.seed)
@@ -583,25 +591,26 @@ def _kappa0(config: ExperimentConfig, grid: GridSpec):
     return files, {"kappa0_finite": not overflow}, [{"status": "ok"}], None
 
 
-def _bands(config: ExperimentConfig, grid: GridSpec, bank: DyadicBank):
+def _bands(config: ExperimentConfig, grid: GridSpec):
+    bank = dyadic_bank(grid)
     resid = bank.partition_residual()
     files = {
-        "band_profiles.csv": (("xi", "band", "value"), band_profile_rows(bank)),
+        "band_profiles.csv": (("xi", "band", "value"), band_profile_rows(grid)),
         "partition.json": {"j_min": bank.j_min, "j_max": bank.j_max,
                            "partition_residual": resid},
     }
     return files, {"partition_residual_ok": resid < 1e-12}, [{"status": "ok"}], None
 
 
-# kind -> (CLI verb, driver(config, grid[, bank]), takes a bank)
+# kind -> (CLI verb, driver(config, grid))
 KINDS = {
-    "simulate": ("simulate", _simulate, True),
-    "picard": ("picard", _picard, True),
-    "strichartz": ("strichartz-sweep", _strichartz, True),
-    "lifespan-sweep": ("lifespan-sweep", _lifespan_sweep, True),
-    "verify-estimates": ("verify-estimates", _verify_estimates, False),
-    "kappa0": ("kappa0", _kappa0, False),
-    "bands": ("bands", _bands, True),
+    "simulate": ("simulate", _simulate),
+    "picard": ("picard", _picard),
+    "strichartz": ("strichartz-sweep", _strichartz),
+    "lifespan-sweep": ("lifespan-sweep", _lifespan_sweep),
+    "verify-estimates": ("verify-estimates", _verify_estimates),
+    "kappa0": ("kappa0", _kappa0),
+    "bands": ("bands", _bands),
 }
 
 
@@ -611,9 +620,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     grid = config.grid_spec()
-    _, driver, banked = KINDS[config.kind]
-    files, flags, runs, width = (driver(config, grid, DyadicBank(grid)) if banked
-                                 else driver(config, grid))
+    _, driver = KINDS[config.kind]
+    files, flags, runs, width = driver(config, grid)
     if width is not None:
         completed = all(r["status"] in ("ok", "blowup") for r in runs)
         flags = {"all_runs_completed": completed, **flags}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import DyadicBank, lowpass_hom, lowpass_nonhom
+from .bands import lowpass_hom, lowpass_nonhom
 from .errors import Strat2dError
 from .grid import (SpectralField, VectorField, _velocity, biot_savart, diagonal_stack,
                    phase_multiplier, require_mean_zero)
@@ -118,12 +118,11 @@ def _support(coeffs: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def mollify_initial(omega0: SpectralField, rho0: SpectralField, n: int,
-                    bank: DyadicBank):
+def mollify_initial(omega0: SpectralField, rho0: SpectralField, n: int):
     """(S-dot_{n+2} omega_0, S_{n+2} rho_0): omega's mean dropped, rho's kept."""
     if n < 0:
         raise ValueError("iteration index must be >= 0")
-    return lowpass_hom(omega0, n + 2, bank), lowpass_nonhom(rho0, n + 2, bank)
+    return lowpass_hom(omega0, n + 2), lowpass_nonhom(rho0, n + 2)
 
 
 def linear_solve(
@@ -144,11 +143,11 @@ def linear_solve(
                velocity=frozen, record=("t", "z"), **run_kwargs)
 
 
-def _difference_norm(sa, sb, bank: DyadicBank, s: float, q: float) -> float:
+def _difference_norm(sa, sb, s: float, q: float) -> float:
     """|omega_a - omega_b| in (B^{s-2} cap H^-1) + |rho_a - rho_b| in B^{s-1}."""
     # both iterates are mean-zero in omega; the difference's mean is pure
     # round-off and would trip the homogeneous-norm mean guard
-    return z_norm((sa.omega - sb.omega).drop_mean(), sa.rho - sb.rho, bank, s - 1.0, q)
+    return z_norm((sa.omega - sb.omega).drop_mean(), sa.rho - sb.rho, s - 1.0, q)
 
 
 def picard_run(
@@ -161,7 +160,6 @@ def picard_run(
     s: float = 2.0,
     q: float = 1.0,
     n_samples: int = 21,
-    bank: DyadicBank | None = None,
     return_states: bool = False,
 ):
     """Iterates n = 0..n_max; returns the list of IterationTrace.
@@ -170,21 +168,18 @@ def picard_run(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    grid = omega0.grid
-    if bank is None:
-        bank = DyadicBank(grid)
-    a0 = z_norm(omega0, rho0, bank, s, q)
+    a0 = z_norm(omega0, rho0, s, q)
     times = np.linspace(0.0, t_final, n_samples)  # run's sample schedule
 
     traces = []
     prev_snapshots = None
-    seed = biot_savart(mollify_initial(omega0, rho0, 0, bank)[0])
+    seed = biot_savart(mollify_initial(omega0, rho0, 0)[0])
     frozen = lambda t: seed  # the seed iterate's velocity, held constant in time
     for n in range(n_max + 1):
-        om_init, rh_init = mollify_initial(omega0, rho0, n, bank)
+        om_init, rh_init = mollify_initial(omega0, rho0, n)
         traj = linear_solve(
             frozen, om_init, rh_init, kappa, t_final, config,
-            n_samples=n_samples, store_snapshots=True, bank=bank, s=s, q=q,
+            n_samples=n_samples, store_snapshots=True, s=s, q=q,
         )
         if traj.status != "ok":  # without a stop rule, "ok" ran all n_samples
             raise Strat2dError(f"linear solve at iteration {n} ended in {traj.status} "
@@ -195,7 +190,7 @@ def picard_run(
             a_bar = None
         else:
             a_bar = np.array([
-                _difference_norm(sa, sb, bank, s, q)
+                _difference_norm(sa, sb, s, q)
                 for sa, sb in zip(traj.snapshots, prev_snapshots)
             ])
         traces.append(IterationTrace(n=n, t=times.copy(), a=a, a_bar=a_bar,

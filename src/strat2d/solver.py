@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
+from .bands import BesovSpec, besov_norm, intersection_norm
 from .errors import BlowupSuspectedError, Strat2dError
 from .grid import (
     GridSpec,
@@ -79,8 +79,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {tuple(SCHEMES)}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass
@@ -380,18 +380,17 @@ def grad_inf(*fields: SpectralField) -> float:
     return _grad_infs([fields])[0]
 
 
-def z_norm(omega: SpectralField, rho: SpectralField, bank: DyadicBank,
-           s: float = 2.0, q: float = 1.0) -> float:
+def z_norm(omega: SpectralField, rho: SpectralField, s: float = 2.0, q: float = 1.0) -> float:
     """z_{s,q} = |omega| in (dotted B^{s-1}_{2,q} cap H^-1) + |rho| in B^s_{2,q}."""
-    return intersection_norm(omega, s - 1.0, q, bank) + besov_norm(
-        rho, BesovSpec(s=s, q=q, homogeneous=False), bank
+    return intersection_norm(omega, s - 1.0, q) + besov_norm(
+        rho, BesovSpec(s=s, q=q, homogeneous=False)
     )
 
 
 _B0INF1 = BesovSpec(s=0.0, p=np.inf, q=1.0, homogeneous=True)
 
 
-def _gradient_maxima(st: SimState, bank, s, q) -> tuple[float, float]:
+def _gradient_maxima(st: SimState, s, q) -> tuple[float, float]:
     """(|grad u|_inf, |grad rho|_inf) at the state: one inverse call of six
     slices."""
     u = st.own_velocity()
@@ -399,17 +398,17 @@ def _gradient_maxima(st: SimState, bank, s, q) -> tuple[float, float]:
     return u_inf, rho_inf
 
 
-def _band_norms(st: SimState, bank, s, q) -> list[float]:
+def _band_norms(st: SimState, s, q) -> list[float]:
     """(|V+|, |V-|) in dotted B^0_{inf,1}: the state diagonalized once."""
     v = diagonal_stack(st.grid, st.omega.coeffs, st.rho.coeffs)
-    return [besov_norm(SpectralField(st.grid, vs), _B0INF1, bank) for vs in v]
+    return [besov_norm(SpectralField(st.grid, vs), _B0INF1) for vs in v]
 
 
 # the functionals a record can hold, one row per shared computation: the
-# columns a row fills -> values(state, bank, s, q), one value per column
+# columns a row fills -> values(state, s, q), one value per column
 FUNCTIONALS = {
-    ("energy",): lambda st, bank, s, q: (hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,),
-    ("z",): lambda st, bank, s, q: (z_norm(st.omega, st.rho, bank, s, q),),
+    ("energy",): lambda st, s, q: (hminus1_norm(st.omega) ** 2 + lp_norm(st.rho, 2) ** 2,),
+    ("z",): lambda st, s, q: (z_norm(st.omega, st.rho, s, q),),
     ("grad_u_inf", "grad_rho_inf"): _gradient_maxima,
     ("vplus_band_norm", "vminus_band_norm"): _band_norms,
 }
@@ -424,14 +423,14 @@ INTEGRALS = {
 COLUMNS = ("t", *(c for columns in FUNCTIONALS for c in columns), *INTEGRALS)
 
 
-def diagnostics(state: SimState, bank: DyadicBank, s: float, q: float, names) -> dict:
+def diagnostics(state: SimState, s: float, q: float, names) -> dict:
     """The record of `state`: its time t and the FUNCTIONALS columns among
     `names`, in COLUMNS order.  Each row that fills one of them is
     evaluated once, and its columns not among `names` are dropped."""
     names, rec = set(names), {"t": state.t}
     for columns, values in FUNCTIONALS.items():
         if names.intersection(columns):
-            rec.update((c, v) for c, v in zip(columns, values(state, bank, s, q)) if c in names)
+            rec.update((c, v) for c, v in zip(columns, values(state, s, q)) if c in names)
     return rec
 
 
@@ -447,7 +446,6 @@ def run(
     config: StepperConfig,
     n_samples: int = 21,
     store_snapshots: bool = False,
-    bank: DyadicBank | None = None,
     s: float = 2.0,
     q: float = 1.0,
     velocity=None,
@@ -483,8 +481,8 @@ def run(
     message in `error`.  Each keeps the records collected and, in
     `last_state`, the state of the last one.
     """
-    if n_samples < 2 or not t_final > 0:
-        raise ValueError(f"need n_samples >= 2 and t_final > 0, got {n_samples}, {t_final}")
+    if n_samples < 2 or not 0 < t_final < np.inf:
+        raise ValueError(f"need n_samples >= 2 and 0 < t_final < inf, got {n_samples}, {t_final}")
     names = set(record)
     needed = {"t", "z"}.union(*(INTEGRALS[n][0] for n in names & set(INTEGRALS)))
     if not needed <= names <= set(COLUMNS):
@@ -497,11 +495,9 @@ def run(
     require_mean_zero(omega0, "time integration")
     grid = omega0.grid
     omega0, rho0 = dealias(omega0), dealias(rho0)
-    if bank is None:
-        bank = DyadicBank(grid)
 
     def sample(state, prev):
-        rec = diagnostics(state, bank, s, q, record)
+        rec = diagnostics(state, s, q, record)
         for name, (needs, f) in INTEGRALS.items():
             if name in record:
                 f_now = f(*(rec[n] for n in needs))

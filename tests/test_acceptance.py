@@ -8,7 +8,7 @@ do not loosen them here.
 import numpy as np
 import pytest
 
-from strat2d.bands import DyadicBank
+from strat2d.bands import dyadic_bank
 from strat2d.dispersive import (
     diagonalize,
     duhamel_residual,
@@ -53,18 +53,13 @@ def grid64():
     return GridSpec(64)
 
 
-@pytest.fixture(scope="module")
-def bank64(grid64):
-    return DyadicBank(grid64)
-
-
 def test_criterion_01_partition_of_unity():
-    worst = max(DyadicBank(GridSpec(n)).partition_residual() for n in (64, 128, 256))
+    worst = max(dyadic_bank(GridSpec(n)).partition_residual() for n in (64, 128, 256))
     report(1, worst < 1e-12, f"partition-of-unity residual {worst:.2e} < 1e-12 at N=64,128,256")
 
 
-def test_criterion_02_bernstein_exactness(grid64, bank64):
-    rows = verify_bernstein(grid64, trials=100, seed=202, bank=bank64)
+def test_criterion_02_bernstein_exactness(grid64):
+    rows = verify_bernstein(grid64, trials=100, seed=202)
     violations = sum(1 for j, ratio, lo, hi in rows if not lo <= ratio <= hi)
     report(2, len(rows) == 100 and violations == 0,
            f"gradient/field L2 ratio inside [5/8*2^j, 7/4*2^j] for {len(rows)} "
@@ -83,7 +78,6 @@ def test_criterion_03_cancellation_identity(grid64):
 
 def test_criterion_04_energy_identity_and_conservation():
     grid = GridSpec(128)
-    bank = DyadicBank(grid)
     omega0, rho0 = random_spectrum(grid, seed=4, amplitude=1.0, xi_lo=0.5, xi_hi=8.0)
 
     worst_identity = 0.0
@@ -99,7 +93,7 @@ def test_criterion_04_energy_identity_and_conservation():
     drifts = {}
     rho_drift = None
     for kappa in (0.0, 64.0):
-        traj = run(omega0, rho0, kappa, 1.0, cfg, n_samples=6, bank=bank,
+        traj = run(omega0, rho0, kappa, 1.0, cfg, n_samples=6,
                    store_snapshots=(kappa == 0.0))
         e = traj.column("energy")
         drifts[kappa] = abs(e - e[0]).max() / e[0]
@@ -138,12 +132,11 @@ def test_criterion_06_strichartz_kappa_scaling():
     # large box so the cutoff band holds enough modes for genuine dispersive
     # spreading before torus equidistribution sets in
     grid = GridSpec(128, box_scale=8.0)
-    bank = DyadicBank(grid)
     gamma, t_max = 4.0, 0.5
     kappas = [2.0**e for e in range(4, 11)]
     # one pass per packet over every kappa; a column of the table is one kappa
     table = [strichartz_measures(coherent_band_field(grid, seed), kappas, gamma, np.inf,
-                                 t_max, bank=bank) for seed in range(10)]
+                                 t_max) for seed in range(10)]
     means = [float(np.mean([sample.value for sample in column])) for column in zip(*table)]
     slope = fit_slope(kappas, means)
     target = -1.0 / gamma
@@ -153,13 +146,13 @@ def test_criterion_06_strichartz_kappa_scaling():
 
 
 @pytest.fixture(scope="module")
-def picard_setup(grid64, bank64):
+def picard_setup(grid64):
     omega0 = random_field(grid64, seed=7, xi_lo=0.5, xi_hi=2.5, amplitude=1.0, stream=0)
     rho0 = random_field(grid64, seed=7, xi_lo=0.5, xi_hi=2.5, amplitude=1.0, stream=1)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     # measured local time at kappa=0: largest probe time over which the
     # nonlinear solution stays within a factor 2 of its data
-    probe = run(omega0, rho0, 0.0, 0.25, cfg, n_samples=26, bank=bank64)
+    probe = run(omega0, rho0, 0.0, 0.25, cfg, n_samples=26)
     z = probe.column("z")
     t = probe.column("t")
     good = t[z <= 2.0 * z[0]]
@@ -167,11 +160,11 @@ def picard_setup(grid64, bank64):
     return omega0, rho0, cfg, t_local
 
 
-def test_criterion_07_uniform_picard_bound(grid64, bank64, picard_setup):
+def test_criterion_07_uniform_picard_bound(grid64, picard_setup):
     omega0, rho0, cfg, t_local = picard_setup
     traces_by_kappa = {
         kappa: picard_run(omega0, rho0, kappa, t_local, 8, cfg,
-                          n_samples=26, bank=bank64)
+                          n_samples=26)
         for kappa in (0.0, 16.0, 256.0)
     }
     rep = uniformity_report(traces_by_kappa, spread_limit=1.5)
@@ -187,12 +180,12 @@ def test_criterion_07_uniform_picard_bound(grid64, bank64, picard_setup):
            f"at T={t_local}; Cauchy ratios for n>=3 at most {worst_tail_ratio:.3f} <= 0.6")
 
 
-def test_criterion_08_picard_solver_agreement(grid64, bank64, picard_setup):
+def test_criterion_08_picard_solver_agreement(grid64, picard_setup):
     omega0, rho0, cfg, t_local = picard_setup
     kappa = 16.0
     _, states = picard_run(omega0, rho0, kappa, t_local, 8, cfg,
-                           n_samples=26, bank=bank64, return_states=True)
-    traj = run(omega0, rho0, kappa, t_local, cfg, n_samples=26, bank=bank64,
+                           n_samples=26, return_states=True)
+    traj = run(omega0, rho0, kappa, t_local, cfg, n_samples=26,
                store_snapshots=True)
     final_iterate, final_solution = states[-1], traj.snapshots[-1]
 
@@ -200,14 +193,14 @@ def test_criterion_08_picard_solver_agreement(grid64, bank64, picard_setup):
         omega = final_solution.omega * 0.0
         rho = final_solution.rho * 0.0
 
-    num = _difference_norm(final_iterate, final_solution, bank64, 2.0, 1.0)
-    den = _difference_norm(final_solution, _Zero, bank64, 2.0, 1.0)
+    num = _difference_norm(final_iterate, final_solution, 2.0, 1.0)
+    den = _difference_norm(final_solution, _Zero, 2.0, 1.0)
     rel = num / den
     report(8, rel < 1e-3,
            f"final iterate vs nonlinear solver relative distance {rel:.2e} < 1e-3")
 
 
-def test_criterion_09_stabilization_direction(grid64, bank64):
+def test_criterion_09_stabilization_direction(grid64):
     omega0, rho0 = random_spectrum(grid64, alpha=2.5, seed=11, amplitude=15.0,
                                    xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
@@ -215,13 +208,13 @@ def test_criterion_09_stabilization_direction(grid64, bank64):
     lifespans = []
     for kappa in kappas:
         t_life, _ = lifespan(omega0, rho0, kappa, 2.0, 8.0, cfg,
-                             n_samples=81, bank=bank64)
+                             n_samples=81)
         lifespans.append(t_life)
     nondecreasing = all(b >= 0.95 * a for a, b in zip(lifespans, lifespans[1:]))
 
     z_ratio = {}
     for kappa in (0.0, 256.0):
-        traj = run(omega0, rho0, kappa, 1.0, cfg, n_samples=41, bank=bank64)
+        traj = run(omega0, rho0, kappa, 1.0, cfg, n_samples=41)
         z = traj.column("z")
         z_ratio[kappa] = float(z.max() / z[0])
     suppressed = z_ratio[256.0] < z_ratio[0.0]
@@ -246,7 +239,7 @@ def test_criterion_10_estimate_battery():
            + "; ".join(details) + " (all <= 25%)")
 
 
-def test_criterion_11_gronwall_consistency(grid64, bank64):
+def test_criterion_11_gronwall_consistency(grid64):
     omega0, rho0 = random_spectrum(grid64, alpha=2.5, seed=11, amplitude=15.0,
                                    xi_lo=0.5, xi_hi=4.0)
     details = []
@@ -256,7 +249,7 @@ def test_criterion_11_gronwall_consistency(grid64, bank64):
         for dt in (0.004, 0.002):
             traj = run(omega0, rho0, kappa, 0.8,
                        StepperConfig(scheme="ifrk4", dt=dt),
-                       n_samples=41, bank=bank64)
+                       n_samples=41)
             fits.append(gronwall_fit(traj.records))
         change = abs(fits[1] - fits[0]) / fits[1]
         ok = ok and np.isfinite(fits[1]) and fits[1] > 0 and change <= 0.2
@@ -265,19 +258,19 @@ def test_criterion_11_gronwall_consistency(grid64, bank64):
            + "; ".join(details))
 
 
-def test_criterion_12_duhamel_consistency(grid64, bank64):
+def test_criterion_12_duhamel_consistency(grid64):
     omega0, rho0 = random_spectrum(grid64, seed=3, amplitude=0.05,
                                    xi_lo=0.5, xi_hi=4.0)
     kappa = 8.0
     cfg = StepperConfig(scheme="ifrk4", dt=0.005)
-    lin = run(omega0, rho0, kappa, 1.0, cfg, n_samples=41, bank=bank64,
+    lin = run(omega0, rho0, kappa, 1.0, cfg, n_samples=41,
               store_snapshots=True, nonlinear=False)
     lin_res = duhamel_residual(lin, kappa).max()
 
     nl_res = {}
     for n_samples in (41, 81):
         traj = run(omega0, rho0, kappa, 1.0, cfg, n_samples=n_samples,
-                   bank=bank64, store_snapshots=True)
+                   store_snapshots=True)
         nl_res[n_samples] = duhamel_residual(traj, kappa).max()
     reduction = nl_res[41] / nl_res[81]
     ok = lin_res < 1e-10 and nl_res[41] < 1e-4 and reduction >= 4.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strat2d.bands import BesovSpec, DyadicBank, besov_norm
+from strat2d.bands import BesovSpec, besov_norm, dyadic_bank
 from strat2d import dispersive
 from strat2d import grid as grid_module
 from strat2d.dispersive import (
@@ -43,7 +43,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def bank(grid):
-    return DyadicBank(grid)
+    return dyadic_bank(grid)
 
 
 def test_semigroup_axis_mode_half_period(grid):
@@ -108,14 +108,14 @@ def test_strichartz_admissibility():
         StrichartzSample(kappa=1.0, gamma=4.0, r=2.0, t_max=1.0, nodes=10, value=1.0)
 
 
-def test_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, monkeypatch):
+def test_strichartz_refuses_inadmissible_pair_before_any_node(grid, monkeypatch):
     def no_node(*args, **kwargs):
         raise AssertionError("a time node was evaluated")
 
     monkeypatch.setattr(dispersive, "sample_lp_norms", no_node)
     f = coherent_band_field(grid, seed=0)
     with pytest.raises(ValueError, match="inadmissible"):
-        strichartz_measure(f, 16.0, 4.0, 4.0, 0.5, bank=bank)
+        strichartz_measure(f, 16.0, 4.0, 4.0, 0.5)
     assert not admissible(4.0, 4.0) and admissible(4.0, np.inf) and admissible(8.0, 4.0)
 
 
@@ -126,28 +126,27 @@ def test_strichartz_r2_analytic(grid, bank):
     f = coherent_band_field(grid, seed=0, xi_center=1.15)
     cut = SpectralField(grid, bank.psi_hat(0) * f.coeffs)
     for kappa in (4.0, 64.0):
-        sample = strichartz_measure(f, kappa, np.inf, 2.0, 0.5, bank=bank)
+        sample = strichartz_measure(f, kappa, np.inf, 2.0, 0.5)
         assert abs(sample.value - lp_norm(cut, 2)) < 1e-12 * lp_norm(cut, 2)
 
 
-def test_strichartz_node_refinement(grid, bank):
+def test_strichartz_node_refinement(grid):
     f = coherent_band_field(grid, seed=1)
     kappa = 32.0
-    base = strichartz_measure(f, kappa, 4.0, np.inf, 0.5, bank=bank)
-    fine = strichartz_measure(f, kappa, 4.0, np.inf, 0.5, nodes=2 * base.nodes,
-                              bank=bank)
+    base = strichartz_measure(f, kappa, 4.0, np.inf, 0.5)
+    fine = strichartz_measure(f, kappa, 4.0, np.inf, 0.5, nodes=2 * base.nodes)
     assert abs(fine.value - base.value) < 0.005 * base.value
 
 
-def test_strichartz_node_spacing_guard(grid, bank):
+def test_strichartz_node_spacing_guard(grid):
     f = coherent_band_field(grid, seed=2)
     with pytest.raises(ValueError):
-        strichartz_measure(f, 100.0, 4.0, np.inf, 1.0, nodes=10, bank=bank)
+        strichartz_measure(f, 100.0, 4.0, np.inf, 1.0, nodes=10)
 
 
-def test_strichartz_gamma_infinity(grid, bank):
+def test_strichartz_gamma_infinity(grid):
     f = coherent_band_field(grid, seed=3)
-    sample = strichartz_measure(f, 16.0, np.inf, np.inf, 0.5, bank=bank)
+    sample = strichartz_measure(f, 16.0, np.inf, np.inf, 0.5)
     # sup over nodes of a bounded quantity
     assert 0 < sample.value <= lp_norm(f, np.inf) * 1.5
 
@@ -164,7 +163,7 @@ def test_strichartz_matches_per_node_reference(grid, bank, r, gamma, sign, cutof
     kappa, t_max, nodes = 16.0, 0.5, 35
     assert nodes % NODE_BLOCK  # the last block is partial
     sample = strichartz_measure(f, kappa, gamma, r, t_max, nodes=nodes,
-                                cutoff_hat=cutoff_hat, bank=bank, sign=sign)
+                                cutoff_hat=cutoff_hat, sign=sign)
     # the per-node loop: one propagated copy of f, transformed on its own
     times = np.linspace(0.0, t_max, nodes)
     vals = np.array([
@@ -193,10 +192,9 @@ LADDER = [2.0**e for e in range(4, 8)]
     ([16.0, -16.0, 32.0, 16.0], 0.5),  # +-kappa and a repeat
 ])
 def test_strichartz_measures_equal_one_kappa_measurements(wide_grid, kappas, t_max, gamma, r):
-    bank = DyadicBank(wide_grid)
     f = coherent_band_field(wide_grid, seed=3)
-    samples = strichartz_measures(f, kappas, gamma, r, t_max, bank=bank)
-    assert samples == [strichartz_measure(f, kappa, gamma, r, t_max, bank=bank)
+    samples = strichartz_measures(f, kappas, gamma, r, t_max)
+    assert samples == [strichartz_measure(f, kappa, gamma, r, t_max)
                        for kappa in kappas]
 
 
@@ -219,7 +217,7 @@ def test_strichartz_measures_synthesize_each_phase_argument_once(wide_grid, monk
 
     monkeypatch.setattr(dispersive, "SupportSynthesis", Counting)
     f = coherent_band_field(wide_grid, seed=0)
-    samples = strichartz_measures(f, kappas, 4.0, np.inf, t_max, bank=DyadicBank(wide_grid))
+    samples = strichartz_measures(f, kappas, 4.0, np.inf, t_max)
     assert sum(synthesized) == syntheses < sum(sample.nodes for sample in samples)
 
 
@@ -229,34 +227,34 @@ def test_strichartz_empty_support_is_zero(grid, bank, r):
     f = SpectralField(grid, bank.psi_hat(0) * coherent_band_field(grid, seed=0).coeffs)
     cutoff_hat = bank.psi_hat(bank.j_max)
     assert np.any(f.coeffs) and not np.any(cutoff_hat * f.coeffs)
-    sample = strichartz_measure(f, 16.0, 8.0, r, 0.5, cutoff_hat=cutoff_hat, bank=bank)
+    sample = strichartz_measure(f, 16.0, 8.0, r, 0.5, cutoff_hat=cutoff_hat)
     assert sample.value == 0.0
 
 
-def test_strichartz_mean_guard(grid, bank):
+def test_strichartz_mean_guard(grid):
     f = coherent_band_field(grid, seed=8).with_mean(0.3)
     with pytest.raises(NonzeroMeanError):
-        strichartz_measure(f, 16.0, 4.0, np.inf, 0.5, bank=bank)
+        strichartz_measure(f, 16.0, 4.0, np.inf, 0.5)
 
 
-def test_strichartz_hermitian_guard(grid, bank):
+def test_strichartz_hermitian_guard(grid):
     # random data is not Hermitian along the self-conjugate columns k2 = 0, n/2
     rng = np.random.default_rng(12)
     c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     c[0, 0] = 0.0
     with pytest.raises(HermitianSymmetryError):
-        strichartz_measure(SpectralField(grid, c), 16.0, 4.0, np.inf, 0.5, bank=bank)
+        strichartz_measure(SpectralField(grid, c), 16.0, 4.0, np.inf, 0.5)
 
 
-def test_besov_strichartz_validation(grid, bank):
+def test_besov_strichartz_validation(grid):
     f = coherent_band_field(grid, seed=4)
     with pytest.raises(ValueError):
-        besov_strichartz_measure(f, 16.0, 8.0, np.inf, 4.0, 0.0, 0.5, bank=bank)
+        besov_strichartz_measure(f, 16.0, 8.0, np.inf, 4.0, 0.0, 0.5)
     with pytest.raises(ValueError, match="sign"):
-        besov_strichartz_measure(f, 16.0, 4.0, np.inf, 4.0, 0.0, 0.5, bank=bank, sign=2)
+        besov_strichartz_measure(f, 16.0, 4.0, np.inf, 4.0, 0.0, 0.5, sign=2)
 
 
-def test_besov_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, monkeypatch):
+def test_besov_strichartz_refuses_inadmissible_pair_before_any_node(grid, monkeypatch):
     def no_node(*args, **kwargs):
         raise AssertionError("a time node was evaluated")
 
@@ -265,14 +263,14 @@ def test_besov_strichartz_refuses_inadmissible_pair_before_any_node(grid, bank, 
     monkeypatch.setattr(grid_module, "sample_lp_norms", no_node)
     f = coherent_band_field(grid, seed=4)
     with pytest.raises(ValueError, match="inadmissible"):
-        besov_strichartz_measure(f, 16.0, 4.0, 4.0, 4.0, 0.0, 0.5, bank=bank)
+        besov_strichartz_measure(f, 16.0, 4.0, 4.0, 4.0, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("data", ["packet", "noise"])
 @pytest.mark.parametrize("sign", SIGNS)
 @pytest.mark.parametrize("r, gamma, q", [(np.inf, 4.0, 4.0), (4.0, 8.0, 8.0),
                                          (np.inf, 4.0, np.inf)])
-def test_besov_strichartz_matches_per_node_reference(grid, bank, r, gamma, q, sign, data):
+def test_besov_strichartz_matches_per_node_reference(grid, r, gamma, q, sign, data):
     if data == "packet":
         f = coherent_band_field(grid, seed=7)
     else:
@@ -280,20 +278,19 @@ def test_besov_strichartz_matches_per_node_reference(grid, bank, r, gamma, q, si
         f = dealias(forward_transform(grid, noise)).drop_mean()
     kappa, s, t_max, nodes = 16.0, 0.5, 0.5, 35
     assert nodes % NODE_BLOCK  # the last block is partial
-    sample = besov_strichartz_measure(f, kappa, gamma, r, q, s, t_max, nodes=nodes,
-                                      bank=bank, sign=sign)
+    sample = besov_strichartz_measure(f, kappa, gamma, r, q, s, t_max, nodes=nodes, sign=sign)
     # the per-node loop: the Besov norm of each propagated copy of f
     spec = BesovSpec(s=s, p=r, q=q, homogeneous=True)
     times = np.linspace(0.0, t_max, nodes)
-    vals = np.array([besov_norm(semigroup_apply(f, t, kappa, sign), spec, bank) for t in times])
+    vals = np.array([besov_norm(semigroup_apply(f, t, kappa, sign), spec) for t in times])
     expected = np.trapezoid(vals**gamma, times) ** (1.0 / gamma)
     assert abs(sample.value - expected) < 1e-12 * expected
 
 
-def test_besov_strichartz_sign_symmetry(grid, bank):
+def test_besov_strichartz_sign_symmetry(grid):
     f = coherent_band_field(grid, seed=5)
-    a = besov_strichartz_measure(f, 16.0, 4.0, np.inf, 4.0, 0.0, 0.5, bank=bank)
-    b = besov_strichartz_measure(f, -16.0, 4.0, np.inf, 4.0, 0.0, 0.5, bank=bank)
+    a = besov_strichartz_measure(f, 16.0, 4.0, np.inf, 4.0, 0.0, 0.5)
+    b = besov_strichartz_measure(f, -16.0, 4.0, np.inf, 4.0, 0.0, 0.5)
     assert abs(a.value - b.value) < 1e-10 * a.value
 
 
@@ -303,8 +300,8 @@ def test_besov_strichartz_single_band_reduction(grid, bank):
     # norm of the data itself
     f = coherent_band_field(grid, seed=6)
     cut = SpectralField(grid, bank.psi_hat(0) * f.coeffs)
-    a = besov_strichartz_measure(cut, 16.0, np.inf, 2.0, np.inf, 0.0, 0.5, bank=bank)
-    expected = besov_norm(cut, BesovSpec(0.0, 2.0, np.inf), bank)
+    a = besov_strichartz_measure(cut, 16.0, np.inf, 2.0, np.inf, 0.0, 0.5)
+    expected = besov_norm(cut, BesovSpec(0.0, 2.0, np.inf))
     assert abs(a.value - expected) < 1e-10 * expected
 
 
@@ -315,11 +312,11 @@ def test_fit_slope_needs_six_points():
     assert abs(slope + 0.5) < 1e-12
 
 
-def test_duhamel_linear_run(grid, bank):
+def test_duhamel_linear_run(grid):
     omega, rho = random_spectrum(grid, seed=3, amplitude=0.05, xi_lo=0.5, xi_hi=4.0)
     kappa = 8.0
     traj = run(omega, rho, kappa, 1.0, StepperConfig(scheme="ifrk4", dt=0.005),
-               n_samples=21, bank=bank, store_snapshots=True, nonlinear=False)
+               n_samples=21, store_snapshots=True, nonlinear=False)
     rp = duhamel_residual(traj, kappa, +1)
     rm = duhamel_residual(traj, kappa, -1)
     assert rp.max() < 1e-10
@@ -327,10 +324,10 @@ def test_duhamel_linear_run(grid, bank):
     assert np.abs(rp - rm).max() < 1e-10
 
 
-def test_duhamel_snapshot_spacing_guard(grid, bank):
+def test_duhamel_snapshot_spacing_guard(grid):
     omega, rho = random_spectrum(grid, seed=3, amplitude=0.05, xi_lo=0.5, xi_hi=4.0)
     traj = run(omega, rho, 64.0, 1.0, StepperConfig(scheme="ifrk4", dt=0.005),
-               n_samples=5, bank=bank, store_snapshots=True)
+               n_samples=5, store_snapshots=True)
     with pytest.raises(ValueError):
         duhamel_residual(traj, 64.0)
     # a sign outside SIGNS is refused, also where the spacing passes

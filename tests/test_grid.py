@@ -11,7 +11,7 @@ from strat2d.errors import (
     NonzeroMeanError,
 )
 from strat2d import grid as grid_module
-from strat2d.bands import BesovSpec, DyadicBank, besov_norm
+from strat2d.bands import BesovSpec, besov_norm, dyadic_bank
 from strat2d.grid import (
     GridSpec,
     SpectralField,
@@ -564,7 +564,7 @@ def test_coefficient_norm_matches_linalg(grid):
 
 
 def test_besov_guard_scaled_by_whole_field(grid):
-    bank = DyadicBank(grid)
+    bank = dyadic_bank(grid)
     x1, _ = grid.meshgrid()
     c = forward_transform(grid, np.cos(x1)).coeffs
     # round-off-sized content in the top band on the self-conjugate column
@@ -573,10 +573,10 @@ def test_besov_guard_scaled_by_whole_field(grid):
     top = np.argmax(bank.psi_hat(bank.j_max)[:, 0])
     c[top, 0] += 1e-13
     spec = BesovSpec(s=0.0, p=np.inf, q=1.0)
-    assert besov_norm(SpectralField(grid, c), spec, bank) > 0
+    assert besov_norm(SpectralField(grid, c), spec) > 0
     c[top, 0] += 1e-3
     with pytest.raises(HermitianSymmetryError):
-        besov_norm(SpectralField(grid, c), spec, bank)
+        besov_norm(SpectralField(grid, c), spec)
 
 
 def test_hermitian_check_reads_only_the_self_conjugate_columns(grid):

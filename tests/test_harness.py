@@ -464,6 +464,29 @@ def test_cli_override(tmp_path):
     # or overflows (an OverflowError in every member)
     {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 1e-200}},
     {"kind": "simulate", "initial_data": {"name": "gaussian-bump", "width": 1e200}},
+    # infinite values, written and read back as JSON's Infinity: simulate
+    # used to pass with each member taking no step (t_final, dt) or end every
+    # member non_finite (s), lifespan-sweep to pass (t_max, threshold),
+    # strichartz to end every member in an OverflowError, verify-estimates
+    # to fail its flag
+    {"kind": "simulate", "t_final": float("inf")},
+    {"kind": "simulate", "dt": float("inf")},
+    {"kind": "simulate", "s": float("inf")},
+    {"kind": "lifespan-sweep", "t_max": float("inf")},
+    {"kind": "lifespan-sweep", "threshold": float("inf")},
+    {"kind": "strichartz", "window": float("inf")},
+    {"kind": "verify-estimates", "alpha": float("inf")},
+    {"kind": "picard", "spread_limit": float("inf")},
+    # an integer beyond the doubles: every member used to end in a UFuncTypeError
+    {"kind": "simulate", "t_final": 10**400},
+    # a spread limit that the spread max / min >= 1 can never be under
+    {"kind": "picard", "spread_limit": 1.0},
+    {"kind": "picard", "spread_limit": -1.0},
+    # a strichartz grid without band 0, which its packets are measured in:
+    # bands [1, 3] (every member used to end in a ValueError), and [6, 9],
+    # where the packet's spectrum underflows (a ZeroDivisionError)
+    {"kind": "strichartz", "grid": {"n": 32, "box_scale": 0.5}},
+    {"kind": "strichartz", "grid": {"n": 32, "box_scale": 0.01}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, change):
     path = write_config(tmp_path / "cfg.json",
@@ -471,7 +494,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, change):
                          "output_dir": str(tmp_path / "out"), **change})
     command = {kind: verb for verb, kind in SUBCOMMANDS.items()}[change.get("kind", "bands")]
     assert cli_main([command, "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 
@@ -570,7 +594,7 @@ def test_readme_subcommand_table_lists_every_kind():
     table = readme.split("| subcommand |", 1)[1].split("\n\n", 1)[0]
     verbs = [line.split("|")[1].strip().strip("`") for line in table.splitlines()
              if line.startswith("| `")]
-    assert sorted(verbs) == sorted(verb for verb, *_ in harness.KINDS.values())
+    assert sorted(verbs) == sorted(verb for verb, _ in harness.KINDS.values())
 
 
 def test_readme_simulate_at_n128(tmp_path):
@@ -822,6 +846,13 @@ def test_cli_config_mistakes_exit_2_without_a_traceback(tmp_path, capsys, conten
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["q", "gamma", "r"])
+def test_an_exponent_may_be_infinite(tmp_path, key):
+    small_config("simulate", tmp_path, **{key: np.inf}).validate()
+    with pytest.raises(ConfigError):
+        small_config("simulate", tmp_path, **{key: -np.inf}).validate()
 
 
 def test_lifespan_flag_judged_within_each_seed():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strat2d import solver
-from strat2d.bands import BesovSpec, DyadicBank, besov_norm, intersection_norm
+from strat2d.bands import BesovSpec, besov_norm, intersection_norm
 from strat2d import picard
 from strat2d.dispersive import diagonalize, semigroup_apply
 from strat2d.errors import Strat2dError
@@ -39,11 +39,6 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def bank(grid):
-    return DyadicBank(grid)
-
-
-@pytest.fixture(scope="module")
 def smooth_data(grid):
     omega = random_field(grid, seed=7, xi_lo=0.5, xi_hi=2.5, amplitude=1.0, stream=0)
     rho = random_field(grid, seed=7, xi_lo=0.5, xi_hi=2.5, amplitude=1.0, stream=1)
@@ -54,39 +49,39 @@ def zero_field(grid):
     return SpectralField(grid, np.zeros(grid.shape, dtype=complex))
 
 
-def test_mollify_low_data_unchanged(grid, bank, smooth_data):
+def test_mollify_low_data_unchanged(grid, smooth_data):
     omega, rho = smooth_data  # spectrum inside |xi| <= 2.5, S_2 plateau is |xi| <= 5
-    om, rh = mollify_initial(omega, rho, 0, bank)
+    om, rh = mollify_initial(omega, rho, 0)
     assert np.abs(om.coeffs - omega.coeffs).max() < 1e-14
     assert np.abs(rh.coeffs - rho.coeffs).max() < 1e-14
 
 
-def test_mollify_removes_high_mode(grid, bank):
+def test_mollify_removes_high_mode(grid):
     x1, _ = grid.meshgrid()
     omega = forward_transform(grid, np.cos(9 * x1))  # above the S_2 support 7/4*4 = 7
-    om, _ = mollify_initial(omega, zero_field(grid), 0, bank)
+    om, _ = mollify_initial(omega, zero_field(grid), 0)
     assert om.coefficient_norm() < 1e-14
 
 
-def test_mollify_keeps_density_mean(grid, bank):
+def test_mollify_keeps_density_mean(grid):
     rho = forward_transform(grid, np.full((grid.n, grid.n), 2.0))
-    _, rh = mollify_initial(zero_field(grid), rho, 3, bank)
+    _, rh = mollify_initial(zero_field(grid), rho, 3)
     assert abs(rh.mean - 2.0) < 1e-14
     with pytest.raises(ValueError):
-        mollify_initial(zero_field(grid), rho, -1, bank)
+        mollify_initial(zero_field(grid), rho, -1)
 
 
-def test_mollify_near_contraction(grid, bank):
+def test_mollify_near_contraction(grid):
     # the low-pass multiplier is in [0, 1], so the data norm cannot grow
     omega = random_field(grid, seed=13, xi_lo=0.5, xi_hi=8.0)
     rho = random_field(grid, seed=14, xi_lo=0.5, xi_hi=8.0)
-    base = intersection_norm(omega, 1.0, 1.0, bank) + besov_norm(
-        rho, BesovSpec(s=2.0, q=1.0, homogeneous=False), bank
+    base = intersection_norm(omega, 1.0, 1.0) + besov_norm(
+        rho, BesovSpec(s=2.0, q=1.0, homogeneous=False)
     )
     for n in range(4):
-        om, rh = mollify_initial(omega, rho, n, bank)
-        moll = intersection_norm(om, 1.0, 1.0, bank) + besov_norm(
-            rh, BesovSpec(s=2.0, q=1.0, homogeneous=False), bank
+        om, rh = mollify_initial(omega, rho, n)
+        moll = intersection_norm(om, 1.0, 1.0) + besov_norm(
+            rh, BesovSpec(s=2.0, q=1.0, homogeneous=False)
         )
         assert moll <= (1.0 + 0.01) * base
 
@@ -129,14 +124,14 @@ def test_frozen_velocity_interpolation(grid):
             frozen(0.3)
 
 
-def test_linear_solve_zero_velocity_matches_semigroup(grid, bank, smooth_data):
+def test_linear_solve_zero_velocity_matches_semigroup(grid, smooth_data):
     omega0, rho0 = smooth_data
     kappa = 24.0
     still = VectorField(zero_field(grid), zero_field(grid))
     frozen = lambda t: still
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traj = linear_solve(frozen, omega0, rho0, kappa, 1.0, cfg,
-                        n_samples=3, bank=bank, store_snapshots=True)
+                        n_samples=3, store_snapshots=True)
     vp0, _ = diagonalize(omega0, rho0)
     vpT = semigroup_apply(vp0, 1.0, kappa, +1)
     vp1, _ = diagonalize(traj.snapshots[-1].omega, traj.snapshots[-1].rho)
@@ -144,7 +139,7 @@ def test_linear_solve_zero_velocity_matches_semigroup(grid, bank, smooth_data):
     assert err < 1e-10
 
 
-def test_linear_solve_steady_shear_conserves_density(grid, bank):
+def test_linear_solve_steady_shear_conserves_density(grid):
     # kappa = 0 with a frozen steady shear: rho is purely transported
     _, x2 = grid.meshgrid()
     shear = VectorField(forward_transform(grid, np.sin(x2)), zero_field(grid))
@@ -152,45 +147,45 @@ def test_linear_solve_steady_shear_conserves_density(grid, bank):
     rho0 = random_field(grid, seed=30, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="rk4", dt=2e-3)
     traj = linear_solve(frozen, zero_field(grid), rho0, 0.0, 0.5, cfg,
-                        n_samples=3, bank=bank, store_snapshots=True)
+                        n_samples=3, store_snapshots=True)
     final = traj.snapshots[-1].rho
     assert abs(lp_norm(final, 2) - lp_norm(rho0, 2)) < 1e-8 * lp_norm(rho0, 2)
 
 
-def test_picard_zero_data(grid, bank):
+def test_picard_zero_data(grid):
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traces = picard_run(zero_field(grid), zero_field(grid), 8.0, 0.1, 2, cfg,
-                        n_samples=6, bank=bank)
+                        n_samples=6)
     assert all(tr.sup_a == 0.0 for tr in traces)
     assert all(tr.sup_a_bar == 0.0 for tr in traces if tr.a_bar is not None)
     with pytest.raises(ValueError):
-        picard_run(zero_field(grid), zero_field(grid), 8.0, 0.1, 0, cfg, bank=bank)
+        picard_run(zero_field(grid), zero_field(grid), 8.0, 0.1, 0, cfg)
 
 
-def test_picard_uniform_bound_and_decay(grid, bank, smooth_data):
+def test_picard_uniform_bound_and_decay(grid, smooth_data):
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    traces = picard_run(omega0, rho0, 16.0, 0.25, 6, cfg, n_samples=26, bank=bank)
+    traces = picard_run(omega0, rho0, 16.0, 0.25, 6, cfg, n_samples=26)
     a0 = traces[0].a0
     assert max(tr.sup_a for tr in traces) <= 1.2 * a0
     ratios = cauchy_ratios(traces)
     assert np.all(ratios[2:] <= 0.6)
 
 
-def test_picard_deterministic(grid, bank, smooth_data):
+def test_picard_deterministic(grid, smooth_data):
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.02)
-    t1 = picard_run(omega0, rho0, 4.0, 0.1, 2, cfg, n_samples=6, bank=bank)
-    t2 = picard_run(omega0, rho0, 4.0, 0.1, 2, cfg, n_samples=6, bank=bank)
+    t1 = picard_run(omega0, rho0, 4.0, 0.1, 2, cfg, n_samples=6)
+    t2 = picard_run(omega0, rho0, 4.0, 0.1, 2, cfg, n_samples=6)
     for a, b in zip(t1, t2):
         assert np.array_equal(a.a, b.a)
 
 
-def test_uniformity_report(grid, bank, smooth_data):
+def test_uniformity_report(grid, smooth_data):
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     traces_by_kappa = {
-        kappa: picard_run(omega0, rho0, kappa, 0.2, 3, cfg, n_samples=11, bank=bank)
+        kappa: picard_run(omega0, rho0, kappa, 0.2, 3, cfg, n_samples=11)
         for kappa in (0.0, 16.0)
     }
     rep = uniformity_report(traces_by_kappa)
@@ -199,7 +194,7 @@ def test_uniformity_report(grid, bank, smooth_data):
     assert isinstance(rep["pass"], bool)
 
 
-def test_frozen_sampling_refinement(grid, bank, smooth_data):
+def test_frozen_sampling_refinement(grid, smooth_data):
     # doubling the stored-velocity sampling density changes the difference
     # traces by well under 1%
     omega0, rho0 = smooth_data
@@ -207,23 +202,23 @@ def test_frozen_sampling_refinement(grid, bank, smooth_data):
     sups = []
     for n_samples in (11, 21):
         traces = picard_run(omega0, rho0, 16.0, 0.2, 3, cfg,
-                            n_samples=n_samples, bank=bank)
+                            n_samples=n_samples)
         sups.append(traces[-1].sup_a_bar)
     assert abs(sups[1] - sups[0]) < 0.01 * max(sups)
 
 
-def test_frozen_sampling_refinement_at_kappa_256(grid, bank, smooth_data):
+def test_frozen_sampling_refinement_at_kappa_256(grid, smooth_data):
     # the same refinement where the phases turn by up to 5 radians per sample
     # interval at 11 samples: the Lawson-frame interpolant moves sup A-bar_3
     # by 0.6%, where a lab-frame spline of (u1, u2) moved it by 61%
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    sups = [picard_run(omega0, rho0, 256.0, 0.2, 3, cfg, n_samples=n_samples,
-                       bank=bank)[-1].sup_a_bar for n_samples in (11, 21)]
+    sups = [picard_run(omega0, rho0, 256.0, 0.2, 3, cfg, n_samples=n_samples)[-1].sup_a_bar
+            for n_samples in (11, 21)]
     assert abs(sups[1] - sups[0]) < 0.02 * max(sups)
 
 
-def test_frozen_velocity_follows_the_linear_flow_at_large_kappa(grid, bank, smooth_data):
+def test_frozen_velocity_follows_the_linear_flow_at_large_kappa(grid, smooth_data):
     # under the linear flow W+- stay put, so between six knots the frozen
     # velocity is the Biot-Savart velocity of the semigroup-applied data to
     # the phases' round-off (kappa t eps = 2.3e-13 at t = 0.25), though it
@@ -232,7 +227,7 @@ def test_frozen_velocity_follows_the_linear_flow_at_large_kappa(grid, bank, smoo
     omega0, rho0 = smooth_data
     kappa = 4096.0
     traj = run(omega0, rho0, kappa, 0.25, StepperConfig(scheme="ifrk4", dt=0.01), n_samples=6,
-               bank=bank, store_snapshots=True, nonlinear=False, record=("t", "z"))
+               store_snapshots=True, nonlinear=False, record=("t", "z"))
     frozen = FrozenVelocity(traj.snapshots)
     vp, vm = diagonalize(traj.snapshots[0].omega, traj.snapshots[0].rho)
     for t in [0.013, 0.07, 0.1234, 0.2, 0.2409]:
@@ -242,21 +237,21 @@ def test_frozen_velocity_follows_the_linear_flow_at_large_kappa(grid, bank, smoo
 
 
 @pytest.mark.parametrize("kappa", [1024.0, 4096.0])
-def test_picard_agrees_with_the_solver_at_large_kappa(grid, bank, smooth_data, kappa):
+def test_picard_agrees_with_the_solver_at_large_kappa(grid, smooth_data, kappa):
     # criterion 8's comparison (its data, T = 0.25 its measured local time,
     # 26 samples, 8 iterates) where the phases turn by 10 and 41 radians per
     # sample interval.  Measured: 1.5e-6 and 2.1e-6; a lab-frame spline of
     # (u1, u2) left 2.9e-3 and 2.4e-3
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    _, states = picard_run(omega0, rho0, kappa, 0.25, 8, cfg, n_samples=26, bank=bank,
+    _, states = picard_run(omega0, rho0, kappa, 0.25, 8, cfg, n_samples=26,
                            return_states=True)
-    traj = run(omega0, rho0, kappa, 0.25, cfg, n_samples=26, bank=bank, store_snapshots=True,
+    traj = run(omega0, rho0, kappa, 0.25, cfg, n_samples=26, store_snapshots=True,
                record=("t", "z"))
     solution = traj.snapshots[-1]
     zero = types.SimpleNamespace(omega=solution.omega * 0.0, rho=solution.rho * 0.0)
-    distance = _difference_norm(states[-1], solution, bank, 2.0, 1.0)
-    assert distance < 1e-5 * _difference_norm(solution, zero, bank, 2.0, 1.0)
+    distance = _difference_norm(states[-1], solution, 2.0, 1.0)
+    assert distance < 1e-5 * _difference_norm(solution, zero, 2.0, 1.0)
 
 
 with open(Path(__file__).parent / "data" / "picard_n32.json") as fh:
@@ -352,14 +347,14 @@ def test_frozen_velocity_on_its_support_matches_the_full_width_interpolant(grid,
                               np.stack(want.samples()).view(np.uint64)), t
 
 
-def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid, bank,
+def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid,
                                                                         smooth_data):
     # at each knot the frame interpolant gives back the snapshot's velocity,
     # up to the round-off of turning it out of the lab frame and back
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     u0 = biot_savart(omega0)
-    traj = linear_solve(lambda t: u0, omega0, rho0, 16.0, 0.05, cfg, n_samples=6, bank=bank,
+    traj = linear_solve(lambda t: u0, omega0, rho0, 16.0, 0.05, cfg, n_samples=6,
                         store_snapshots=True)
     frozen = FrozenVelocity(traj.snapshots)
     assert frozen._w.shape[-1] == grid.dealiased_columns
@@ -367,7 +362,7 @@ def test_frozen_velocity_from_trajectory_is_biot_savart_of_the_snapshots(grid, b
         assert _relative_gap(frozen(s.t), biot_savart(s.omega)) < 1e-14, s.t
 
 
-def test_picard_run_keeps_one_frozen_velocity_alive(grid, bank, smooth_data, monkeypatch):
+def test_picard_run_keeps_one_frozen_velocity_alive(grid, smooth_data, monkeypatch):
     # the previous iterate's frozen velocity is collected before the next one is fitted
     fitted, alive = [], []
     fit = FrozenVelocity.__init__
@@ -380,21 +375,21 @@ def test_picard_run_keeps_one_frozen_velocity_alive(grid, bank, smooth_data, mon
     monkeypatch.setattr(FrozenVelocity, "__init__", tracked)
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    picard_run(omega0, rho0, 16.0, 0.05, 3, cfg, n_samples=3, bank=bank)
+    picard_run(omega0, rho0, 16.0, 0.05, 3, cfg, n_samples=3)
     assert len(alive) >= 2 and not any(alive)
 
 
-def test_linear_solve_evaluates_each_stage_time_once(grid, bank, smooth_data, monkeypatch):
+def test_linear_solve_evaluates_each_stage_time_once(grid, smooth_data, monkeypatch):
     omega0, rho0 = smooth_data
     frozen = FrozenVelocity(_varied_states(grid, np.linspace(0.0, 0.1, 6), 8.0))
     seen = _counting_rephase(monkeypatch)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    linear_solve(frozen, omega0, rho0, 8.0, 0.1, cfg, n_samples=6, bank=bank)
+    linear_solve(frozen, omega0, rho0, 8.0, 0.1, cfg, n_samples=6)
     # 10 steps ask for 40 stage times; 21 of them are distinct
     assert len(seen) == len(set(seen)) == 21
 
 
-def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypatch):
+def test_picard_runs_without_full_diagnostics(grid, smooth_data, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("picard_run computed a functional other than z")
 
@@ -403,17 +398,17 @@ def test_picard_runs_without_full_diagnostics(grid, bank, smooth_data, monkeypat
             monkeypatch.setitem(solver.FUNCTIONALS, columns, refuse)
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3, bank=bank)
+    traces = picard_run(omega0, rho0, 16.0, 0.05, 2, cfg, n_samples=3)
     assert len(traces) == 3 and all(np.isfinite(tr.a).all() for tr in traces)
 
 
-def test_picard_keeps_hermitian_symmetry_exactly(grid, bank, smooth_data):
+def test_picard_keeps_hermitian_symmetry_exactly(grid, smooth_data):
     # the iterates and the frozen velocity interpolated between their samples
     # (real weights of Hermitian slow variables, turned by phases odd in xi)
     # are Hermitian to the last bit
     omega0, rho0 = smooth_data
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    _, snaps = picard_run(omega0, rho0, 16.0, 0.1, 2, cfg, n_samples=6, bank=bank,
+    _, snaps = picard_run(omega0, rho0, 16.0, 0.1, 2, cfg, n_samples=6,
                           return_states=True)
     frozen = FrozenVelocity(snaps)
     velocities = [frozen(t) for t in np.linspace(0.0, 0.1, 37)]

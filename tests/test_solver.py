@@ -7,7 +7,7 @@ import pytest
 
 from strat2d import grid as grid_module
 from strat2d import solver
-from strat2d.bands import DyadicBank, besov_norm
+from strat2d.bands import besov_norm
 from strat2d.dispersive import diagonalize
 from strat2d.errors import BlowupSuspectedError, HermitianSymmetryError, NonzeroMeanError
 from strat2d.fields import random_spectrum, taylor_green
@@ -48,11 +48,6 @@ from strat2d.solver import (
 @pytest.fixture(scope="module")
 def grid():
     return GridSpec(64)
-
-
-@pytest.fixture(scope="module")
-def bank(grid):
-    return DyadicBank(grid)
 
 
 def zero_field(grid):
@@ -161,7 +156,7 @@ def test_grad_inf_euclidean_and_frobenius(grid):
     assert grad_inf(u.u1, u.u2) == float(np.sqrt(sum(p**2 for p in parts)).max())
 
 
-def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid, bank):
+def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid):
     # a record transforms its six gradient slices in one call and
     # diagonalizes the state once, and reads the per-field values bit for bit
     omega, rho = random_spectrum(grid, seed=6, xi_lo=0.5, xi_hi=8.0)
@@ -176,18 +171,18 @@ def test_record_shares_its_transforms_bit_for_bit(monkeypatch, grid, bank):
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(solver, name, counting)
-    rec = solver.diagnostics(SimState(omega, rho, 0.0, 8.0), bank, 2.0, 1.0, COLUMNS)
+    rec = solver.diagnostics(SimState(omega, rho, 0.0, 8.0), 2.0, 1.0, COLUMNS)
     assert calls == {"_samples": 1, "diagonal_stack": 1}
     assert rec["grad_rho_inf"] == float(np.sqrt(sum(p**2 for p in rho_parts)).max())
     assert rec["grad_u_inf"] == float(np.sqrt(sum(p**2 for p in u_parts)).max())
-    assert rec["vplus_band_norm"] == besov_norm(vplus, spec, bank)
-    assert rec["vminus_band_norm"] == besov_norm(vminus, spec, bank)
+    assert rec["vplus_band_norm"] == besov_norm(vplus, spec)
+    assert rec["vminus_band_norm"] == besov_norm(vminus, spec)
 
 
-def test_a_record_keeps_nothing_on_the_state_but_its_velocity(grid, bank):
+def test_a_record_keeps_nothing_on_the_state_but_its_velocity(grid):
     omega, rho = random_spectrum(grid, seed=6, xi_lo=0.5, xi_hi=8.0)
     state = SimState(omega, rho, 0.0, 8.0)
-    solver.diagnostics(state, bank, 2.0, 1.0, COLUMNS)
+    solver.diagnostics(state, 2.0, 1.0, COLUMNS)
     assert set(vars(state)) == {"omega", "rho", "t", "kappa", "_own_velocity"}
 
 
@@ -220,44 +215,44 @@ def test_time_step_convergence_order(grid):
         assert order >= 3.7, f"{scheme}: observed order {order}"
 
 
-def test_run_zero_data(grid, bank):
+def test_run_zero_data(grid):
     z = zero_field(grid)
     cfg = StepperConfig(scheme="rk4", dt=0.01)
-    traj = run(z, z, 5.0, 0.1, cfg, n_samples=3, bank=bank)
+    traj = run(z, z, 5.0, 0.1, cfg, n_samples=3)
     assert traj.status == "ok"
     assert all(r["energy"] == 0.0 for r in traj.records)
     assert all(r["z"] == 0.0 for r in traj.records)
 
 
-def test_run_records_full_diagnostics_by_default(grid, bank):
+def test_run_records_full_diagnostics_by_default(grid):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    traj = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
+    traj = run(omega, rho, 8.0, 0.04, cfg, n_samples=3)
     assert COLUMNS == ("t", *(c for columns in FUNCTIONALS for c in columns), *INTEGRALS)
     assert all(tuple(r) == COLUMNS for r in traj.records)
     for r in traj.records[1:]:
         assert all(np.isfinite(r[c]) and r[c] > 0 for c in COLUMNS)
 
 
-def test_run_with_z_record(grid, bank):
+def test_run_with_z_record(grid):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
-    lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=("t", "z"),
+    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3)
+    lean = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, record=("t", "z"),
                stop=("t", 0.01))
     assert lean.records == [{"t": r["t"], "z": r["z"]} for r in full.records[:2]]
     assert np.array_equal(lean.column("z"), full.column("z")[:2])
     assert lean.t_stop == 0.01
 
 
-def test_run_records_part_of_a_row(grid, bank):
+def test_run_records_part_of_a_row(grid):
     # grad_u_inf shares its row with grad_rho_inf: selected alone, it is
     # recorded alone, bit for bit the full run's
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank)
+    full = run(omega, rho, 8.0, 0.04, cfg, n_samples=3)
     record = ("t", "z", "grad_u_inf")
-    part = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, record=record)
+    part = run(omega, rho, 8.0, 0.04, cfg, n_samples=3, record=record)
     assert [tuple(r) for r in part.records] == [record] * 3
     for name in record:
         assert np.array_equal(part.column(name), full.column(name))
@@ -279,94 +274,100 @@ def _refuse_steps(monkeypatch):
     (("t", "z"), ("b_integral", 8.0)),  # a stop rule on a column not recorded
     (COLUMNS, ("enstrophy", 1.0)),
 ])
-def test_run_refuses_a_bad_selection_before_any_step(monkeypatch, grid, bank, record, stop):
+def test_run_refuses_a_bad_selection_before_any_step(monkeypatch, grid, record, stop):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     _refuse_steps(monkeypatch)
     with pytest.raises(ValueError):
         run(omega, rho, 8.0, 0.04, StepperConfig(scheme="ifrk4", dt=0.01), n_samples=3,
-            bank=bank, record=record, stop=stop)
+            record=record, stop=stop)
 
 
 _DEGENERATE = {
-    "one sample": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=1, bank=bank),
-    "no samples": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=0, bank=bank),
-    "t_final 0": lambda d, cfg, bank: run(*d, 8.0, 0.0, cfg, n_samples=3, bank=bank),
-    "t_final < 0": lambda d, cfg, bank: run(*d, 8.0, -0.5, cfg, n_samples=3, bank=bank),
-    "t_final nan": lambda d, cfg, bank: run(*d, 8.0, np.nan, cfg, n_samples=3, bank=bank),
-    "stop nan": lambda d, cfg, bank: run(*d, 8.0, 0.04, cfg, n_samples=3, bank=bank,
-                                         stop=("b_integral", np.nan)),
-    "lifespan one sample": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, 8.0, cfg, n_samples=1,
-                                                         bank=bank),
-    "lifespan theta nan": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, np.nan, cfg, bank=bank),
-    "lifespan z only": lambda d, cfg, bank: lifespan(*d, 8.0, 0.5, 8.0, cfg, bank=bank,
-                                                     record=("t", "z")),
-    "picard one sample": lambda d, cfg, bank: picard_run(*d, 8.0, 0.04, 1, cfg, n_samples=1,
-                                                         bank=bank),
+    "one sample": lambda d, cfg: run(*d, 8.0, 0.04, cfg, n_samples=1),
+    "no samples": lambda d, cfg: run(*d, 8.0, 0.04, cfg, n_samples=0),
+    "t_final 0": lambda d, cfg: run(*d, 8.0, 0.0, cfg, n_samples=3),
+    "t_final < 0": lambda d, cfg: run(*d, 8.0, -0.5, cfg, n_samples=3),
+    "t_final nan": lambda d, cfg: run(*d, 8.0, np.nan, cfg, n_samples=3),
+    # no step, and every record at t = 0, where an infinite span used to end "ok"
+    "t_final inf": lambda d, cfg: run(*d, 8.0, np.inf, cfg, n_samples=3),
+    "stop nan": lambda d, cfg: run(*d, 8.0, 0.04, cfg, n_samples=3,
+                                   stop=("b_integral", np.nan)),
+    "lifespan one sample": lambda d, cfg: lifespan(*d, 8.0, 0.5, 8.0, cfg, n_samples=1),
+    "lifespan theta nan": lambda d, cfg: lifespan(*d, 8.0, 0.5, np.nan, cfg),
+    "lifespan z only": lambda d, cfg: lifespan(*d, 8.0, 0.5, 8.0, cfg,
+                                               record=("t", "z")),
+    "picard one sample": lambda d, cfg: picard_run(*d, 8.0, 0.04, 1, cfg, n_samples=1),
 }
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_stepper_refuses_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ValueError):
+        StepperConfig(scheme="ifrk4", dt=dt)
+
+
 @pytest.mark.parametrize("case", sorted(_DEGENERATE))
-def test_run_refuses_degenerate_schedules(monkeypatch, grid, bank, case):
+def test_run_refuses_degenerate_schedules(monkeypatch, grid, case):
     data = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     _refuse_steps(monkeypatch)
     with pytest.raises(ValueError):
-        _DEGENERATE[case](data, StepperConfig(scheme="ifrk4", dt=0.01), bank)
+        _DEGENERATE[case](data, StepperConfig(scheme="ifrk4", dt=0.01))
 
 
-def test_run_requires_mean_zero_vorticity(grid, bank):
+def test_run_requires_mean_zero_vorticity(grid):
     f = forward_transform(grid, np.ones((grid.n, grid.n)))
     cfg = StepperConfig(scheme="rk4", dt=0.01)
     with pytest.raises(NonzeroMeanError):
-        run(f, zero_field(grid), 0.0, 0.1, cfg, bank=bank)
+        run(f, zero_field(grid), 0.0, 0.1, cfg)
 
 
-def test_running_integrals_nondecreasing(grid, bank):
+def test_running_integrals_nondecreasing(grid):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
-    traj = run(omega, rho, 8.0, 0.3, cfg, n_samples=7, bank=bank)
+    traj = run(omega, rho, 8.0, 0.3, cfg, n_samples=7)
     b = traj.column("b_integral")
     m = traj.column("m_integral")
     assert np.all(np.diff(b) >= 0)
     assert np.all(np.diff(m) >= 0)
 
 
-def test_passive_scalar_conservation(grid, bank):
+def test_passive_scalar_conservation(grid):
     # kappa = 0: 2D Euler plus passively advected density
     omega, rho = random_spectrum(grid, seed=8, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="rk4", dt=2e-3)
-    traj = run(omega, rho, 0.0, 0.5, cfg, n_samples=6, bank=bank, store_snapshots=True)
+    traj = run(omega, rho, 0.0, 0.5, cfg, n_samples=6, store_snapshots=True)
     final = traj.snapshots[-1]
     assert abs(lp_norm(final.rho, 2) - lp_norm(rho, 2)) < 1e-8 * lp_norm(rho, 2)
     assert abs(lp_norm(final.omega, 2) - lp_norm(omega, 2)) < 1e-8 * lp_norm(omega, 2)
 
 
-def test_blowup_guard_in_run(grid, bank):
+def test_blowup_guard_in_run(grid):
     omega, rho = random_spectrum(grid, seed=9, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="rk4", dt=0.05)
     # enormous kappa with an explicit scheme at coarse dt is violently unstable
     with np.errstate(invalid="ignore", over="ignore"):
-        traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=21, bank=bank)
+        traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=21)
     assert traj.status == "blowup"
     assert traj.t_stop < 2.0
 
 
-def test_run_to_the_end_stops_at_t_final(grid, bank):
+def test_run_to_the_end_stops_at_t_final(grid):
     # ten steps of 0.01 sum to 0.09999999999999999: t_stop is t_final itself
     z = zero_field(grid)
-    traj = run(z, z, 0.0, 0.1, StepperConfig(scheme="rk4", dt=0.01), n_samples=3, bank=bank)
+    traj = run(z, z, 0.0, 0.1, StepperConfig(scheme="rk4", dt=0.01), n_samples=3)
     assert traj.status == "ok" and traj.records[-1]["t"] != 0.1
     assert traj.t_stop == 0.1
 
 
-def test_run_refuses_a_stop_rule_the_data_meets(grid, bank):
+def test_run_refuses_a_stop_rule_the_data_meets(grid):
     omega, rho = random_spectrum(grid, seed=7, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.01)
     for rule in (("t", 0.0), ("b_integral", 0.0), ("z", 1e-3)):
         with pytest.raises(ValueError, match="stop rule"):
-            run(omega, rho, 8.0, 0.04, cfg, n_samples=3, bank=bank, stop=rule)
+            run(omega, rho, 8.0, 0.04, cfg, n_samples=3, stop=rule)
 
 
-def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
+def test_run_stop_rule_reproduces_the_recorded_lifespan(grid):
     # criterion 9's data and step at kappa=0; the literal is the lifespan
     # that scanning the finished trajectory for the crossing gave.  It was
     # recorded with adaptive=True when that meant a CFL step capped at dt:
@@ -375,7 +376,7 @@ def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
     omega, rho = random_spectrum(grid, alpha=2.5, seed=11, amplitude=15.0,
                                  xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.002)
-    traj = run(omega, rho, 0.0, 1.0, cfg, n_samples=41, bank=bank, stop=("b_integral", 8.0))
+    traj = run(omega, rho, 0.0, 1.0, cfg, n_samples=41, stop=("b_integral", 8.0))
     assert traj.status == "ok"
     assert traj.t_stop == 0.5777623702972501
     b = traj.column("b_integral")
@@ -387,11 +388,11 @@ def test_run_stop_rule_reproduces_the_recorded_lifespan(grid, bank):
     (41, "guard"),  # z passes GUARD_FACTOR z(0) at the sample t = 0.05
     (2, "step"),  # the coefficients overflow before the only sample after t=0
 ])
-def test_blowup_sets_t_stop(grid, bank, n_samples, seen_at):
+def test_blowup_sets_t_stop(grid, n_samples, seen_at):
     omega, rho = random_spectrum(grid, seed=9, amplitude=1.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="rk4", dt=0.05)
     with np.errstate(invalid="ignore", over="ignore"):
-        traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=n_samples, bank=bank,
+        traj = run(omega, rho, 1e4, 2.0, cfg, n_samples=n_samples,
                    record=("t", "z"))
     assert traj.status == "blowup"
     assert 0.0 < traj.t_stop < 2.0
@@ -562,11 +563,11 @@ def test_run_says_why_it_stopped(monkeypatch, reason):
                                          "step_floor": 0.0}.get(reason, last), abs=1e-12)
 
 
-def test_runs_count_their_steps(grid, bank):
+def test_runs_count_their_steps(grid):
     # a fixed run counts its steps, the last before each sample cut short
     omega, rho = random_spectrum(grid, seed=3, amplitude=2.0, xi_lo=0.5, xi_hi=4.0)
     traj = run(omega, rho, 16.0, 0.1, StepperConfig(scheme="ifrk4", dt=0.03), n_samples=3,
-               bank=bank, record=("t", "z"))
+               record=("t", "z"))
     assert (traj.steps, traj.rejected, traj.dt_max) == (4, 0, 0.03)
     assert traj.dt_min == pytest.approx(0.02)
 
@@ -720,36 +721,36 @@ def test_cfl_dt_checks_the_velocity_is_real(grid):
         cfl_dt(state, StepperConfig(scheme="ifrk4", dt=1.0, adaptive=True))
 
 
-def test_lifespan_zero_data(grid, bank):
+def test_lifespan_zero_data(grid):
     z = zero_field(grid)
     cfg = StepperConfig(scheme="rk4", dt=0.01)
-    t_life, traj = lifespan(z, z, 0.0, 0.5, 1.0, cfg, n_samples=6, bank=bank)
+    t_life, traj = lifespan(z, z, 0.0, 0.5, 1.0, cfg, n_samples=6)
     assert t_life == 0.5
     with pytest.raises(ValueError):
-        lifespan(z, z, 0.0, 0.5, -1.0, cfg, bank=bank)
+        lifespan(z, z, 0.0, 0.5, -1.0, cfg)
 
 
-def test_lifespan_crossing_interpolated(grid, bank):
+def test_lifespan_crossing_interpolated(grid):
     omega, rho = random_spectrum(grid, seed=11, amplitude=15.0, xi_lo=0.5, xi_hi=4.0)
     cfg = StepperConfig(scheme="ifrk4", dt=0.002, adaptive=True)
-    t_life, traj = lifespan(omega, rho, 0.0, 1.0, 4.0, cfg, n_samples=21, bank=bank)
+    t_life, traj = lifespan(omega, rho, 0.0, 1.0, 4.0, cfg, n_samples=21)
     assert 0.0 < t_life < 1.0
     b = traj.column("b_integral")
     assert b[-1] >= 4.0
 
 
-def test_gronwall_fit(grid, bank):
+def test_gronwall_fit(grid):
     cfg = StepperConfig(scheme="rk4", dt=0.01)
     z = zero_field(grid)
-    traj = run(z, z, 0.0, 0.1, cfg, n_samples=3, bank=bank)
+    traj = run(z, z, 0.0, 0.1, cfg, n_samples=3)
     assert gronwall_fit(traj.records) == 0.0
     with pytest.raises(ValueError):
         gronwall_fit([])
 
 
-def test_z_norm_zero(grid, bank):
+def test_z_norm_zero(grid):
     z = zero_field(grid)
-    assert z_norm(z, z, bank) == 0.0
+    assert z_norm(z, z) == 0.0
 
 
 @pytest.mark.parametrize("scheme", ["ifrk4", "rk4"])
@@ -769,7 +770,7 @@ def test_step_path_calls_no_blas_norm(monkeypatch, scheme):
 
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_steps_keep_hermitian_symmetry_exactly(grid, bank, scheme, adaptive):
+def test_steps_keep_hermitian_symmetry_exactly(grid, scheme, adaptive):
     # exact, not within the guard's tolerance: the forward transform
     # symmetrizes its output, every symbol is even or odd under k1 -> -k1
     # (with the Nyquist rule), and complex products commute with conjugation.
@@ -777,7 +778,7 @@ def test_steps_keep_hermitian_symmetry_exactly(grid, bank, scheme, adaptive):
     # HermitianSymmetryError.
     omega, rho = random_spectrum(grid, seed=5, amplitude=2.0)
     cfg = StepperConfig(scheme=scheme, dt=0.01, adaptive=adaptive)
-    traj = run(omega, rho, 16.0, 0.1, cfg, n_samples=6, store_snapshots=True, bank=bank)
+    traj = run(omega, rho, 16.0, 0.1, cfg, n_samples=6, store_snapshots=True)
     assert traj.status == "ok" and len(traj.snapshots) == 6
     velocities = [snap.own_velocity() for snap in traj.snapshots]
     parts = [f for snap in traj.snapshots for f in (snap.omega, snap.rho)]
